@@ -38,7 +38,6 @@ from .valuations import (
     Violation,
     check_conditions,
     estimate_L,
-    value_query,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

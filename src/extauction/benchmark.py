@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 from .sets import iter_members, members
 from .valuations import EPS, Oracle, as_oracle
@@ -79,25 +80,32 @@ def benchmark_bruteforce(profile, k: int) -> BenchmarkResult:
     return BenchmarkResult(best[0], best[1], best[2], k)
 
 
-def maximal_feasible_set(profile, c: float, pool: int, free: int) -> int:
-    """Largest ``T`` inside ``pool`` with ``b_i(free | T) >= c`` for all its members.
-
-    Iteratively deletes every currently infeasible agent; by monotonicity the
-    fixpoint contains every feasible subset of ``pool``.
-    """
-    if pool & free:
-        raise ValueError("pool and free sets must be disjoint")
-    oracle = as_oracle(profile)
+def deletion_fixpoint(oracle: Oracle, pool: int, free: int, bar: Callable[[int], float]) -> int:
+    """From ``T = pool``, drop in each round every member bidding ``b_i(free | T)``
+    below ``bar(|T|)``; returns the first ``T`` that loses nobody (possibly empty)."""
     t = pool
     while t:
+        union = free | t
+        low = bar(t.bit_count()) - EPS
         drop = 0
         for i in iter_members(t):
-            if oracle.value(i, free | t) < c - EPS:
+            if oracle.value(i, union) < low:
                 drop |= 1 << i
         if not drop:
             break
         t &= ~drop
     return t
+
+
+def maximal_feasible_set(profile, c: float, pool: int, free: int) -> int:
+    """Largest ``T`` inside ``pool`` with ``b_i(free | T) >= c`` for all its members.
+
+    The deletion fixpoint at the constant bar ``c``; by monotonicity it
+    contains every feasible subset of ``pool``.
+    """
+    if pool & free:
+        raise ValueError("pool and free sets must be disjoint")
+    return deletion_fixpoint(as_oracle(profile), pool, free, lambda size: c)
 
 
 def _greedy_sweep(oracle: Oracle, pool: int, free: int, k: int) -> tuple[float, float, int]:

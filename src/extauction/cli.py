@@ -17,7 +17,7 @@ from . import benchmark as bm
 from . import experiments as ex
 from . import mechanisms as mech
 from . import truthfulness as tr
-from .io import InstanceError, emit_report, instance_digest, load_instance
+from .io import emit_report, instance_digest, load_instance
 from .valuations import check_conditions, estimate_L
 
 
@@ -27,6 +27,21 @@ class UsageError(Exception):
 
 def _print(obj) -> None:
     print(json.dumps(obj, indent=2, sort_keys=True))
+
+
+def _mechanism(args):
+    """``fn(profile, seed)`` for ``--mechanism``, shared by ``run`` and ``verify``."""
+    if args.mechanism == "fixed-price" and args.price is None:
+        raise UsageError("--price is required for the fixed-price mechanism")
+    mechanisms = {
+        "main": lambda p, s: mech.main_mechanism(p, s),
+        "fixed-price": lambda p, s: mech.fixed_price_mechanism(p, args.price),
+        "mechanism2": lambda p, s: mech.mechanism2(p, alpha=args.alpha, rng=s),
+        "broken": tr.broken_first_price_mechanism,
+    }
+    if args.mechanism not in mechanisms:
+        raise UsageError(f"unknown mechanism {args.mechanism!r}")
+    return mechanisms[args.mechanism]
 
 
 def _cmd_check(args) -> int:
@@ -58,17 +73,8 @@ def _cmd_benchmark(args) -> int:
 
 def _cmd_run(args) -> int:
     profile = load_instance(args.instance)
-    if args.mechanism == "main":
-        outcome = mech.main_mechanism(profile, args.seed)
-    elif args.mechanism == "fixed-price":
-        if args.price is None:
-            raise UsageError("--price is required for the fixed-price mechanism")
-        outcome = mech.fixed_price_mechanism(profile, args.price)
-    elif args.mechanism == "mechanism2":
-        outcome = mech.mechanism2(profile, alpha=args.alpha, rng=args.seed)
-    else:
-        raise UsageError(f"unknown mechanism {args.mechanism!r}")
-    out = outcome.to_json()
+    mechanism = _mechanism(args)
+    out = mechanism(profile, args.seed).to_json()
     out["mechanism"] = args.mechanism
     out["seed"] = args.seed
     _print(out)
@@ -91,19 +97,10 @@ def _cmd_expect(args) -> int:
 
 def _cmd_verify(args) -> int:
     profile = load_instance(args.instance)
-    mechanisms = {
-        "main": lambda p, s: mech.main_mechanism(p, s),
-        "fixed-price": lambda p, s: mech.fixed_price_mechanism(p, args.price or 1.0),
-        "mechanism2": lambda p, s: mech.mechanism2(p, alpha=args.alpha, rng=s),
-        "broken": tr.broken_first_price_mechanism,
-    }
-    if args.mechanism not in mechanisms:
-        raise UsageError(f"unknown mechanism {args.mechanism!r}")
+    mechanism = _mechanism(args)
     count = args.misreports * (4 if args.exhaustive else 1)
     plan = tr.misreport_plan(profile, count, seed=args.seed)
-    violations = tr.deviation_test(
-        mechanisms[args.mechanism], profile, plan, seeds=range(args.runs)
-    )
+    violations = tr.deviation_test(mechanism, profile, plan, seeds=range(args.runs))
     _print(
         {
             "mechanism": args.mechanism,
@@ -121,22 +118,22 @@ def _cmd_verify(args) -> int:
 
 def _cmd_experiment(args) -> int:
     config = json.loads(Path(args.config).read_text())
+    if not isinstance(config, dict):
+        raise UsageError(f"{args.config}: experiment config must be a JSON object")
     seed = config.get("seed", 0)
     instances = []
-    for spec in config.get("instances", []):
+    for j, spec in enumerate(config.get("instances", [])):
+        if not isinstance(spec, dict) or not {"model", "n"} <= spec.keys():
+            raise UsageError(f"{args.config}: instances[{j}] needs 'model' and 'n'")
         name = spec.get("name") or f"{spec['model']}-n{spec['n']}"
-        instances.append(
-            (
-                name,
-                ex.gen_instance(
-                    spec["model"],
-                    spec["n"],
-                    seed=ex.derive_seed(seed, name),
-                    graph=spec.get("graph"),
-                    graph_p=spec.get("graph_p", 0.5),
-                ),
-            )
+        profile = ex.gen_instance(
+            spec["model"],
+            spec["n"],
+            seed=ex.derive_seed(seed, name),
+            graph=spec.get("graph"),
+            graph_p=spec.get("graph_p", 0.5),
         )
+        instances.append((name, profile))
     mode = config.get("mode", "exact")
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -171,10 +168,8 @@ def _cmd_demo(args) -> int:
             }
         )
         return 0
-    if args.which == "losing-value":
-        _print(ex.losing_value_demo())
-        return 0
-    raise UsageError(f"unknown demo {args.which!r}")
+    _print(ex.losing_value_demo())  # the parser allows only these two demos
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -235,9 +230,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # the library rejects bad arguments with ValueError (InstanceError and
+    # JSONDecodeError are ValueErrors too), so each of them is a usage error
     try:
         return args.fn(args)
-    except (InstanceError, UsageError, OSError, json.JSONDecodeError) as e:
+    except (ValueError, UsageError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .benchmark import (
+from .benchmark import (  # noqa: F401  (_greedy_sweep stays bound for perfbench's tracer)
     BenchmarkResult,
     _greedy_sweep,
     benchmark_bruteforce,
@@ -29,10 +29,12 @@ from .mechanisms import (
     main_mechanism,
     main_mechanism_exact_expectation,
     mechanism2_expected_revenue,
+    testers_revenue,
 )
 from .sets import iter_members
 from .valuations import (
     EPS,
+    TABLE_MODEL_MAX_N,
     AdditiveModel,
     DegreeWeight,
     GraphConcaveModel,
@@ -159,17 +161,14 @@ def gen_instance(
         raise ValueError("empty market rejected: need n >= 1")
     if model not in GEN_MODELS:
         raise ValueError(f"unknown model {model!r}; choose from {GEN_MODELS}")
-    if model == "table" and n > 10:
-        raise ValueError("table instances are capped at n <= 10")
+    if model == "table" and n > TABLE_MODEL_MAX_N:
+        raise ValueError(f"table instances are capped at n <= {TABLE_MODEL_MAX_N}")
+    mixed = ["table", "additive", "scalar", "graph_concave", "linear"]
+    if n > TABLE_MODEL_MAX_N:
+        mixed.remove("table")
     for attempt in range(max_retries):
         rng = random.Random(derive_seed("gen", model, n, seed, attempt))
-        kind_of = (
-            (lambda i: rng.choice(["table", "additive", "scalar", "graph_concave", "linear"]))
-            if model == "mixed"
-            else (lambda i: model)
-        )
-        if model == "mixed" and n > 10:
-            kind_of = lambda i: rng.choice(["additive", "scalar", "graph_concave", "linear"])
+        kind_of = (lambda i: rng.choice(mixed)) if model == "mixed" else (lambda i: model)
         adjacency = None
         if graph is not None:
             adjacency = _random_graph(n, rng, graph, graph_p)
@@ -294,17 +293,7 @@ def quarter_bound_check(
     if optimum.value <= EPS:
         return QuarterBoundResult("skip", 0.0, 0.0)
     r_f_c = optimum.price * (optimum.winners & partition.c).bit_count()
-
-    def rev(pool, free):
-        if rev_cache is None:
-            return _greedy_sweep(oracle, pool, free, 1)[0]
-        key = (pool, free)
-        got = rev_cache.get(key)
-        if got is None:
-            got = rev_cache[key] = _greedy_sweep(oracle, pool, free, 1)[0]
-        return got
-
-    r_c = max(rev(partition.c, partition.a), rev(partition.c, partition.b)) if partition.c else 0.0
+    r_c = testers_revenue(oracle, partition, rev_cache)
     status = "pass" if r_c >= r_f_c / 4 - EPS else "fail"
     return QuarterBoundResult(status, r_c, r_f_c)
 
@@ -529,20 +518,20 @@ class _RawTable:
 # Monte-Carlo campaigns
 # ---------------------------------------------------------------------------
 
+def _mean_stderr(revenues: Sequence[float]) -> tuple[float, float]:
+    """Mean and standard error of the mean (0 for a single run)."""
+    n = len(revenues)
+    err = statistics.stdev(revenues) / math.sqrt(n) if n > 1 else 0.0
+    return statistics.fmean(revenues), err
+
+
 def monte_carlo_expectation(profile, trials: int, seed: int = 0) -> tuple[float, float]:
     """Mean revenue and standard error over seeded runs."""
     if trials <= 0:
         return 0.0, 0.0
-    revenues = []
-    for trial in range(trials):
-        out = main_mechanism(profile, derive_seed("mc", seed, trial))
-        revenues.append(out.revenue)
-    mean = statistics.fmean(revenues)
-    if trials > 1:
-        err = statistics.stdev(revenues) / math.sqrt(trials)
-    else:
-        err = 0.0
-    return mean, err
+    return _mean_stderr(
+        [main_mechanism(profile, derive_seed("mc", seed, trial)).revenue for trial in range(trials)]
+    )
 
 
 CAMPAIGN_COLUMNS = (
@@ -585,8 +574,7 @@ def ratio_campaign(
         budget = 10 * profile.n * profile.n
         if max_q > budget:
             budget_ok = False
-        mean = statistics.fmean(revenues)
-        err = statistics.stdev(revenues) / math.sqrt(trials) if trials > 1 else 0.0
+        mean, err = _mean_stderr(revenues)
         rows.append(
             (name, seed, profile.n, f3, mean, err, _ratio(f3, mean), trials, max_q, budget)
         )

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 from .experiments import ExperimentReport
@@ -22,16 +23,43 @@ from .valuations import (
     DegreeWeight,
     GraphConcaveModel,
     LinearModel,
-    Model,
     ScalarModel,
     TableModel,
-    TableWeight,
     ValuationProfile,
-    Weight,
     check_conditions,
 )
 
 SCHEMA_VERSION = 1
+
+#: entry name -> class, per tag: ``model`` names agent entries, ``kind`` names weights
+_KINDS = {
+    "model": {
+        "table": TableModel,
+        "additive": AdditiveModel,
+        "scalar": ScalarModel,
+        "linear": LinearModel,
+        "graph_concave": GraphConcaveModel,
+    },
+    "kind": {"degree": DegreeWeight, "table": TableModel},
+}
+
+
+def _schema(tag: str, cls) -> tuple:
+    fs = fields(cls)
+    return (
+        cls,
+        tuple((f.name, f.type) for f in fs),
+        {tag, *(f.name for f in fs)},
+        {tag, *(f.name for f in fs if f.default is MISSING)},
+    )
+
+
+#: per tag, entry name -> (class, (field, annotation) pairs, allowed keys, required keys):
+#: an entry's keys are its tag plus exactly its class's fields, those with a default optional
+_SCHEMAS = {
+    tag: {name: _schema(tag, cls) for name, cls in kinds.items()} for tag, kinds in _KINDS.items()
+}
+_NAMES = {tag: {cls: name for name, cls in kinds.items()} for tag, kinds in _KINDS.items()}
 
 
 class InstanceError(ValueError):
@@ -63,101 +91,77 @@ def _parse_set_key(key: str, n: int, where: str) -> int:
     return mask_of(ids)
 
 
-def _weight_to_json(w: Weight) -> dict:
-    if isinstance(w, DegreeWeight):
-        return {"kind": "degree", "base": w.base, "scale": w.scale, "shape": w.shape}
-    if isinstance(w, TableWeight):
-        return {"kind": "table", "values": {_set_key(m): v for m, v in sorted(w.values.items())}}
-    raise InstanceError(f"unserializable weight {w!r}")
+def _float(x, where: str) -> float:
+    """Every number of an instance file is read here; it must be finite."""
+    try:
+        v = float(x)
+    except (TypeError, ValueError, OverflowError):
+        raise InstanceError(f"{where}: expected a number, got {x!r}") from None
+    if not math.isfinite(v):
+        raise InstanceError(f"{where}: numbers must be finite, got {x!r}")
+    return v
 
 
-def _weight_from_json(obj: dict, n: int, where: str) -> Weight:
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise InstanceError(f"{where}: weight must be an object with a 'kind'")
-    if obj["kind"] == "degree":
-        _require_keys(obj, {"kind", "base", "scale", "shape"}, {"kind"}, where)
-        shape = obj.get("shape", "linear")
-        if shape not in SHAPES:
-            raise InstanceError(f"{where}: unknown shape {shape!r} (want one of {sorted(SHAPES)})")
-        return DegreeWeight(
-            base=float(obj.get("base", 1.0)),
-            scale=float(obj.get("scale", 1.0)),
-            shape=shape,
-        )
-    if obj["kind"] == "table":
-        _require_keys(obj, {"kind", "values"}, {"kind", "values"}, where)
-        values = {
-            _parse_set_key(k, n, where): float(v) for k, v in obj["values"].items()
-        }
-        return TableWeight(values)
-    raise InstanceError(f"{where}: unknown weight kind {obj['kind']!r}")
+def _to_json(obj, tag: str) -> dict:
+    """Entry of a model (tag ``model``) or a weight (tag ``kind``), every field written."""
+    name = _NAMES[tag].get(type(obj))
+    if name is None:
+        raise InstanceError(f"unserializable {tag} entry {obj!r}")
+    doc = {tag: name}
+    for field, annotation in _SCHEMAS[tag][name][1]:
+        value = getattr(obj, field)
+        if annotation == "Weight":
+            value = _to_json(value, "kind")
+        elif annotation == "Mapping[int, float]":
+            value = {_set_key(m): v for m, v in sorted(value.items())}
+        doc[field] = value
+    return doc
 
 
-def _model_to_json(m: Model) -> dict:
-    if isinstance(m, TableModel):
-        return {
-            "model": "table",
-            "values": {_set_key(s): v for s, v in sorted(m.values.items())},
-        }
-    if isinstance(m, AdditiveModel):
-        return {"model": "additive", "t": m.t, "weight": _weight_to_json(m.weight)}
-    if isinstance(m, ScalarModel):
-        return {"model": "scalar", "t": m.t, "weight": _weight_to_json(m.weight)}
-    if isinstance(m, LinearModel):
-        return {
-            "model": "linear",
-            "t": m.t,
-            "weight": _weight_to_json(m.weight),
-            "offset": _weight_to_json(m.offset),
-        }
-    if isinstance(m, GraphConcaveModel):
-        return {"model": "graph_concave", "t": m.t, "beta": m.beta, "shape": m.shape}
-    raise InstanceError(f"unserializable model {m!r}")
+def _from_json(obj, tag: str, n: int, where: str, agent: int | None = None):
+    """Model (tag ``model``) or weight (tag ``kind``) from its entry; absent optional
+    fields take the class defaults, and an agent entry's table keys must contain ``agent``."""
+    if not isinstance(obj, dict) or tag not in obj:
+        noun = "agent entry" if tag == "model" else "weight"
+        raise InstanceError(f"{where}: {noun} must be an object with a {tag!r}")
+    schema = _SCHEMAS[tag].get(obj[tag]) if isinstance(obj[tag], str) else None
+    if schema is None:
+        what = "model" if tag == "model" else "weight kind"
+        raise InstanceError(f"{where}: unknown {what} {obj[tag]!r}")
+    cls, spec, allowed, required = schema
+    _require_keys(obj, allowed, required, where)
+    kwargs = {}
+    for field, annotation in spec:
+        if field in obj:
+            kwargs[field] = _field(annotation, obj[field], n, where, agent)
+    return cls(**kwargs)
 
 
-def _model_from_json(obj: dict, i: int, n: int) -> Model:
-    where = f"agents[{i}]"
-    if not isinstance(obj, dict) or "model" not in obj:
-        raise InstanceError(f"{where}: agent entry must be an object with a 'model'")
-    kind = obj["model"]
-    if kind == "table":
-        _require_keys(obj, {"model", "values"}, {"model", "values"}, where)
-        values = {}
-        for k, v in obj["values"].items():
-            mask = _parse_set_key(k, n, where)
-            if not (mask >> i) & 1:
-                raise InstanceError(f"{where}: table key {k!r} does not contain agent {i}")
-            values[mask] = float(v)
-        return TableModel(values)
-    if kind == "additive":
-        _require_keys(obj, {"model", "t", "weight"}, {"model", "t", "weight"}, where)
-        return AdditiveModel(float(obj["t"]), _weight_from_json(obj["weight"], n, where))
-    if kind == "scalar":
-        _require_keys(obj, {"model", "t", "weight"}, {"model", "t", "weight"}, where)
-        return ScalarModel(float(obj["t"]), _weight_from_json(obj["weight"], n, where))
-    if kind == "linear":
-        _require_keys(
-            obj, {"model", "t", "weight", "offset"}, {"model", "t", "weight", "offset"}, where
-        )
-        return LinearModel(
-            float(obj["t"]),
-            _weight_from_json(obj["weight"], n, where),
-            _weight_from_json(obj["offset"], n, where),
-        )
-    if kind == "graph_concave":
-        _require_keys(obj, {"model", "t", "beta", "shape"}, {"model", "t"}, where)
-        shape = obj.get("shape", "sqrt")
-        if shape not in SHAPES:
-            raise InstanceError(f"{where}: unknown shape {shape!r} (want one of {sorted(SHAPES)})")
-        return GraphConcaveModel(float(obj["t"]), float(obj.get("beta", 1.0)), shape)
-    raise InstanceError(f"{where}: unknown model {kind!r}")
+def _field(annotation: str, value, n: int, where: str, agent: int | None):
+    """One field of an entry, read by its annotation (source text: the valuations
+    module postpones annotation evaluation)."""
+    if annotation == "float":
+        return _float(value, where)
+    if annotation == "Weight":
+        return _from_json(value, "kind", n, where)
+    if annotation == "str":  # the string fields are shapes
+        if value not in SHAPES:
+            raise InstanceError(f"{where}: unknown shape {value!r} (want one of {sorted(SHAPES)})")
+        return value
+    table = {}  # Mapping[int, float]
+    for k, v in value.items():
+        mask = _parse_set_key(k, n, where)
+        if agent is not None and not (mask >> agent) & 1:
+            raise InstanceError(f"{where}: table key {k!r} does not contain agent {agent}")
+        table[mask] = _float(v, where)
+    return table
 
 
 def _instance_doc(profile: ValuationProfile) -> dict:
     doc = {
         "schema": SCHEMA_VERSION,
         "n": profile.n,
-        "agents": [_model_to_json(m) for m in profile.models],
+        "agents": [_to_json(m, "model") for m in profile.models],
     }
     if profile.graph is not None:
         doc["graph"] = [list(nb) for nb in profile.graph]
@@ -216,7 +220,7 @@ def load_instance(path, validate: bool = True) -> ValuationProfile:
                     raise InstanceError(f"{path}: bad neighbor {j!r} of agent {i}")
                 if i not in graph[j]:
                     raise InstanceError(f"{path}: graph must be symmetric ({i}-{j})")
-    models = [_model_from_json(a, i, n) for i, a in enumerate(agents)]
+    models = [_from_json(a, "model", n, f"agents[{i}]", i) for i, a in enumerate(agents)]
     profile = ValuationProfile(models, graph=graph, declared_L=doc.get("declared_L"))
     if validate and n <= 12:
         violations = check_conditions(profile)

@@ -14,7 +14,12 @@ import math
 import random
 from dataclasses import dataclass
 
-from .benchmark import classical_best_price, maximal_feasible_set, _greedy_sweep
+from .benchmark import (
+    _greedy_sweep,
+    classical_best_price,
+    deletion_fixpoint,
+    maximal_feasible_set,
+)
 from .sets import iter_members, members
 from .valuations import EPS, AdditiveModel, Oracle, ValuationProfile, as_oracle
 
@@ -57,14 +62,6 @@ class Partition3:
     b: int
     c: int
 
-    def label_of(self, i: int) -> str:
-        bit = 1 << i
-        if self.a & bit:
-            return "A"
-        if self.b & bit:
-            return "B"
-        return "C"
-
     @classmethod
     def sample(cls, n: int, rng: random.Random) -> "Partition3":
         """Uniform i.i.d. label per agent, drawn in agent order."""
@@ -101,17 +98,7 @@ def fixed_price_mechanism(profile, c: float) -> Outcome:
 
 def _cost_share_survivors(oracle: Oracle, r: float, x: int, y: int) -> int:
     """Survivor set of the equal-share deletion loop on ``x`` given ``y`` free."""
-    s = x
-    while s:
-        share = r / s.bit_count()
-        drop = 0
-        for i in iter_members(s):
-            if oracle.value(i, s | y) < share - EPS:
-                drop |= 1 << i
-        if not drop:
-            break
-        s &= ~drop
-    return s
+    return deletion_fixpoint(oracle, x, y, lambda size: r / size)
 
 
 def cost_share(profile, r: float, x: int, y: int) -> Outcome:
@@ -135,21 +122,30 @@ def cost_share(profile, r: float, x: int, y: int) -> Outcome:
     return Outcome(s, payments, share * s.bit_count(), oracle.queries)
 
 
+def testers_revenue(oracle: Oracle, part: Partition3, rev_cache: dict | None = None) -> float:
+    """``r(C)``: the best uniform-price revenue from C given A, or else B, holds the good.
+
+    ``rev_cache`` (optional) memoizes the sweep value per ``(pool, free)``
+    pair across the partitions of one profile.
+    """
+    c = part.c
+    if not c:
+        return 0.0
+    revs = []
+    for free in (part.a, part.b):
+        got = None if rev_cache is None else rev_cache.get((c, free))
+        if got is None:
+            got = _greedy_sweep(oracle, c, free, 1)[0]
+            if rev_cache is not None:
+                rev_cache[c, free] = got
+        revs.append(got)
+    return max(revs)
+
+
 def _run_partitioned(oracle: Oracle, part: Partition3, rev_cache: dict | None = None) -> Outcome:
     """Deterministic core of the tripartition auction for a fixed partition."""
-
-    def rev(pool: int, free: int) -> float:
-        if rev_cache is None:
-            return _greedy_sweep(oracle, pool, free, 1)[0]
-        key = (pool, free)
-        got = rev_cache.get(key)
-        if got is None:
-            got = _greedy_sweep(oracle, pool, free, 1)[0]
-            rev_cache[key] = got
-        return got
-
-    a, b, c = part.a, part.b, part.c
-    r_c = max(rev(c, a), rev(c, b)) if c else 0.0
+    a, b = part.a, part.b
+    r_c = testers_revenue(oracle, part, rev_cache)
     payments = {i: 0.0 for i in iter_members(a)}
     winners = a
     revenue = 0.0

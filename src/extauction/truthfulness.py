@@ -19,22 +19,13 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 from .mechanisms import Outcome
 from .sets import contains
-from .valuations import (
-    EPS,
-    AdditiveModel,
-    GraphConcaveModel,
-    LinearModel,
-    Model,
-    ScalarModel,
-    TableModel,
-    ValuationProfile,
-    as_oracle,
-)
+from .valuations import EPS, Model, TableModel, ValuationProfile, as_oracle
 
 
 class CharacterizationError(ValueError):
@@ -54,9 +45,7 @@ class SingleParamRule:
 
     def contexts(self, i: int):
         """All bid vectors of the other agents, as full templates with slot i."""
-        other_grids = [g for j, g in enumerate(self.grids) if j != i]
-        for combo in itertools.product(*other_grids):
-            yield combo
+        return itertools.product(*(g for j, g in enumerate(self.grids) if j != i))
 
     def vector(self, i: int, context: tuple[float, ...], b_i: float) -> tuple[float, ...]:
         vec = list(context[:i]) + [b_i] + list(context[i:])
@@ -127,13 +116,7 @@ class BreakpointPartition:
     d: list[float]
 
     def interval_of(self, idx: int) -> int:
-        lo = 0
-        for j, s in enumerate(self.starts):
-            if s <= idx:
-                lo = j
-            else:
-                break
-        return lo
+        return bisect_right(self.starts, idx) - 1
 
 
 def discover_breakpoints(
@@ -287,23 +270,11 @@ class DeviationViolation:
     gain: float
 
 
-def _with_t(model: Model, t: float) -> Model:
-    if isinstance(model, AdditiveModel):
-        return AdditiveModel(t, model.weight)
-    if isinstance(model, ScalarModel):
-        return ScalarModel(t, model.weight)
-    if isinstance(model, LinearModel):
-        return LinearModel(t, model.weight, model.offset)
-    if isinstance(model, GraphConcaveModel):
-        return GraphConcaveModel(t, model.beta, model.shape)
-    raise TypeError(f"model {model!r} has no scalar parameter")
-
-
 def _scale_model(model: Model, factor: float) -> Model:
     if isinstance(model, TableModel):
         return TableModel({k: v * factor for k, v in model.values.items()})
     # single private parameter: scaling the report scales t only
-    return _with_t(model, model.t * factor)
+    return replace(model, t=model.t * factor)
 
 
 def misreport_plan(
@@ -342,8 +313,8 @@ def misreport_plan(
                 plan.append(Deviation(i, TableModel(noisy), "table noise"))
                 made += 1
         else:
-            plan.append(Deviation(i, _with_t(model, 0.0), "zero bid"))
-            plan.append(Deviation(i, _with_t(model, 1e6), "huge bid"))
+            plan.append(Deviation(i, replace(model, t=0.0), "zero bid"))
+            plan.append(Deviation(i, replace(model, t=1e6), "huge bid"))
             made += 2
             while made < per_agent:
                 f = rng.uniform(0.0, 4.0)

@@ -20,7 +20,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence, Union
 
-from .sets import full_mask, members, submasks
+from .sets import full_mask, mask_of, members, submasks
 
 EPS = 1e-9
 
@@ -33,12 +33,15 @@ SHAPES: dict[str, Callable[[int], float]] = {
 
 
 # ---------------------------------------------------------------------------
-# public weight functions w_i(S) used by the single-parameter models
+# explicit tables, and the public weights w_i(S) of the single-parameter models
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class TableWeight:
-    """Explicit per-set weight; keys are masks of sets containing the agent."""
+class TableModel:
+    """Explicit per-set table, serving as a valuation or as a weight.
+
+    Keys are masks of sets containing the agent; unlisted sets are worth 0.
+    """
 
     values: Mapping[int, float]
 
@@ -46,6 +49,10 @@ class TableWeight:
         tbl = dict(self.values)
         bit = 1 << i
         return lambda s: tbl.get(s, 0.0) if s & bit else 0.0
+
+
+#: a table weight is the same per-set table
+TableWeight = TableModel
 
 
 @dataclass(frozen=True)
@@ -67,24 +74,12 @@ class DegreeWeight:
         return lambda s: base + scale * f((s & nb).bit_count()) if s & bit else 0.0
 
 
-Weight = Union[TableWeight, DegreeWeight]
+Weight = Union[TableModel, DegreeWeight]
 
 
 # ---------------------------------------------------------------------------
 # per-agent valuation models
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TableModel:
-    """Explicit valuation table; keys are masks of sets containing the agent."""
-
-    values: Mapping[int, float]
-
-    def bind(self, i, neighbor_mask):
-        tbl = dict(self.values)
-        bit = 1 << i
-        return lambda s: tbl.get(s, 0.0) if s & bit else 0.0
-
 
 @dataclass(frozen=True)
 class AdditiveModel:
@@ -155,9 +150,6 @@ class GraphConcaveModel:
 
 Model = Union[TableModel, AdditiveModel, ScalarModel, LinearModel, GraphConcaveModel]
 
-#: models whose private report is the single scalar ``t``
-SINGLE_PARAM_MODELS = (AdditiveModel, ScalarModel, LinearModel, GraphConcaveModel)
-
 TABLE_MODEL_MAX_N = 10
 EXHAUSTIVE_MAX_N = 12
 
@@ -181,9 +173,7 @@ class ValuationProfile:
         if self.graph is None:
             self.neighbor_masks = tuple(self.full for _ in range(self.n))
         else:
-            self.neighbor_masks = tuple(
-                sum(1 << j for j in nb) for nb in self.graph
-            )
+            self.neighbor_masks = tuple(mask_of(nb) for nb in self.graph)
         if any(isinstance(m, TableModel) for m in models) and self.n > TABLE_MODEL_MAX_N:
             raise ValueError(f"table models are capped at n <= {TABLE_MODEL_MAX_N}")
         self._fns = tuple(
@@ -242,11 +232,6 @@ def as_oracle(profile_or_oracle) -> Oracle:
     return profile_or_oracle.oracle()
 
 
-def value_query(oracle: Oracle, i: int, s: int) -> float:
-    """Black-box bid query ``b_i(S)``; increments the run's query counter."""
-    return oracle.value(i, s)
-
-
 # ---------------------------------------------------------------------------
 # condition checking
 # ---------------------------------------------------------------------------
@@ -283,6 +268,17 @@ def _pair_iter_exhaustive(n: int, i: int):
             yield s, d | bit
 
 
+def _resolve_mode(n: int, mode: str) -> str:
+    """``"auto"`` means exhaustive when n allows it; exhaustive is capped at n <= 12."""
+    if mode == "auto":
+        mode = "exhaustive" if n <= EXHAUSTIVE_MAX_N else "sampled"
+    if mode == "exhaustive" and n > EXHAUSTIVE_MAX_N:
+        raise ValueError(f"exhaustive mode rejected for n > {EXHAUSTIVE_MAX_N}")
+    if mode not in ("exhaustive", "sampled"):
+        raise ValueError(f"unknown mode {mode!r}")
+    return mode
+
+
 def check_conditions(
     profile: ValuationProfile,
     *,
@@ -298,13 +294,7 @@ def check_conditions(
     ``"auto"`` picks exhaustive when n allows it.
     """
     n = profile.n
-    if mode == "auto":
-        mode = "exhaustive" if n <= EXHAUSTIVE_MAX_N else "sampled"
-    if mode == "exhaustive" and n > EXHAUSTIVE_MAX_N:
-        raise ValueError(f"exhaustive mode rejected for n > {EXHAUSTIVE_MAX_N}")
-    if mode not in ("exhaustive", "sampled"):
-        raise ValueError(f"unknown mode {mode!r}")
-
+    mode = _resolve_mode(n, mode)
     out: list[Violation] = []
 
     def add(kind, agent, sets, lhs, rhs) -> bool:
@@ -380,11 +370,7 @@ def estimate_L(
     reduced witness pairs.
     """
     n = profile.n
-    if mode == "auto":
-        mode = "exhaustive" if n <= EXHAUSTIVE_MAX_N else "sampled"
-    if mode == "exhaustive" and n > EXHAUSTIVE_MAX_N:
-        raise ValueError(f"exhaustive mode rejected for n > {EXHAUSTIVE_MAX_N}")
-
+    mode = _resolve_mode(n, mode)
     v = profile.value
     worst = 1.0
 

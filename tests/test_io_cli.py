@@ -1,9 +1,13 @@
 import json
+import math
+import re
 
 import pytest
 
+from extauction import DegreeWeight, GraphConcaveModel, ScalarModel, TableWeight, ValuationProfile
+from extauction import mechanisms as mech
 from extauction.cli import main
-from extauction.experiments import ExperimentReport, gen_instance
+from extauction.experiments import GEN_MODELS, ExperimentReport, gen_instance
 from extauction.io import InstanceError, emit_report, load_instance, save_instance
 from conftest import size_scalar_profile
 
@@ -95,6 +99,130 @@ def test_load_missing_file():
         load_instance("/nonexistent/instance.json")
 
 
+# --- schema ------------------------------------------------------------------------
+
+def _table_weight_doc():
+    return {
+        "schema": 1,
+        "n": 2,
+        "agents": [
+            {"model": "scalar", "t": 2.0,
+             "weight": {"kind": "table", "values": {"0": 1.0, "0,1": 3.0}}},
+            {"model": "linear", "t": 1.0,
+             "weight": {"kind": "table", "values": {"1": 1.0, "0,1": 2.0}},
+             "offset": {"kind": "table", "values": {"0,1": 0.5}}},
+        ],
+    }
+
+
+def _defaults_doc():
+    return {
+        "schema": 1,
+        "n": 3,
+        "agents": [
+            {"model": "graph_concave", "t": 2.0},
+            {"model": "scalar", "t": 1.5, "weight": {"kind": "degree"}},
+            {"model": "graph_concave", "t": 1.0, "shape": "linear"},
+        ],
+    }
+
+
+def test_load_table_weight(tmp_path):
+    profile = load_instance(_write(tmp_path, _table_weight_doc()))
+    assert profile.models[0] == ScalarModel(2.0, TableWeight({0b01: 1.0, 0b11: 3.0}))
+    assert profile.value(0, 0b01) == 2.0
+    assert profile.value(0, 0b11) == 6.0
+    assert profile.value(1, 0b10) == 1.0
+    assert profile.value(1, 0b11) == 2.5
+    assert profile.value(1, 0b01) == 0.0
+
+
+def test_load_optional_fields_take_defaults(tmp_path):
+    profile = load_instance(_write(tmp_path, _defaults_doc()))
+    assert profile.models[0] == GraphConcaveModel(2.0, 1.0, "sqrt")
+    assert profile.models[1] == ScalarModel(1.5, DegreeWeight(1.0, 1.0, "linear"))
+    assert profile.models[2] == GraphConcaveModel(1.0, 1.0, "linear")
+    assert profile.value(0, 0b111) == 2.0 * (1.0 + math.sqrt(2))
+    assert profile.value(1, 0b111) == 1.5 * 3.0
+
+
+@pytest.mark.parametrize(
+    "agent, missing",
+    [
+        ({"model": "additive", "t": 1.0}, "['weight']"),
+        ({"model": "linear", "t": 1.0, "weight": {"kind": "degree"}}, "['offset']"),
+        ({"model": "scalar", "weight": {"kind": "degree"}}, "['t']"),
+        ({"model": "graph_concave"}, "['t']"),
+        ({"model": "table"}, "['values']"),
+        ({"model": "scalar", "t": 1.0, "weight": {"kind": "table"}}, "['values']"),
+    ],
+)
+def test_load_rejects_missing_field(tmp_path, agent, missing):
+    doc = _valid_doc()
+    doc["agents"][0] = agent
+    with pytest.raises(InstanceError, match=re.escape(f"agents[0]: missing fields {missing}")):
+        load_instance(_write(tmp_path, doc))
+
+
+def test_load_rejects_missing_top_level_field(tmp_path):
+    doc = _valid_doc()
+    del doc["agents"]
+    with pytest.raises(InstanceError, match=r"missing fields \['agents'\]"):
+        load_instance(_write(tmp_path, doc))
+
+
+@pytest.mark.parametrize(
+    "agent, message",
+    [
+        ({"model": "cubic", "t": 1.0}, "unknown model 'cubic'"),
+        ({"model": "scalar", "t": 1.0, "weight": {"kind": "cubic"}}, "unknown weight kind 'cubic'"),
+        ([1.0], "agent entry must be an object with a 'model'"),
+        ({"model": "scalar", "t": 1.0, "weight": 2.0}, "weight must be an object with a 'kind'"),
+        ({"model": "graph_concave", "t": 1.0, "beta": 1.0, "extra": 1}, "unknown fields"),
+        ({"model": "scalar", "t": 1.0, "weight": {"kind": "degree", "slope": 1}}, "unknown fields"),
+    ],
+)
+def test_load_rejects_unknown_kinds_and_fields(tmp_path, agent, message):
+    doc = _valid_doc()
+    doc["agents"][0] = agent
+    with pytest.raises(InstanceError, match=message):
+        load_instance(_write(tmp_path, doc))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field", ["table value", "t", "degree base"])
+def test_load_rejects_non_finite_numbers(tmp_path, bad, field):
+    doc = _valid_doc()
+    if field == "table value":
+        doc["agents"][1]["values"] = {"1": bad, "0,1": bad}
+    elif field == "t":
+        doc["agents"][0]["t"] = bad
+    else:
+        doc["agents"][0]["weight"]["base"] = bad
+    path = _write(tmp_path, doc)
+    with pytest.raises(InstanceError, match="numbers must be finite"):
+        load_instance(path)
+    assert main(["check", "--instance", str(path)]) == 2
+    assert main(["run", "--mechanism", "main", "--instance", str(path)]) == 2
+
+
+@pytest.mark.parametrize("model", GEN_MODELS)
+@pytest.mark.parametrize("graph", [None, "er", "pa", "complete"])
+def test_save_load_save_is_byte_identical(tmp_path, model, graph):
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    save_instance(gen_instance(model, 4, seed=5, graph=graph), first)
+    save_instance(load_instance(first), second)
+    assert first.read_bytes() == second.read_bytes()
+
+
+@pytest.mark.parametrize("make_doc", [_table_weight_doc, _defaults_doc, _valid_doc])
+def test_hand_written_doc_round_trips_byte_identically(tmp_path, make_doc):
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    save_instance(load_instance(_write(tmp_path, make_doc())), first)
+    save_instance(load_instance(first), second)
+    assert first.read_bytes() == second.read_bytes()
+
+
 # --- report emission -------------------------------------------------------------
 
 def test_emit_report_deterministic(tmp_path):
@@ -182,6 +310,66 @@ def test_cli_run_fixed_price_requires_price(instance_path, capsys):
         "run", "--mechanism", "fixed-price", "--instance", instance_path, "--price", "3.0",
     ]) == 0
     assert json.loads(capsys.readouterr().out)["revenue"] == 9.0
+
+
+@pytest.mark.parametrize("cmd", ["run", "verify"])
+def test_cli_fixed_price_without_price_is_exit_2(instance_path, capsys, cmd):
+    assert main([cmd, "--mechanism", "fixed-price", "--instance", instance_path]) == 2
+    assert "--price is required" in capsys.readouterr().err
+
+
+def test_cli_verify_fixed_price_tests_the_given_price(instance_path, monkeypatch):
+    prices = []
+    fixed_price = mech.fixed_price_mechanism
+    monkeypatch.setattr(
+        mech, "fixed_price_mechanism", lambda p, c: prices.append(c) or fixed_price(p, c)
+    )
+    assert main([
+        "verify", "--mechanism", "fixed-price", "--instance", instance_path,
+        "--price", "0", "--misreports", "6",
+    ]) == 0
+    assert prices and set(prices) == {0.0}
+
+
+def _n13_instance(tmp_path):
+    path = tmp_path / "n13.json"
+    save_instance(ValuationProfile([GraphConcaveModel(1.0) for _ in range(13)]), path)
+    return str(path)
+
+
+def _config_without_model(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"mode": "exact", "instances": [{"n": 3}]}))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (lambda tmp, inst: ["benchmark", "--instance", inst, "--k", "0"], "k must be >= 1"),
+        (
+            lambda tmp, inst: [
+                "experiment", "--config", _config_without_model(tmp), "--out", str(tmp / "out"),
+            ],
+            "instances[0] needs 'model' and 'n'",
+        ),
+        (lambda tmp, inst: ["expect", "--instance", _n13_instance(tmp)], "rejected for n > 10"),
+        (
+            lambda tmp, inst: ["run", "--mechanism", "fixed-price", "--instance", inst, "--price", "-1"],
+            "price must be nonnegative",
+        ),
+        (
+            lambda tmp, inst: ["run", "--mechanism", "mechanism2", "--instance", inst],
+            "requires an additive profile",
+        ),
+    ],
+    ids=["benchmark-k0", "experiment-no-model", "expect-n13", "run-negative-price", "mechanism2-scalar"],
+)
+def test_cli_usage_errors_exit_2(tmp_path, instance_path, capsys, argv, message):
+    assert main(argv(tmp_path, instance_path)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
 
 
 def test_cli_verify_truthful_and_broken(instance_path):

@@ -11,7 +11,6 @@ from extauction import (
     ValuationProfile,
     check_conditions,
     estimate_L,
-    value_query,
 )
 from extauction.benchmark import benchmark_sweep
 from extauction.sets import mask_of
@@ -118,7 +117,7 @@ def test_query_counter_counts_every_query():
     seen = []
     for i in range(4):
         for s in (0b1111, 0b0110):
-            seen.append(value_query(oracle, i, s))
+            seen.append(oracle.value(i, s))
     assert oracle.queries == len(seen)
     fresh = profile.oracle()
     benchmark_sweep(fresh, 1)
