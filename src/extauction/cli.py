@@ -18,7 +18,7 @@ from . import experiments as ex
 from . import mechanisms as mech
 from . import truthfulness as tr
 from .io import emit_report, instance_digest, load_instance
-from .valuations import check_conditions, estimate_L
+from .valuations import EXHAUSTIVE_MAX_N, check_conditions, estimate_L
 
 
 class UsageError(Exception):
@@ -53,8 +53,9 @@ def _cmd_check(args) -> int:
         "violations": [v.describe() for v in violations],
         "valid": not violations,
     }
-    if not violations and profile.n <= 12:
-        out["estimated_L"] = estimate_L(profile)
+    if not violations and profile.n <= EXHAUSTIVE_MAX_N:
+        # a clean exhaustive check has passed every witness pair, so L = 1
+        out["estimated_L"] = estimate_L(profile) if args.sampled else 1.0
     _print(out)
     return 0 if not violations else 1
 
@@ -116,14 +117,40 @@ def _cmd_verify(args) -> int:
     return 0 if not violations else 1
 
 
+def _is_number(x) -> bool:
+    return type(x) in (int, float)  # exact types: JSON true/false are ints to Python
+
+
+#: experiment config field -> (type test, what it must be), for the top level
+#: and each instance entry alike
+_CONFIG_TYPES = {
+    "instances": (lambda x: type(x) is list and all(type(e) is dict for e in x),
+                  "a list of objects"),
+    "model": (lambda x: type(x) is str, "a string"),
+    "n": (lambda x: type(x) is int, "an integer"),
+    "trials": (lambda x: type(x) is int, "an integer"),
+    "alpha": (_is_number, "a number"),
+    "graph_p": (_is_number, "a number"),
+    "m_values": (lambda x: type(x) is list and all(map(_is_number, x)), "a list of numbers"),
+}
+
+
+def _check_config_types(obj: dict, where: str) -> None:
+    for key, (ok, want) in _CONFIG_TYPES.items():
+        if key in obj and not ok(obj[key]):
+            raise UsageError(f"{where}: {key!r} must be {want}, got {obj[key]!r}")
+
+
 def _cmd_experiment(args) -> int:
     config = json.loads(Path(args.config).read_text())
     if not isinstance(config, dict):
         raise UsageError(f"{args.config}: experiment config must be a JSON object")
+    _check_config_types(config, args.config)
     seed = config.get("seed", 0)
     instances = []
     for j, spec in enumerate(config.get("instances", [])):
-        if not isinstance(spec, dict) or not {"model", "n"} <= spec.keys():
+        _check_config_types(spec, f"{args.config}: instances[{j}]")
+        if not {"model", "n"} <= spec.keys():
             raise UsageError(f"{args.config}: instances[{j}] needs 'model' and 'n'")
         name = spec.get("name") or f"{spec['model']}-n{spec['n']}"
         profile = ex.gen_instance(

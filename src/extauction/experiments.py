@@ -15,6 +15,7 @@ import random
 import statistics
 from dataclasses import dataclass, field
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import Sequence
 
 from .benchmark import (  # noqa: F401  (_greedy_sweep stays bound for perfbench's tracer)
@@ -34,6 +35,7 @@ from .mechanisms import (
 from .sets import iter_members
 from .valuations import (
     EPS,
+    EXHAUSTIVE_MAX_N,
     TABLE_MODEL_MAX_N,
     AdditiveModel,
     DegreeWeight,
@@ -149,13 +151,12 @@ def gen_instance(
     seed: int = 0,
     graph: str | None = None,
     graph_p: float = 0.5,
-    max_retries: int = 100,
 ) -> ValuationProfile:
     """Random valid profile of the requested family; conditions are verified.
 
-    ``model="mixed"`` draws a model kind per agent.  Generation retries (with
-    a derived seed) until :func:`check_conditions` passes, which the built-in
-    families do by construction; exhausting retries raises.
+    ``model="mixed"`` draws a model kind per agent.  The built-in families
+    are valid by construction; for n <= 12 :func:`check_conditions` confirms
+    it, and a failure raises.
     """
     if n < 1:
         raise ValueError("empty market rejected: need n >= 1")
@@ -166,17 +167,16 @@ def gen_instance(
     mixed = ["table", "additive", "scalar", "graph_concave", "linear"]
     if n > TABLE_MODEL_MAX_N:
         mixed.remove("table")
-    for attempt in range(max_retries):
-        rng = random.Random(derive_seed("gen", model, n, seed, attempt))
-        kind_of = (lambda i: rng.choice(mixed)) if model == "mixed" else (lambda i: model)
-        adjacency = None
-        if graph is not None:
-            adjacency = _random_graph(n, rng, graph, graph_p)
-        models = [_random_model(kind_of(i), i, n, rng) for i in range(n)]
-        profile = ValuationProfile(models, graph=adjacency)
-        if n > 12 or not check_conditions(profile):
-            return profile
-    raise ValueError(f"could not generate a valid {model} instance for n={n}")
+    rng = random.Random(derive_seed("gen", model, n, seed, 0))
+    kind_of = (lambda i: rng.choice(mixed)) if model == "mixed" else (lambda i: model)
+    adjacency = None
+    if graph is not None:
+        adjacency = _random_graph(n, rng, graph, graph_p)
+    models = [_random_model(kind_of(i), i, n, rng) for i in range(n)]
+    profile = ValuationProfile(models, graph=adjacency)
+    if n <= EXHAUSTIVE_MAX_N and check_conditions(profile):
+        raise ValueError(f"generated {model} instance for n={n} violates the conditions")
+    return profile
 
 
 def standard_suite(seed: int = 20240801, total: int = 200) -> list[tuple[str, ValuationProfile]]:
@@ -491,7 +491,8 @@ def losing_value_demo(n: int = 3, t: float = 1.0) -> dict:
     family, which is exactly why the condition is imposed.
     """
     size_value = {s: t * s.bit_count() for s in range(1 << n)}
-    invalid = ValuationProfile([_RawTable(size_value) for _ in range(n)])
+    unguarded = SimpleNamespace(bind=lambda i, neighbor_mask: lambda s: size_value[s])
+    invalid = ValuationProfile([unguarded] * n)
     invalid_violations = check_conditions(invalid)
     truncated = ValuationProfile(
         [TableModel({s: v for s, v in size_value.items() if s & (1 << i)}) for i in range(n)]
@@ -501,17 +502,6 @@ def losing_value_demo(n: int = 3, t: float = 1.0) -> dict:
         "invalid_rejected": bool(invalid_violations),
         "truncated_violations": [v.describe() for v in check_conditions(truncated)],
     }
-
-
-@dataclass(frozen=True)
-class _RawTable:
-    """Unrestricted table, deliberately able to violate the zero-outside rule."""
-
-    values: dict
-
-    def bind(self, i, neighbor_mask):
-        tbl = dict(self.values)
-        return lambda s: tbl.get(s, 0.0)
 
 
 # ---------------------------------------------------------------------------

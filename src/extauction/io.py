@@ -2,7 +2,9 @@
 
 Instance files are JSON with a versioned schema (``"schema": 1``); unknown
 fields are rejected so fixtures stay honest.  Loading validates the domain
-conditions for n <= 12; larger instances must carry ``declared_L``.
+conditions for n <= 12.  ``declared_L``, the relaxation factor a file may
+declare, must be a finite number >= 1; it is saved with the instance but not
+checked against the valuations.
 Report emission is deterministic: stable column order, floats at 12
 significant digits, identical inputs give byte-identical files.
 """
@@ -18,6 +20,7 @@ from pathlib import Path
 from .experiments import ExperimentReport
 from .sets import mask_of, members
 from .valuations import (
+    EXHAUSTIVE_MAX_N,
     SHAPES,
     AdditiveModel,
     DegreeWeight,
@@ -145,10 +148,12 @@ def _field(annotation: str, value, n: int, where: str, agent: int | None):
     if annotation == "Weight":
         return _from_json(value, "kind", n, where)
     if annotation == "str":  # the string fields are shapes
-        if value not in SHAPES:
+        if not isinstance(value, str) or value not in SHAPES:
             raise InstanceError(f"{where}: unknown shape {value!r} (want one of {sorted(SHAPES)})")
         return value
-    table = {}  # Mapping[int, float]
+    if not isinstance(value, dict):  # Mapping[int, float]
+        raise InstanceError(f"{where}: a table must be an object of set keys to numbers")
+    table = {}
     for k, v in value.items():
         mask = _parse_set_key(k, n, where)
         if agent is not None and not (mask >> agent) & 1:
@@ -205,24 +210,36 @@ def load_instance(path, validate: bool = True) -> ValuationProfile:
             f"{path}: schema version {doc['schema']!r} unsupported (want {SCHEMA_VERSION})"
         )
     n = doc["n"]
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:  # JSON true/false are ints to Python
         raise InstanceError(f"{path}: n must be a positive integer")
     agents = doc["agents"]
+    if not isinstance(agents, list):
+        raise InstanceError(f"{path}: agents must be a list")
     if len(agents) != n:
         raise InstanceError(f"{path}: {len(agents)} agent entries for n={n}")
     graph = doc.get("graph")
     if graph is not None:
+        if not isinstance(graph, list) or not all(isinstance(nb, list) for nb in graph):
+            raise InstanceError(f"{path}: graph must be a list of neighbor lists")
         if len(graph) != n:
             raise InstanceError(f"{path}: adjacency list length != n")
         for i, nb in enumerate(graph):
             for j in nb:
-                if not isinstance(j, int) or j < 0 or j >= n or j == i:
+                if type(j) is not int or j < 0 or j >= n or j == i:
                     raise InstanceError(f"{path}: bad neighbor {j!r} of agent {i}")
                 if i not in graph[j]:
                     raise InstanceError(f"{path}: graph must be symmetric ({i}-{j})")
+    declared_L = doc.get("declared_L")
+    if declared_L is not None:
+        declared_L = _float(declared_L, f"{path}: declared_L")
+        if declared_L < 1:
+            raise InstanceError(f"{path}: declared_L must be >= 1, got {declared_L!r}")
     models = [_from_json(a, "model", n, f"agents[{i}]", i) for i, a in enumerate(agents)]
-    profile = ValuationProfile(models, graph=graph, declared_L=doc.get("declared_L"))
-    if validate and n <= 12:
+    try:
+        profile = ValuationProfile(models, graph=graph, declared_L=declared_L)
+    except ValueError as e:  # the table-model size cap
+        raise InstanceError(f"{path}: {e}") from None
+    if validate and n <= EXHAUSTIVE_MAX_N:
         violations = check_conditions(profile)
         if violations:
             listing = "; ".join(v.describe() for v in violations[:5])

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Mapping, Sequence, Union
 
 from .sets import full_mask, mask_of, members, submasks
@@ -279,28 +280,13 @@ def _resolve_mode(n: int, mode: str) -> str:
     return mode
 
 
-def check_conditions(
-    profile: ValuationProfile,
-    *,
-    mode: str = "auto",
-    samples: int = 10_000,
-    seed: int = 0,
-    max_violations: int = 100,
-) -> list[Violation]:
-    """Check conditions 1-3 and return all violations found (empty = valid).
+def _violations(profile: ValuationProfile, mode: str, samples: int, seed: int):
+    """Every violation of conditions 1-3, lazily, in scan order (``mode`` already resolved).
 
-    ``mode="exhaustive"`` covers every (i, S, R) triple and is rejected for
-    n > 12; ``mode="sampled"`` draws ``samples`` seeded random triples.
-    ``"auto"`` picks exhaustive when n allows it.
+    The one walk over witness triples: :func:`check_conditions` stops it at
+    its cap and :func:`estimate_L` reads its subadditivity witnesses.
     """
     n = profile.n
-    mode = _resolve_mode(n, mode)
-    out: list[Violation] = []
-
-    def add(kind, agent, sets, lhs, rhs) -> bool:
-        out.append(Violation(kind, agent, sets, lhs, rhs))
-        return len(out) >= max_violations
-
     v = profile.value
     if mode == "exhaustive":
         nmasks = 1 << n
@@ -310,12 +296,10 @@ def check_conditions(
                 val = v(i, s)
                 if not s & bit:
                     if abs(val) > EPS:
-                        if add("nonzero_outside", i, (s,), val, 0.0):
-                            return out
+                        yield Violation("nonzero_outside", i, (s,), val, 0.0)
                     continue
                 if val < -EPS:
-                    if add("negative", i, (s,), val, 0.0):
-                        return out
+                    yield Violation("negative", i, (s,), val, 0.0)
                 # single-element monotonicity steps imply the full condition
                 for j in range(n):
                     jb = 1 << j
@@ -323,14 +307,12 @@ def check_conditions(
                         continue
                     up = v(i, s | jb)
                     if val > up + EPS:
-                        if add("monotonicity", i, (s, s | jb), val, up):
-                            return out
+                        yield Violation("monotonicity", i, (s, s | jb), val, up)
             for s, r in _pair_iter_exhaustive(n, i):
                 u = v(i, s | r)
                 bound = v(i, s) + v(i, r)
                 if u > bound + EPS:
-                    if add("subadditivity", i, (s, r), u, bound):
-                        return out
+                    yield Violation("subadditivity", i, (s, r), u, bound)
     else:
         rng = random.Random(seed)
         fullm = profile.full
@@ -339,21 +321,39 @@ def check_conditions(
             bit = 1 << i
             s = rng.getrandbits(n)
             if not s & bit:
-                if abs(v(i, s)) > EPS and add("nonzero_outside", i, (s,), v(i, s), 0.0):
-                    return out
+                if abs(v(i, s)) > EPS:
+                    yield Violation("nonzero_outside", i, (s,), v(i, s), 0.0)
                 s |= bit
             val = v(i, s)
-            if val < -EPS and add("negative", i, (s,), val, 0.0):
-                return out
+            if val < -EPS:
+                yield Violation("negative", i, (s,), val, 0.0)
             r = (rng.getrandbits(n) & fullm) | bit
             u = v(i, s | r)
             bound = val + v(i, r)
-            if u > bound + EPS and add("subadditivity", i, (s, r), u, bound):
-                return out
+            if u > bound + EPS:
+                yield Violation("subadditivity", i, (s, r), u, bound)
             grow = s | (rng.getrandbits(n) & fullm)
-            if val > v(i, grow) + EPS and add("monotonicity", i, (s, grow), val, v(i, grow)):
-                return out
-    return out
+            if val > v(i, grow) + EPS:
+                yield Violation("monotonicity", i, (s, grow), val, v(i, grow))
+
+
+def check_conditions(
+    profile: ValuationProfile,
+    *,
+    mode: str = "auto",
+    samples: int = 10_000,
+    seed: int = 0,
+    max_violations: int = 100,
+) -> list[Violation]:
+    """Check conditions 1-3 and return the first ``max_violations`` violations
+    (empty = valid).
+
+    ``mode="exhaustive"`` covers every (i, S, R) triple and is rejected for
+    n > 12; ``mode="sampled"`` draws ``samples`` seeded random triples.
+    ``"auto"`` picks exhaustive when n allows it.
+    """
+    mode = _resolve_mode(profile.n, mode)
+    return list(islice(_violations(profile, mode, samples, seed), max(max_violations, 0)))
 
 
 def estimate_L(
@@ -367,35 +367,13 @@ def estimate_L(
 
     Returns 1.0 for subadditive profiles; assumes monotonicity (use
     :func:`check_conditions` first), which justifies checking only the
-    reduced witness pairs.
+    reduced witness pairs.  The sampled mode reads the same seeded draws as
+    :func:`check_conditions`.
     """
-    n = profile.n
-    mode = _resolve_mode(n, mode)
-    v = profile.value
-    worst = 1.0
-
-    def consider(i, s, r):
-        nonlocal worst
-        u = v(i, s | r)
-        denom = v(i, s) + v(i, r)
-        if u <= denom + EPS:
-            return
-        if denom <= EPS:
-            worst = math.inf
-        else:
-            worst = max(worst, u / denom)
-
-    if mode == "exhaustive":
-        for i in range(n):
-            for s, r in _pair_iter_exhaustive(n, i):
-                consider(i, s, r)
-    else:
-        rng = random.Random(seed)
-        fullm = profile.full
-        for _ in range(samples):
-            i = rng.randrange(n)
-            bit = 1 << i
-            s = (rng.getrandbits(n) & fullm) | bit
-            r = (rng.getrandbits(n) & fullm) | bit
-            consider(i, s, r)
-    return worst
+    mode = _resolve_mode(profile.n, mode)
+    witnesses = _violations(profile, mode, samples, seed)
+    return max(
+        (w.lhs / w.rhs if w.rhs > EPS else math.inf
+         for w in witnesses if w.kind == "subadditivity"),
+        default=1.0,
+    )

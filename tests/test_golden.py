@@ -23,9 +23,11 @@ from pathlib import Path
 
 import pytest
 
+from extauction import DegreeWeight, ScalarModel, TableModel, ValuationProfile
 from extauction.cli import main
 from extauction.experiments import GEN_MODELS, gen_instance
 from extauction.io import save_instance
+from extauction.sets import mask_of
 
 GRAPHS = (None, "er", "pa", "complete")
 N = 4
@@ -67,6 +69,8 @@ RECORDED = {
     "verify": "f073a241cb858442dc9756ae0c13e6bf3269fb2b9a74075b8ed94915cdcd429e",
     "experiment": "b4cec5705cf254befdbf920a27a0c33650eb1d74ae2d59a403a50382bd7daa30",
     "demo": "174a41cc344058c0aa92c9788acb9c1075082ea8fdf3263bb6a68ee4d81d7b07",
+    # recorded on the code before the checker and estimate_L shared one witness scan
+    "check_invalid": "fb0260c6f34787a84f5eb4f58919cde0fc11997aad488f104f39de765eda28bd",
 }
 
 
@@ -79,6 +83,29 @@ def _instances(root: Path) -> list[tuple[str, str]]:
             save_instance(gen_instance(model, N, seed=j, graph=graph), root / name)
             out.append((model, name))
     return out
+
+
+def _invalid_instances(root: Path) -> list[str]:
+    """Hand-built files that break the valuation conditions; returns file names."""
+    scalar = ScalarModel(t=2.0, weight=DegreeWeight())
+
+    def table(i, n, value):
+        return TableModel({s: value(s) for s in range(1 << n) if s >> i & 1})
+
+    # agent 0 of the last file breaks subadditivity at {0, 1} | {0, 2} only:
+    # sets inside {0, 1, 2} are worth 1 except the whole of it, every other set 3
+    low = mask_of([0, 1, 2])
+    profiles = {
+        "negative-t": [scalar, ScalarModel(t=-1.0, weight=DegreeWeight()), scalar],
+        "all-negative": [ScalarModel(t=-1.0, weight=DegreeWeight())] * 6,
+        "non-monotone": [table(0, 3, lambda s: 1.0 if s == 0b011 else 2.0), scalar, scalar],
+        "square": [table(i, 3, lambda s: float(s.bit_count() ** 2)) for i in range(3)],
+        "single-gap": [table(0, 6, lambda s: 1.0 if s & low == s != low else 3.0)]
+        + [scalar] * 5,
+    }
+    for name, models in profiles.items():
+        save_instance(ValuationProfile(models), root / f"{name}.json")
+    return [f"{name}.json" for name in profiles]
 
 
 def _calls(root: Path) -> dict[str, list[list[str]]]:
@@ -114,6 +141,13 @@ def _calls(root: Path) -> dict[str, list[list[str]]]:
             calls["verify"].append([
                 "verify", "--mechanism", "mechanism2", *inst, "--misreports", "8", "--alpha", "1.0",
             ])
+    for f in _invalid_instances(root):
+        inst = ["--instance", f]
+        calls["check_invalid"] += [
+            ["check", *inst],
+            ["check", *inst, "--sampled", "--samples", "300", "--seed", "2"],
+            ["check", *inst, "--sampled", "--samples", "20"],
+        ]
     for mode, config in EXPERIMENTS.items():
         (root / f"{mode}.json").write_text(json.dumps(config))
         calls["experiment"].append(

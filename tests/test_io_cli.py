@@ -206,6 +206,69 @@ def test_load_rejects_non_finite_numbers(tmp_path, bad, field):
     assert main(["run", "--mechanism", "main", "--instance", str(path)]) == 2
 
 
+def _agent_table(doc, values):
+    doc["agents"][1]["values"] = values
+
+
+def _weight_table(doc, values):
+    doc["agents"][0]["weight"] = {"kind": "table", "values": values}
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        lambda doc: doc.update(agents=5),
+        lambda doc: _agent_table(doc, [1]),
+        lambda doc: _weight_table(doc, [1]),
+        lambda doc: doc.update(graph=5),
+        lambda doc: doc.update(graph=[1, [0]]),
+        lambda doc: doc.update(graph=[[True], [0]]),
+        lambda doc: doc.update(n=True, agents=doc["agents"][:1]),
+        lambda doc: doc["agents"][0]["weight"].update(shape=["sqrt"]),
+    ],
+    ids=["agents-int", "agent-table-list", "weight-table-list", "graph-int", "graph-entry-int",
+         "graph-bool-neighbor", "n-bool", "shape-list"],
+)
+def test_load_rejects_malformed_structure(tmp_path, capsys, change):
+    doc = _valid_doc()
+    change(doc)
+    path = _write(tmp_path, doc)
+    with pytest.raises(InstanceError):
+        load_instance(path)
+    assert main(["check", "--instance", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
+def test_load_rejects_table_model_past_its_cap(tmp_path):
+    doc = {
+        "schema": 1,
+        "n": 11,
+        "agents": [{"model": "table", "values": {str(i): 1.0}} for i in range(11)],
+    }
+    with pytest.raises(InstanceError, match="capped"):
+        load_instance(_write(tmp_path, doc))
+
+
+@pytest.mark.parametrize("bad", ["abc", 0.5, 0, -2.0, [2.0], float("nan")])
+def test_load_rejects_bad_declared_L(tmp_path, capsys, bad):
+    path = _write(tmp_path, {**_valid_doc(), "declared_L": bad})
+    with pytest.raises(InstanceError, match="declared_L"):
+        load_instance(path)
+    assert main(["check", "--instance", str(path)]) == 2
+    assert "declared_L" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("good", [1, 1.0, 2.5])
+def test_load_reads_declared_L_as_float(tmp_path, good):
+    path = _write(tmp_path, {**_valid_doc(), "declared_L": good})
+    profile = load_instance(path)
+    assert profile.declared_L == float(good) and isinstance(profile.declared_L, float)
+    again = tmp_path / "again.json"
+    save_instance(profile, again)
+    assert load_instance(again).declared_L == float(good)
+
+
 @pytest.mark.parametrize("model", GEN_MODELS)
 @pytest.mark.parametrize("graph", [None, "er", "pa", "complete"])
 def test_save_load_save_is_byte_identical(tmp_path, model, graph):
@@ -270,6 +333,19 @@ def test_cli_check_valid(instance_path, capsys):
     assert main(["check", "--instance", instance_path]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["valid"] and out["estimated_L"] == 1.0
+
+
+def test_cli_check_sampled_prints_the_exhaustive_L(tmp_path, capsys):
+    # agent 0 breaks subadditivity only at {0, 1} | {0, 2}: 3 > 1 + 1, which
+    # 20 samples miss; the exhaustive estimate still sees it
+    values = {s: 1.0 if s in (0b001, 0b011, 0b101) else 3.0 for s in range(1 << 5) if s & 1}
+    profile = ValuationProfile([TableWeight(values)] + [size_scalar_profile(4).models[0]] * 4)
+    save_instance(profile, tmp_path / "gap.json")
+    argv = ["check", "--instance", str(tmp_path / "gap.json")]
+    assert main(argv) == 1
+    capsys.readouterr()
+    assert main([*argv, "--sampled", "--samples", "20"]) == 0
+    assert json.loads(capsys.readouterr().out)["estimated_L"] == 1.5
 
 
 def test_cli_check_invalid_exit_code(tmp_path, capsys):
@@ -370,6 +446,33 @@ def test_cli_usage_errors_exit_2(tmp_path, instance_path, capsys, argv, message)
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and message in captured.err
+
+
+@pytest.mark.parametrize(
+    "config, key",
+    [
+        ({"mode": "exact", "instances": [{"model": "scalar", "n": "4"}]}, "n"),
+        ({"mode": "exact", "instances": [{"model": "scalar", "n": True}]}, "n"),
+        ({"mode": "exact", "instances": [{"model": 5, "n": 4}]}, "model"),
+        ({"mode": "exact", "instances": [{"model": "scalar", "n": 4, "graph_p": "1"}]}, "graph_p"),
+        ({"mode": "exact", "instances": 3}, "instances"),
+        ({"mode": "exact", "instances": [3]}, "instances"),
+        ({"mode": "monte-carlo", "trials": "5", "instances": []}, "trials"),
+        ({"mode": "additive-bound", "alpha": "x", "instances": [{"model": "additive", "n": 3}]},
+         "alpha"),
+        ({"mode": "f2-gap", "m_values": ["a"]}, "m_values"),
+        ({"mode": "f2-gap", "m_values": 10}, "m_values"),
+    ],
+    ids=["n-str", "n-bool", "model-int", "graph_p-str", "instances-int", "instances-entry-int",
+         "trials-str", "alpha-str", "m_values-entry-str", "m_values-number"],
+)
+def test_cli_experiment_config_types_exit_2(tmp_path, capsys, config, key):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["experiment", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and f"{key!r} must be" in captured.err
 
 
 def test_cli_verify_truthful_and_broken(instance_path):

@@ -110,6 +110,26 @@ def test_estimate_L_square_n4():
     assert estimate_L(profile) == pytest.approx(16 / 13)
 
 
+def test_estimate_L_sampled():
+    # on a monotone profile no drawn pair is tighter than the exhaustive
+    # witness pairs, so the sampled L cannot exceed 16/13; a subadditive
+    # profile has no witness at all
+    L = estimate_L(square_table_profile(4), mode="sampled", samples=2_000, seed=1)
+    assert 1.0 < L <= 16 / 13 + 1e-12
+    assert estimate_L(size_scalar_profile(4), mode="sampled", samples=2_000, seed=1) == 1.0
+
+
+def test_check_conditions_caps_violations():
+    profile = square_table_profile(4)
+    everything = check_conditions(profile, max_violations=10**6)
+    assert len(everything) > 5
+    assert check_conditions(profile, max_violations=5) == everything[:5]
+    assert check_conditions(profile, max_violations=0) == []
+    with pytest.raises(ValueError):
+        check_conditions(flat_bids_profile([1.0] * (EXHAUSTIVE_MAX_N + 1)), mode="exhaustive",
+                         max_violations=0)
+
+
 def test_query_counter_counts_every_query():
     profile = size_scalar_profile(4)
     oracle = profile.oracle()
