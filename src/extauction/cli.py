@@ -17,7 +17,7 @@ from . import benchmark as bm
 from . import experiments as ex
 from . import mechanisms as mech
 from . import truthfulness as tr
-from .io import emit_report, instance_digest, load_instance
+from .io import emit_report, instance_digest, is_number, load_instance, require_valid
 from .valuations import EXHAUSTIVE_MAX_N, check_conditions, estimate_L
 
 
@@ -27,6 +27,24 @@ class UsageError(Exception):
 
 def _print(obj) -> None:
     print(json.dumps(obj, indent=2, sort_keys=True))
+
+
+def _count(text: str) -> int:
+    """A count argument: an integer >= 1, since a check over zero cases checks nothing."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
+
+
+def _load(path):
+    """An instance file a command runs on, validated at every n."""
+    profile = load_instance(path, validate=False)
+    require_valid(profile, path)
+    return profile
 
 
 def _mechanism(args):
@@ -61,7 +79,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_benchmark(args) -> int:
-    profile = load_instance(args.instance)
+    profile = _load(args.instance)
     oracle = profile.oracle()
     fn = bm.benchmark_bruteforce if args.method == "brute" else bm.benchmark_sweep
     res = fn(oracle, args.k)
@@ -73,7 +91,7 @@ def _cmd_benchmark(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    profile = load_instance(args.instance)
+    profile = _load(args.instance)
     mechanism = _mechanism(args)
     out = mechanism(profile, args.seed).to_json()
     out["mechanism"] = args.mechanism
@@ -83,7 +101,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_expect(args) -> int:
-    profile = load_instance(args.instance)
+    profile = _load(args.instance)
     expected = mech.main_mechanism_exact_expectation(profile)
     f3 = bm.benchmark_bruteforce(profile, 3).value
     out = {
@@ -97,7 +115,7 @@ def _cmd_expect(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    profile = load_instance(args.instance)
+    profile = _load(args.instance)
     mechanism = _mechanism(args)
     count = args.misreports * (4 if args.exhaustive else 1)
     plan = tr.misreport_plan(profile, count, seed=args.seed)
@@ -117,21 +135,19 @@ def _cmd_verify(args) -> int:
     return 0 if not violations else 1
 
 
-def _is_number(x) -> bool:
-    return type(x) in (int, float)  # exact types: JSON true/false are ints to Python
-
-
 #: experiment config field -> (type test, what it must be), for the top level
 #: and each instance entry alike
 _CONFIG_TYPES = {
     "instances": (lambda x: type(x) is list and all(type(e) is dict for e in x),
                   "a list of objects"),
     "model": (lambda x: type(x) is str, "a string"),
+    "name": (lambda x: type(x) is str, "a string"),
     "n": (lambda x: type(x) is int, "an integer"),
+    "seed": (lambda x: type(x) is int, "an integer"),
     "trials": (lambda x: type(x) is int, "an integer"),
-    "alpha": (_is_number, "a number"),
-    "graph_p": (_is_number, "a number"),
-    "m_values": (lambda x: type(x) is list and all(map(_is_number, x)), "a list of numbers"),
+    "alpha": (is_number, "a number"),
+    "graph_p": (is_number, "a number"),
+    "m_values": (lambda x: type(x) is list and all(map(is_number, x)), "a list of numbers"),
 }
 
 
@@ -209,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("check", help="validate an instance file against the valuation conditions")
     c.add_argument("--instance", required=True)
     c.add_argument("--sampled", action="store_true", help="force sampled checking")
-    c.add_argument("--samples", type=int, default=10_000)
+    c.add_argument("--samples", type=_count, default=10_000)
     c.add_argument("--seed", type=int, default=0)
     c.set_defaults(fn=_cmd_check)
 
@@ -236,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--instance", required=True)
     c.add_argument("--exhaustive", action="store_true")
     c.add_argument("--misreports", type=int, default=200)
-    c.add_argument("--runs", type=int, default=3)
+    c.add_argument("--runs", type=_count, default=3)
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--price", type=float, default=None)
     c.add_argument("--alpha", type=float, default=mech.DEFAULT_ALPHA)
@@ -256,7 +272,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as e:  # argparse exits 2 on a usage error, 0 after --help
+        return e.code
     # the library rejects bad arguments with ValueError (InstanceError and
     # JSONDecodeError are ValueErrors too), so each of them is a usage error
     try:

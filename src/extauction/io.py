@@ -2,7 +2,9 @@
 
 Instance files are JSON with a versioned schema (``"schema": 1``); unknown
 fields are rejected so fixtures stay honest.  Loading validates the domain
-conditions for n <= 12.  ``declared_L``, the relaxation factor a file may
+conditions exhaustively for n <= 12; :func:`require_valid` also checks larger
+instances, by seeded sampling.  Every number must be a finite JSON number,
+not a string or a boolean.  ``declared_L``, the relaxation factor a file may
 declare, must be a finite number >= 1; it is saved with the instance but not
 checked against the valuations.
 Report emission is deterministic: stable column order, floats at 12
@@ -94,12 +96,19 @@ def _parse_set_key(key: str, n: int, where: str) -> int:
     return mask_of(ids)
 
 
+def is_number(x) -> bool:
+    """A JSON number: exact type int or float (JSON true/false are ints to Python)."""
+    return type(x) in (int, float)
+
+
 def _float(x, where: str) -> float:
-    """Every number of an instance file is read here; it must be finite."""
+    """Every number of an instance file is read here; it must be a finite JSON number."""
+    if not is_number(x):
+        raise InstanceError(f"{where}: expected a number, got {x!r}")
     try:
         v = float(x)
-    except (TypeError, ValueError, OverflowError):
-        raise InstanceError(f"{where}: expected a number, got {x!r}") from None
+    except OverflowError:  # an int beyond the float range
+        v = math.inf
     if not math.isfinite(v):
         raise InstanceError(f"{where}: numbers must be finite, got {x!r}")
     return v
@@ -189,13 +198,16 @@ def load_instance(path, validate: bool = True) -> ValuationProfile:
     """Load and validate an instance file.
 
     Raises :class:`InstanceError` on schema mismatch, malformed entries, or
-    (for n <= 12) domain-condition violations, naming the witness sets.
+    (for n <= 12) domain-condition violations, naming the witness sets.  Past
+    n = 12 the sampled check costs tens of milliseconds a file, so it is left
+    to the caller: :func:`require_valid`, as the CLI does for every file it
+    runs on.
     """
     try:
         doc = json.loads(Path(path).read_text())
     except OSError as e:
         raise InstanceError(f"cannot read instance file {path}: {e}") from e
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:  # bad JSON or UTF-8, huge int literal, deep nesting
         raise InstanceError(f"{path} is not valid JSON: {e}") from e
     if not isinstance(doc, dict):
         raise InstanceError(f"{path}: top level must be an object")
@@ -240,13 +252,17 @@ def load_instance(path, validate: bool = True) -> ValuationProfile:
     except ValueError as e:  # the table-model size cap
         raise InstanceError(f"{path}: {e}") from None
     if validate and n <= EXHAUSTIVE_MAX_N:
-        violations = check_conditions(profile)
-        if violations:
-            listing = "; ".join(v.describe() for v in violations[:5])
-            raise InstanceError(
-                f"{path}: instance violates the valuation conditions: {listing}"
-            )
+        require_valid(profile, path)
     return profile
+
+
+def require_valid(profile: ValuationProfile, where) -> None:
+    """Raise :class:`InstanceError` naming up to five witnesses unless ``profile``
+    passes :func:`check_conditions` (exhaustive for n <= 12, sampled beyond)."""
+    violations = check_conditions(profile)
+    if violations:
+        listing = "; ".join(v.describe() for v in violations[:5])
+        raise InstanceError(f"{where}: instance violates the valuation conditions: {listing}")
 
 
 # ---------------------------------------------------------------------------

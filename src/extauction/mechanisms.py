@@ -122,30 +122,26 @@ def cost_share(profile, r: float, x: int, y: int) -> Outcome:
     return Outcome(s, payments, share * s.bit_count(), oracle.queries)
 
 
-def testers_revenue(oracle: Oracle, part: Partition3, rev_cache: dict | None = None) -> float:
+def testers_revenue(oracle: Oracle, part: Partition3) -> float:
     """``r(C)``: the best uniform-price revenue from C given A, or else B, holds the good.
 
-    ``rev_cache`` (optional) memoizes the sweep value per ``(pool, free)``
-    pair across the partitions of one profile.
+    Each sweep value is memoized on the oracle per ``(C, free)`` pair, so the
+    partitions of one run that share a pair sweep it once.
     """
     c = part.c
     if not c:
         return 0.0
-    revs = []
+    memo = oracle.revenues
     for free in (part.a, part.b):
-        got = None if rev_cache is None else rev_cache.get((c, free))
-        if got is None:
-            got = _greedy_sweep(oracle, c, free, 1)[0]
-            if rev_cache is not None:
-                rev_cache[c, free] = got
-        revs.append(got)
-    return max(revs)
+        if (c, free) not in memo:
+            memo[c, free] = _greedy_sweep(oracle, c, free, 1)[0]
+    return max(memo[c, part.a], memo[c, part.b])
 
 
-def _run_partitioned(oracle: Oracle, part: Partition3, rev_cache: dict | None = None) -> Outcome:
+def _run_partitioned(oracle: Oracle, part: Partition3) -> Outcome:
     """Deterministic core of the tripartition auction for a fixed partition."""
     a, b = part.a, part.b
-    r_c = testers_revenue(oracle, part, rev_cache)
+    r_c = testers_revenue(oracle, part)
     payments = {i: 0.0 for i in iter_members(a)}
     winners = a
     revenue = 0.0
@@ -186,10 +182,9 @@ def main_mechanism_exact_expectation(profile) -> float:
     n = oracle.n
     if n > EXACT_EXPECTATION_MAX_N:
         raise ValueError(f"exact expectation rejected for n > {EXACT_EXPECTATION_MAX_N}")
-    cache: dict = {}
     total = 0.0
     for part in Partition3.all_partitions(n):
-        total += _run_partitioned(oracle, part, rev_cache=cache).revenue
+        total += _run_partitioned(oracle, part).revenue
     return total / (3 ** n)
 
 

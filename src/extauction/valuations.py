@@ -10,7 +10,7 @@ Every model enforces the domain conditions by construction:
      for ``i`` in both sets), or the L-relaxed variant thereof.
 
 Profiles are immutable once built and safe to share; the only mutable state
-is the query counter, which lives on a per-run :class:`Oracle`.
+(the query counter and the ``r(C)`` memo) lives on a per-run :class:`Oracle`.
 """
 
 from __future__ import annotations
@@ -203,16 +203,19 @@ class ValuationProfile:
 class Oracle:
     """Query-counted view of a profile; one per mechanism run.
 
-    Scoping the counter here keeps profiles shareable across threads and
-    runs: concurrent runs each hold their own oracle.
+    It holds the run's mutable state, the value-query count ``queries`` and
+    ``revenues``, the ``r(C)`` sweep values memoized per ``(C, free)`` by
+    :func:`~extauction.mechanisms.testers_revenue`, so profiles stay
+    shareable across threads and runs: concurrent runs each hold their own.
     """
 
-    __slots__ = ("profile", "queries", "_fns")
+    __slots__ = ("profile", "queries", "revenues", "_fns")
 
     def __init__(self, profile: ValuationProfile):
         self.profile = profile
         self._fns = profile._fns
         self.queries = 0
+        self.revenues: dict[tuple[int, int], float] = {}
 
     @property
     def n(self) -> int:

@@ -7,7 +7,7 @@ import pytest
 from extauction import DegreeWeight, GraphConcaveModel, ScalarModel, TableWeight, ValuationProfile
 from extauction import mechanisms as mech
 from extauction.cli import main
-from extauction.experiments import GEN_MODELS, ExperimentReport, gen_instance
+from extauction.experiments import GEN_MODELS, ExperimentReport, f2_gap_demo, gen_instance
 from extauction.io import InstanceError, emit_report, load_instance, save_instance
 from conftest import size_scalar_profile
 
@@ -204,6 +204,49 @@ def test_load_rejects_non_finite_numbers(tmp_path, bad, field):
         load_instance(path)
     assert main(["check", "--instance", str(path)]) == 2
     assert main(["run", "--mechanism", "main", "--instance", str(path)]) == 2
+
+
+def _strings_and_booleans_doc():
+    return {
+        "schema": 1,
+        "n": 1,
+        "agents": [{"model": "scalar", "t": "2.5", "weight": {"kind": "degree", "base": True}}],
+    }
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        lambda doc: None,
+        lambda doc: doc["agents"][0].update(t=2.5),
+        lambda doc: doc["agents"][0]["weight"].update(base=1.0),
+        lambda doc: doc["agents"][0].update(t=False, weight={"kind": "degree"}),
+        lambda doc: doc["agents"][0].update(
+            t=1.0, weight={"kind": "table", "values": {"0": "1"}}),
+        lambda doc: doc.update(declared_L=True),
+    ],
+    ids=["string-t-and-bool-base", "bool-base", "string-t", "bool-t", "string-table-value",
+         "bool-declared_L"],
+)
+def test_load_rejects_strings_and_booleans_as_numbers(tmp_path, capsys, change):
+    doc = _strings_and_booleans_doc()
+    change(doc)
+    path = _write(tmp_path, doc)
+    with pytest.raises(InstanceError, match="expected a number"):
+        load_instance(path)
+    assert main(["check", "--instance", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "expected a number" in captured.err
+
+
+@pytest.mark.parametrize("content", [b"\xff\xfe{", b"[" * 100_000, b"[1" + b"0" * 5000 + b"]"],
+                         ids=["bad-utf8", "deep-nesting", "huge-int-literal"])
+def test_load_rejects_undecodable_files(tmp_path, content):
+    path = tmp_path / "inst.json"
+    path.write_bytes(content)
+    with pytest.raises(InstanceError, match="not valid JSON"):
+        load_instance(path)
+    assert main(["check", "--instance", str(path)]) == 2
 
 
 def _agent_table(doc, values):
@@ -462,9 +505,14 @@ def test_cli_usage_errors_exit_2(tmp_path, instance_path, capsys, argv, message)
          "alpha"),
         ({"mode": "f2-gap", "m_values": ["a"]}, "m_values"),
         ({"mode": "f2-gap", "m_values": 10}, "m_values"),
+        ({"mode": "exact", "instances": [{"model": "scalar", "n": 2, "name": 5},
+                                         {"model": "scalar", "n": 2}]}, "name"),
+        ({"mode": "exact", "instances": [{"model": "scalar", "n": 2, "name": ["a"]}]}, "name"),
+        ({"mode": "exact", "seed": "1", "instances": []}, "seed"),
     ],
     ids=["n-str", "n-bool", "model-int", "graph_p-str", "instances-int", "instances-entry-int",
-         "trials-str", "alpha-str", "m_values-entry-str", "m_values-number"],
+         "trials-str", "alpha-str", "m_values-entry-str", "m_values-number", "name-int",
+         "name-list", "seed-str"],
 )
 def test_cli_experiment_config_types_exit_2(tmp_path, capsys, config, key):
     path = tmp_path / "config.json"
@@ -545,3 +593,58 @@ def test_load_rejects_unknown_shape(tmp_path):
     doc["agents"][0]["weight"]["shape"] = "cube"
     with pytest.raises(InstanceError, match="unknown shape"):
         load_instance(_write(tmp_path, doc))
+
+
+def _invalid_n13_instance(tmp_path):
+    path = tmp_path / "n13-negative.json"
+    save_instance(ValuationProfile([GraphConcaveModel(-1.0) for _ in range(13)]), path)
+    return str(path)
+
+
+@pytest.mark.parametrize("cmd", [
+    ["run", "--mechanism", "main"], ["benchmark"], ["verify", "--mechanism", "main"],
+])
+def test_cli_validates_files_past_the_exhaustive_range(tmp_path, capsys, cmd):
+    path = _invalid_n13_instance(tmp_path)
+    assert main([*cmd, "--instance", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "violates the valuation conditions" in captured.err
+    assert main(["check", "--instance", path]) == 1
+
+
+_COUNT = "must be an integer >= 1"
+_M_VALUE = "m values must be finite and >= 1"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (lambda tmp, inst: ["check", "--instance", _invalid_n13_instance(tmp), "--samples", "0"],
+         _COUNT),
+        (lambda tmp, inst: ["check", "--instance", inst, "--sampled", "--samples", "-3"], _COUNT),
+        (lambda tmp, inst: ["verify", "--mechanism", "broken", "--instance", inst, "--runs", "0"],
+         _COUNT),
+        (lambda tmp, inst: ["verify", "--mechanism", "main", "--instance", inst, "--runs", "x"],
+         _COUNT),
+        (lambda tmp, inst: ["demo", "--which", "f2-gap", "--m-values", "nan"], _M_VALUE),
+        (lambda tmp, inst: ["demo", "--which", "f2-gap", "--m-values", "10", "inf"], _M_VALUE),
+        (lambda tmp, inst: ["demo", "--which", "f2-gap", "--m-values", "-1"], _M_VALUE),
+        (lambda tmp, inst: ["demo", "--which", "f2-gap", "--m-values", "0.5"], _M_VALUE),
+    ],
+    ids=["check-samples-0", "check-samples-negative", "verify-runs-0", "verify-runs-not-int",
+         "demo-m-nan", "demo-m-inf", "demo-m-negative", "demo-m-below-1"],
+)
+def test_cli_checks_that_check_nothing_exit_2(tmp_path, instance_path, capsys, argv, message):
+    assert main(argv(tmp_path, instance_path)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error:" in captured.err and message in captured.err
+
+
+@pytest.mark.parametrize("m", [math.nan, math.inf, -1.0, 0.0])
+def test_f2_gap_config_rejects_m_values_outside_the_domain(tmp_path, capsys, m):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"mode": "f2-gap", "m_values": [1.0, m]}))
+    assert main(["experiment", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert _M_VALUE in capsys.readouterr().err
+    with pytest.raises(ValueError, match="finite and >= 1"):
+        f2_gap_demo([m])
