@@ -295,9 +295,11 @@ def quarter_bound_check(
 def quarter_bound_exhaustive(profile) -> tuple[int, int, list[Partition3]]:
     """Run the quarter-bound check over all ``3^n`` partitions.
 
-    Returns (checked, skipped, failures).
+    Returns (checked, skipped, failures).  Values come from tables built
+    once on the oracle (:meth:`~extauction.valuations.Oracle.tabulate`).
     """
     oracle = as_oracle(profile)
+    oracle.tabulate()
     optimum = benchmark_bruteforce(oracle, 3)
     checked = skipped = 0
     failures = []

@@ -9,10 +9,10 @@ counts its own value queries on a private oracle.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .benchmark import (
     _greedy_sweep,
@@ -54,8 +54,7 @@ class Outcome:
         }
 
 
-@dataclass(frozen=True)
-class Partition3:
+class Partition3(NamedTuple):
     """Labeled tripartition of the agents into disjoint masks A, B, C."""
 
     a: int
@@ -72,12 +71,29 @@ class Partition3:
 
     @classmethod
     def all_partitions(cls, n: int):
-        """All 3^n labeled partitions, in deterministic order."""
-        for labels in itertools.product(range(3), repeat=n):
-            masks = [0, 0, 0]
-            for i, lab in enumerate(labels):
-                masks[lab] |= 1 << i
-            yield cls(*masks)
+        """All 3^n labeled partitions, in ``itertools.product(range(3), repeat=n)``
+        label order (agent 0's label changes slowest).
+
+        Each partition joins a labeling of the first ``n // 2`` agents with a
+        precomputed one of the rest, so no per-partition loop over agents.
+        """
+        if n < 0:
+            raise ValueError("n must be nonnegative")
+        half = n // 2
+        new = tuple.__new__  # skips the NamedTuple's Python-level __new__
+        low = _labelings(half, n)
+        for a, b, c in _labelings(0, half):
+            for la, lb, lc in low:
+                yield new(cls, (a | la, b | lb, c | lc))
+
+
+def _labelings(lo: int, hi: int) -> list[tuple[int, int, int]]:
+    """(A, B, C) masks of every labeling of agents ``lo .. hi-1``, agent ``lo`` slowest."""
+    out = [(0, 0, 0)]
+    for i in range(lo, hi):
+        bit = 1 << i
+        out = [m for a, b, c in out for m in ((a | bit, b, c), (a, b | bit, c), (a, b, c | bit))]
+    return out
 
 
 def as_rng(rng_or_seed) -> random.Random:
@@ -88,8 +104,8 @@ def as_rng(rng_or_seed) -> random.Random:
 
 def fixed_price_mechanism(profile, c: float) -> Outcome:
     """Sell at the given uniform price to the maximal feasible set."""
-    if c < 0:
-        raise ValueError("price must be nonnegative")
+    if not 0 <= c < math.inf:
+        raise ValueError("price must be nonnegative and finite")
     oracle = as_oracle(profile)
     winners = maximal_feasible_set(oracle, c, oracle.full, 0)
     payments = {i: c for i in iter_members(winners)}
@@ -128,19 +144,22 @@ def testers_revenue(oracle: Oracle, part: Partition3) -> float:
     Each sweep value is memoized on the oracle per ``(C, free)`` pair, so the
     partitions of one run that share a pair sweep it once.
     """
-    c = part.c
+    a, b, c = part
     if not c:
         return 0.0
     memo = oracle.revenues
-    for free in (part.a, part.b):
-        if (c, free) not in memo:
-            memo[c, free] = _greedy_sweep(oracle, c, free, 1)[0]
-    return max(memo[c, part.a], memo[c, part.b])
+    r_a = memo.get((c, a))
+    if r_a is None:
+        r_a = memo[c, a] = _greedy_sweep(oracle, c, a, 1)[0]
+    r_b = memo.get((c, b))
+    if r_b is None:
+        r_b = memo[c, b] = _greedy_sweep(oracle, c, b, 1)[0]
+    return max(r_a, r_b)
 
 
 def _run_partitioned(oracle: Oracle, part: Partition3) -> Outcome:
     """Deterministic core of the tripartition auction for a fixed partition."""
-    a, b = part.a, part.b
+    a, b, _ = part
     r_c = testers_revenue(oracle, part)
     payments = {i: 0.0 for i in iter_members(a)}
     winners = a
@@ -176,12 +195,14 @@ def main_mechanism_exact_expectation(profile) -> float:
 
     Averages the deterministic revenue over all ``3^n`` equally likely
     labeled partitions; no sampling error, bit-reproducible.  Rejected for
-    n > 10.
+    n > 10.  Values come from tables built once on the oracle
+    (:meth:`~extauction.valuations.Oracle.tabulate`).
     """
     oracle = as_oracle(profile)
     n = oracle.n
     if n > EXACT_EXPECTATION_MAX_N:
         raise ValueError(f"exact expectation rejected for n > {EXACT_EXPECTATION_MAX_N}")
+    oracle.tabulate()
     total = 0.0
     for part in Partition3.all_partitions(n):
         total += _run_partitioned(oracle, part).revenue
@@ -220,6 +241,11 @@ def rsop(bids, rng=0, coins=None) -> Outcome:
     return Outcome(winners, payments, sum(payments.values()), 0)
 
 
+def _require_alpha(alpha: float):
+    if not 0 < alpha < math.inf:
+        raise ValueError("alpha must be positive and finite")
+
+
 def _require_additive(profile: ValuationProfile):
     if not all(isinstance(m, AdditiveModel) for m in profile.models):
         raise ValueError("mechanism2 requires an additive profile")
@@ -243,8 +269,7 @@ def mechanism2(profile, alpha: float = DEFAULT_ALPHA, m0=rsop, rng=0) -> Outcome
     the private bids ``t``, and winners pay its classical threshold price
     plus ``w_i`` of the allocated set.
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    _require_alpha(alpha)
     _require_additive(profile)
     r = as_rng(rng)
     if r.random() < 1.0 / (1.0 + alpha):
@@ -262,6 +287,7 @@ def mechanism2(profile, alpha: float = DEFAULT_ALPHA, m0=rsop, rng=0) -> Outcome
 
 def mechanism2_expected_revenue(profile, alpha: float, m0_expected_revenue: float) -> float:
     """Exact two-branch expectation given the classical branch's expected revenue."""
+    _require_alpha(alpha)
     _require_additive(profile)
     w_total = sum(public_weight_vector(profile, profile.full))
     p1 = 1.0 / (1.0 + alpha)

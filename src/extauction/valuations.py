@@ -10,7 +10,10 @@ Every model enforces the domain conditions by construction:
      for ``i`` in both sets), or the L-relaxed variant thereof.
 
 Profiles are immutable once built and safe to share; the only mutable state
-(the query counter and the ``r(C)`` memo) lives on a per-run :class:`Oracle`.
+(the query counter, the ``r(C)`` memo and any value tables) lives on a
+per-run :class:`Oracle`.  The exhaustive paths (n <= 12) read each agent's
+values from one table (:meth:`ValuationProfile.column`) instead of calling
+the model once per lookup.
 """
 
 from __future__ import annotations
@@ -160,6 +163,12 @@ class ValuationProfile:
 
     ``graph`` is an optional adjacency list (used by degree weights and
     graph-concave models); absent, the complete graph is assumed.
+
+    ``column(i)`` is agent ``i``'s value table over all ``2^n`` masks, for the
+    exhaustive paths only (n <= 12).  A profile keeps no tables: whoever
+    builds one holds it (an :class:`Oracle` after ``tabulate()``, the
+    checker for one agent's scan), so a profile that is only validated costs
+    no memory beyond its models.
     """
 
     def __init__(self, models: Sequence[Model], graph=None, declared_L: float | None = None):
@@ -186,6 +195,14 @@ class ValuationProfile:
         """Pure, uncounted ``v_i(S)``; ``s`` is a bitmask."""
         return self._fns[i](s)
 
+    def column(self, i: int) -> tuple[float, ...]:
+        """``v_i(S)`` for every mask ``S`` in ``0 .. 2^n - 1``, each through
+        :meth:`value` once; refused for n > 12."""
+        if self.n > EXHAUSTIVE_MAX_N:
+            raise ValueError(f"value tables are capped at n <= {EXHAUSTIVE_MAX_N}")
+        value = self.value
+        return tuple([value(i, s) for s in range(1 << self.n)])
+
     def oracle(self) -> "Oracle":
         return Oracle(self)
 
@@ -207,6 +224,9 @@ class Oracle:
     ``revenues``, the ``r(C)`` sweep values memoized per ``(C, free)`` by
     :func:`~extauction.mechanisms.testers_revenue`, so profiles stay
     shareable across threads and runs: concurrent runs each hold their own.
+    After :meth:`tabulate` it also holds the profile's value columns and
+    answers from them instead of the models; values and query counts stay
+    the same.
     """
 
     __slots__ = ("profile", "queries", "revenues", "_fns")
@@ -228,6 +248,17 @@ class Oracle:
     def value(self, i: int, s: int) -> float:
         self.queries += 1
         return self._fns[i](s)
+
+    def tabulate(self) -> None:
+        """Answer from the profile's value columns from now on.
+
+        For the ``3^n`` enumerations, which read each ``v_i(S)`` many times.
+        Every lookup still counts as one query.  The columns are built once
+        per oracle: a second call, and any call for n > 12, is a no-op.
+        """
+        p = self.profile
+        if self._fns is p._fns and p.n <= EXHAUSTIVE_MAX_N:
+            self._fns = tuple(p.column(i).__getitem__ for i in range(p.n))
 
 
 def as_oracle(profile_or_oracle) -> Oracle:
@@ -290,13 +321,13 @@ def _violations(profile: ValuationProfile, mode: str, samples: int, seed: int):
     its cap and :func:`estimate_L` reads its subadditivity witnesses.
     """
     n = profile.n
-    v = profile.value
     if mode == "exhaustive":
         nmasks = 1 << n
         for i in range(n):
+            v = profile.column(i)
             bit = 1 << i
             for s in range(nmasks):
-                val = v(i, s)
+                val = v[s]
                 if not s & bit:
                     if abs(val) > EPS:
                         yield Violation("nonzero_outside", i, (s,), val, 0.0)
@@ -308,15 +339,16 @@ def _violations(profile: ValuationProfile, mode: str, samples: int, seed: int):
                     jb = 1 << j
                     if s & jb:
                         continue
-                    up = v(i, s | jb)
+                    up = v[s | jb]
                     if val > up + EPS:
                         yield Violation("monotonicity", i, (s, s | jb), val, up)
             for s, r in _pair_iter_exhaustive(n, i):
-                u = v(i, s | r)
-                bound = v(i, s) + v(i, r)
+                u = v[s | r]
+                bound = v[s] + v[r]
                 if u > bound + EPS:
                     yield Violation("subadditivity", i, (s, r), u, bound)
     else:
+        v = profile.value
         rng = random.Random(seed)
         fullm = profile.full
         for _ in range(samples):

@@ -71,7 +71,13 @@ RECORDED = {
     "demo": "174a41cc344058c0aa92c9788acb9c1075082ea8fdf3263bb6a68ee4d81d7b07",
     # recorded on the code before the checker and estimate_L shared one witness scan
     "check_invalid": "fb0260c6f34787a84f5eb4f58919cde0fc11997aad488f104f39de765eda28bd",
+    # recorded on the code before the exhaustive paths read per-agent value tables
+    "exact_large": "65266a28251f5917a4c251f052a87378ae5766d1ec159f7d01b46c3a1f00cac6",
 }
+
+#: (family, n, graph) of the larger instances: an odd and an even n, so that
+#: both ways of halving the agents in the partition enumeration are covered
+LARGE = (("mixed", 7, "er"), ("table", 8, None))
 
 
 def _instances(root: Path) -> list[tuple[str, str]]:
@@ -106,6 +112,16 @@ def _invalid_instances(root: Path) -> list[str]:
     for name, models in profiles.items():
         save_instance(ValuationProfile(models), root / f"{name}.json")
     return [f"{name}.json" for name in profiles]
+
+
+def _large_instances(root: Path) -> list[str]:
+    """Save the larger instances; returns file names."""
+    out = []
+    for j, (model, n, graph) in enumerate(LARGE):
+        name = f"{model}-n{n}.json"
+        save_instance(gen_instance(model, n, seed=100 + j, graph=graph), root / name)
+        out.append(name)
+    return out
 
 
 def _calls(root: Path) -> dict[str, list[list[str]]]:
@@ -147,6 +163,12 @@ def _calls(root: Path) -> dict[str, list[list[str]]]:
             ["check", *inst],
             ["check", *inst, "--sampled", "--samples", "300", "--seed", "2"],
             ["check", *inst, "--sampled", "--samples", "20"],
+        ]
+    for f in _large_instances(root):
+        inst = ["--instance", f]
+        calls["exact_large"] += [
+            ["expect", *inst],
+            ["benchmark", *inst, "--k", "3", "--method", "brute"],
         ]
     for mode, config in EXPERIMENTS.items():
         (root / f"{mode}.json").write_text(json.dumps(config))

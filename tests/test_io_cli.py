@@ -648,3 +648,57 @@ def test_f2_gap_config_rejects_m_values_outside_the_domain(tmp_path, capsys, m):
     assert _M_VALUE in capsys.readouterr().err
     with pytest.raises(ValueError, match="finite and >= 1"):
         f2_gap_demo([m])
+
+
+def _additive_instance(tmp_path):
+    path = tmp_path / "additive3.json"
+    save_instance(gen_instance("additive", 3, seed=0), path)
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["run", "--mechanism", "fixed-price", "--price", "nan"], "price must be nonnegative"),
+        (["run", "--mechanism", "fixed-price", "--price", "inf"], "price must be nonnegative"),
+        (["verify", "--mechanism", "fixed-price", "--price", "nan", "--misreports", "4"],
+         "price must be nonnegative"),
+        (["run", "--mechanism", "mechanism2", "--alpha", "nan"], "alpha must be positive"),
+        (["run", "--mechanism", "mechanism2", "--alpha", "inf"], "alpha must be positive"),
+        (["verify", "--mechanism", "mechanism2", "--alpha", "nan", "--misreports", "4"],
+         "alpha must be positive"),
+    ],
+    ids=["run-price-nan", "run-price-inf", "verify-price-nan", "run-alpha-nan", "run-alpha-inf",
+         "verify-alpha-nan"],
+)
+def test_cli_non_finite_price_and_alpha_exit_2(tmp_path, capsys, argv, message):
+    assert main([*argv, "--instance", _additive_instance(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+
+
+@pytest.mark.parametrize("alpha", [-1.0, 0.0, math.nan, math.inf])
+def test_additive_bound_config_rejects_alpha_outside_the_domain(tmp_path, capsys, alpha):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"mode": "additive-bound", "alpha": alpha,
+                                "instances": [{"model": "additive", "n": 3}]}))
+    assert main(["experiment", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "alpha must be positive" in captured.err
+
+
+@pytest.mark.parametrize("c", [math.nan, math.inf, -1.0])
+def test_fixed_price_rejects_prices_outside_the_domain(c):
+    with pytest.raises(ValueError, match="price must be nonnegative"):
+        mech.fixed_price_mechanism(size_scalar_profile(3), c)
+
+
+@pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan, math.inf])
+def test_mechanism2_rejects_alpha_outside_the_domain(alpha):
+    profile = gen_instance("additive", 3, seed=0)
+    with pytest.raises(ValueError, match="alpha must be positive"):
+        mech.mechanism2(profile, alpha=alpha)
+    with pytest.raises(ValueError, match="alpha must be positive"):
+        mech.mechanism2_expected_revenue(profile, alpha, 1.0)

@@ -1,0 +1,260 @@
+"""Per-agent value tables on the exhaustive paths.
+
+The exact ``3^n`` expectation, the exhaustive quarter bound and the
+exhaustive condition checker read ``ValuationProfile.column(i)``, the
+``2^n`` values of agent ``i``, instead of calling the model once per lookup.
+These tests pin that the tables change no result and no query count, and that
+each ``v_i(S)`` is evaluated once.
+
+``CHECKER_DIGEST`` was recorded on the code before the tables; re-record it
+with ``PYTHONPATH=src python tests/test_tables.py`` only for a change meant to
+alter the checker's output.
+"""
+
+import hashlib
+import itertools
+import math
+import sys
+
+import pytest
+
+from extauction import (
+    DegreeWeight,
+    GraphConcaveModel,
+    Partition3,
+    ScalarModel,
+    TableModel,
+    ValuationProfile,
+    check_conditions,
+    estimate_L,
+    main_mechanism,
+    main_mechanism_exact_expectation,
+)
+from extauction.benchmark import benchmark_bruteforce
+from extauction.experiments import (
+    GEN_MODELS,
+    gen_instance,
+    quarter_bound_check,
+    quarter_bound_exhaustive,
+)
+from extauction.sets import mask_of
+from extauction.valuations import EXHAUSTIVE_MAX_N
+
+from conftest import square_table_profile
+
+
+def _product_order(n):
+    """The partitions as ``itertools.product`` labels them, agent 0 slowest."""
+    for labels in itertools.product(range(3), repeat=n):
+        masks = [0, 0, 0]
+        for i, lab in enumerate(labels):
+            masks[lab] |= 1 << i
+        yield tuple(masks)
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_all_partitions_follow_the_product_order(n):
+    parts = list(Partition3.all_partitions(n))
+    assert [(p.a, p.b, p.c) for p in parts] == list(_product_order(n))
+    assert all(type(p) is Partition3 for p in parts)
+
+
+def test_all_partitions_rejects_negative_n():
+    with pytest.raises(ValueError):
+        list(Partition3.all_partitions(-1))
+
+
+def test_partitions_are_immutable_and_hashable():
+    parts = list(Partition3.all_partitions(3))
+    assert len(set(parts)) == 27
+    assert Partition3(a=1, b=2, c=4) == parts[list(_product_order(3)).index((1, 2, 4))]
+    with pytest.raises(AttributeError):
+        parts[0].a = 7
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+@pytest.mark.parametrize("model", GEN_MODELS)
+def test_exact_expectation_is_the_sum_of_untabulated_runs(model, n):
+    """Bit for bit: same enumeration order, same float sum, same queries."""
+    profile = gen_instance(model, n, seed=n, graph="er")
+    plain = profile.oracle()
+    total = 0.0
+    for part in Partition3.all_partitions(n):
+        total += main_mechanism(plain, partition=part).revenue
+    tabulated = profile.oracle()
+    assert main_mechanism_exact_expectation(tabulated) == total / 3 ** n
+    assert tabulated.queries == plain.queries
+
+
+@pytest.mark.parametrize("model", ["table", "mixed", "graph_concave"])
+def test_quarter_bound_matches_untabulated_checks(model):
+    profile = gen_instance(model, 7, seed=3, graph="pa")
+    plain = profile.oracle()
+    optimum = benchmark_bruteforce(plain, 3)
+    statuses = [quarter_bound_check(plain, part, optimum).status
+                for part in Partition3.all_partitions(7)]
+    tabulated = profile.oracle()
+    checked, skipped, failures = quarter_bound_exhaustive(tabulated)
+    assert (checked, skipped, failures) == (len(statuses), statuses.count("skip"), [])
+    assert "fail" not in statuses
+    assert tabulated.queries == plain.queries
+
+
+def test_column_holds_every_value():
+    profile = gen_instance("mixed", 6, seed=1, graph="er")
+    for i in range(6):
+        col = profile.column(i)
+        assert type(col) is tuple and len(col) == 64
+        assert col == tuple(profile.value(i, s) for s in range(64))
+
+
+def test_profile_keeps_no_tables():
+    """The tables live on the oracle, so a validated profile holds only its models."""
+    profile = gen_instance("table", 7, seed=2, graph="er")
+    state = dict(vars(profile))
+    oracle = profile.oracle()
+    main_mechanism_exact_expectation(oracle)
+    assert check_conditions(profile) == [] and vars(profile) == state
+    assert oracle.value(0, profile.full) == profile.value(0, profile.full)
+
+
+def test_column_is_refused_past_the_exhaustive_range():
+    profile = ValuationProfile([GraphConcaveModel(1.0) for _ in range(EXHAUSTIVE_MAX_N + 1)])
+    with pytest.raises(ValueError, match="n <= 12"):
+        profile.column(0)
+    oracle = profile.oracle()
+    oracle.tabulate()  # a no-op there: the oracle keeps evaluating the models
+    assert oracle.value(0, profile.full) == profile.value(0, profile.full)
+    assert oracle.queries == 1
+
+
+# --- evaluation counts: a guard that the tables stay in use ----------------------
+
+class _Counted:
+    """Wraps a model so that its bound closures count their evaluations."""
+
+    def __init__(self, model, counter):
+        self.model = model
+        self.counter = counter
+
+    def bind(self, i, neighbor_mask):
+        fn = self.model.bind(i, neighbor_mask)
+
+        def counted(s):
+            self.counter[0] += 1
+            return fn(s)
+
+        return counted
+
+
+@pytest.fixture
+def value_calls(monkeypatch):
+    """Counts calls of ``ValuationProfile.value``."""
+    original = ValuationProfile.value
+    count = [0]
+
+    def value(profile, i, s):
+        count[0] += 1
+        return original(profile, i, s)
+
+    monkeypatch.setattr(ValuationProfile, "value", value)
+    return count
+
+
+def test_checker_evaluates_each_value_once(value_calls):
+    n = 9
+    profile = gen_instance("mixed", n, seed=4, graph="er")
+    fresh = ValuationProfile(profile.models, graph=profile.graph)
+    value_calls[0] = 0
+    assert check_conditions(fresh) == []
+    assert value_calls[0] == n * 2 ** n
+    assert estimate_L(fresh) == 1.0
+    assert value_calls[0] == 2 * n * 2 ** n
+
+
+def test_exact_expectation_evaluates_each_value_once():
+    n = 9
+    base = gen_instance("mixed", n, seed=4, graph="pa")
+    counter = [0]
+    profile = ValuationProfile([_Counted(m, counter) for m in base.models], graph=base.graph)
+    oracle = profile.oracle()
+    expected = main_mechanism_exact_expectation(oracle)
+    assert counter[0] == n * 2 ** n
+    assert expected == main_mechanism_exact_expectation(base)
+    assert oracle.queries > 10 * counter[0]
+    quarter_bound_exhaustive(oracle)  # the oracle's tables are built once
+    oracle.tabulate()
+    assert counter[0] == n * 2 ** n
+
+
+def test_checker_that_stops_early_builds_only_the_columns_it_scans(value_calls):
+    n = 9
+    models = [ScalarModel(t=-1.0, weight=DegreeWeight())] + [GraphConcaveModel(1.0)] * (n - 1)
+    profile = ValuationProfile(models)
+    value_calls[0] = 0
+    assert len(check_conditions(profile, max_violations=1)) == 1
+    assert value_calls[0] == 2 ** n
+
+
+# --- the checker's output, recorded before the tables --------------------------
+
+class _Leaky:
+    """Worth 1 on every set, including sets without the agent."""
+
+    def bind(self, i, neighbor_mask):
+        return lambda s: 1.0
+
+
+def _invalid_profiles():
+    scalar = ScalarModel(t=2.0, weight=DegreeWeight())
+    low = mask_of([0, 1, 2])
+    return {
+        "square5": square_table_profile(5),
+        "negative": ValuationProfile([scalar] * 3 + [ScalarModel(t=-1.0, weight=DegreeWeight())]
+                                     + [scalar] * 3),
+        "non-monotone": ValuationProfile(
+            [TableModel({s: 1.0 if s == 0b0111 else 2.0 for s in range(16) if s & 1})]
+            + [scalar] * 3),
+        "leaky": ValuationProfile([scalar, _Leaky(), scalar, scalar]),
+        "single-gap": ValuationProfile(
+            [TableModel({s: 1.0 if s & low == s != low else 3.0 for s in range(64) if s & 1})]
+            + [scalar] * 5),
+    }
+
+
+def checker_digest() -> str:
+    """sha256 over the violation lists at several caps, and estimate_L, per profile."""
+    h = hashlib.sha256()
+    for name, profile in _invalid_profiles().items():
+        for cap in (1, 7, 100, 10_000):
+            found = check_conditions(profile, max_violations=cap)
+            h.update(f"{name}/{cap}/{len(found)}\n".encode())
+            for v in found:
+                h.update(f"{v!r}\n".encode())
+        L = estimate_L(profile)
+        h.update(f"{name}/L/{L!r}\n".encode())
+    return h.hexdigest()
+
+
+CHECKER_DIGEST = "42355c19efbc8658f7a7413c9d35e6646117e364bb863b811e6beb766e5fab26"
+
+
+def test_checker_output_matches_the_recorded_digest():
+    assert checker_digest() == CHECKER_DIGEST
+
+
+def test_invalid_profiles_hit_the_caps():
+    """The recorded digest covers capped lists and early exits."""
+    profiles = _invalid_profiles()
+    assert len(check_conditions(profiles["square5"])) == 100
+    assert len(check_conditions(profiles["negative"])) == 100
+    assert math.isinf(estimate_L(profiles["negative"]))
+    kinds = {name: {v.kind for v in check_conditions(p, max_violations=10_000)}
+             for name, p in profiles.items()}
+    assert kinds["negative"] == {"negative", "monotonicity", "subadditivity"}
+    assert kinds["leaky"] == {"nonzero_outside"}
+    assert kinds["non-monotone"] == {"monotonicity"}
+
+
+if __name__ == "__main__":
+    sys.stdout.write(checker_digest() + "\n")
