@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .sets import iter_members, members
+from .sets import iter_members, members  # noqa: F401  (iter_members stays bound for perfbench's tracer)
 from .valuations import EPS, Oracle, as_oracle
 
 BRUTEFORCE_MAX_N = 20
@@ -73,7 +73,7 @@ def benchmark_bruteforce(profile, k: int) -> BenchmarkResult:
     for s in range(1, 1 << n):
         if s.bit_count() < k:
             continue
-        price = min(oracle.value(i, s) for i in iter_members(s))
+        price = oracle.argmin(s, s)[0]
         cand = (s.bit_count() * price, price, s)
         if _better(cand, best):
             best = cand
@@ -85,12 +85,7 @@ def deletion_fixpoint(oracle: Oracle, pool: int, free: int, bar: Callable[[int],
     below ``bar(|T|)``; returns the first ``T`` that loses nobody (possibly empty)."""
     t = pool
     while t:
-        union = free | t
-        low = bar(t.bit_count()) - EPS
-        drop = 0
-        for i in iter_members(t):
-            if oracle.value(i, union) < low:
-                drop |= 1 << i
+        drop = oracle.below(t, free | t, bar(t.bit_count()) - EPS)
         if not drop:
             break
         t &= ~drop
@@ -122,14 +117,7 @@ def _greedy_sweep(oracle: Oracle, pool: int, free: int, k: int) -> tuple[float, 
     best = ZERO
     t = pool
     while t:
-        union = free | t
-        low = math.inf
-        arg = -1
-        for i in iter_members(t):
-            v = oracle.value(i, union)
-            if v < low:
-                low = v
-                arg = i
+        low, arg = oracle.argmin(t, free | t)
         size = t.bit_count()
         if size >= k:
             cand = (size * low, low, t)

@@ -16,7 +16,7 @@ import statistics
 from dataclasses import dataclass, field
 from fractions import Fraction
 from types import SimpleNamespace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .benchmark import (  # noqa: F401  (_greedy_sweep stays bound for perfbench's tracer)
     BenchmarkResult,
@@ -263,8 +263,7 @@ def partition_stats(optimum: BenchmarkResult, partition: Partition3) -> Partitio
     return stats
 
 
-@dataclass(frozen=True)
-class QuarterBoundResult:
+class QuarterBoundResult(NamedTuple):
     status: str  # pass | fail | skip
     r_c: float
     r_f_c: float

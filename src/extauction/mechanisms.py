@@ -161,7 +161,7 @@ def _run_partitioned(oracle: Oracle, part: Partition3) -> Outcome:
     """Deterministic core of the tripartition auction for a fixed partition."""
     a, b, _ = part
     r_c = testers_revenue(oracle, part)
-    payments = {i: 0.0 for i in iter_members(a)}
+    payments = dict.fromkeys(iter_members(a), 0.0)
     winners = a
     revenue = 0.0
     if b:

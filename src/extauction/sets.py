@@ -23,16 +23,42 @@ def full_mask(n: int) -> int:
     return (1 << n) - 1
 
 
-def members(mask: int) -> tuple[int, ...]:
-    """Agent ids in the mask, ascending."""
-    return tuple(iter_members(mask))
+#: masks below this share one precomputed member tuple each
+MEMBER_TABLE_SIZE = 1 << 12
 
 
-def iter_members(mask: int) -> Iterator[int]:
+def _member_table(size: int) -> tuple[tuple[int, ...], ...]:
+    """``table[m]`` is the ascending member tuple of ``m``, for ``m < size`` (a power of 2)."""
+    table = [()]
+    while len(table) < size:
+        bit = len(table).bit_length() - 1  # the table doubles: masks with ``bit`` set come next
+        table += [m + (bit,) for m in table]
+    return tuple(table)
+
+
+_MEMBERS = _member_table(MEMBER_TABLE_SIZE)
+
+
+def _scan(mask: int) -> Iterator[int]:
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def members(mask: int) -> tuple[int, ...]:
+    """Agent ids in the mask, ascending."""
+    if 0 <= mask < MEMBER_TABLE_SIZE:
+        return _MEMBERS[mask]
+    return tuple(_scan(mask))
+
+
+def iter_members(mask: int) -> Iterator[int]:
+    """Agent ids in the mask, ascending: a shared tuple's iterator below
+    ``MEMBER_TABLE_SIZE``, a bit scan (no tuple built) above."""
+    if 0 <= mask < MEMBER_TABLE_SIZE:
+        return iter(_MEMBERS[mask])
+    return _scan(mask)
 
 
 def contains(mask: int, i: int) -> bool:

@@ -4,7 +4,7 @@ An instance has ``n`` agents; agent ``i`` holds a set-valued valuation
 ``v_i(S)`` over winner sets ``S`` (bitmasks, see :mod:`extauction.sets`).
 Every model enforces the domain conditions by construction:
 
-  1. nonnegativity,
+  1. finite, nonnegative values,
   2. ``v_i(S) = 0`` whenever ``i`` is not in ``S``,
   3. monotonicity in ``S`` and subadditivity (``v_i(S | R) <= v_i(S) + v_i(R)``
      for ``i`` in both sets), or the L-relaxed variant thereof.
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Callable, Mapping, Sequence, Union
 
-from .sets import full_mask, mask_of, members, submasks
+from .sets import full_mask, iter_members, mask_of, members, submasks
 
 EPS = 1e-9
 
@@ -249,6 +249,31 @@ class Oracle:
         self.queries += 1
         return self._fns[i](s)
 
+    def argmin(self, t: int, union: int) -> tuple[float, int]:
+        """``(v_i(union), i)`` for the member ``i`` of ``t`` bidding least, ties
+        to the smallest ``i``: one sweep step, counted as ``|t|`` queries."""
+        self.queries += t.bit_count()
+        fns = self._fns
+        low = math.inf
+        arg = -1
+        for i in iter_members(t):
+            v = fns[i](union)
+            if v < low:
+                low = v
+                arg = i
+        return low, arg
+
+    def below(self, t: int, union: int, bar: float) -> int:
+        """Mask of the members ``i`` of ``t`` with ``v_i(union) < bar``: one
+        deletion round, counted as ``|t|`` queries."""
+        self.queries += t.bit_count()
+        fns = self._fns
+        drop = 0
+        for i in iter_members(t):
+            if fns[i](union) < bar:
+                drop |= 1 << i
+        return drop
+
     def tabulate(self) -> None:
         """Answer from the profile's value columns from now on.
 
@@ -275,7 +300,7 @@ def as_oracle(profile_or_oracle) -> Oracle:
 class Violation:
     """One failed inequality, with the witness triple and both sides."""
 
-    kind: str  # negative | nonzero_outside | monotonicity | subadditivity
+    kind: str  # negative | nonfinite | nonzero_outside | monotonicity | subadditivity
     agent: int
     sets: tuple[int, ...]  # witness masks
     lhs: float
@@ -334,6 +359,8 @@ def _violations(profile: ValuationProfile, mode: str, samples: int, seed: int):
                     continue
                 if val < -EPS:
                     yield Violation("negative", i, (s,), val, 0.0)
+                elif not val < math.inf:  # NaN or +inf
+                    yield Violation("nonfinite", i, (s,), val, 0.0)
                 # single-element monotonicity steps imply the full condition
                 for j in range(n):
                     jb = 1 << j
@@ -362,6 +389,8 @@ def _violations(profile: ValuationProfile, mode: str, samples: int, seed: int):
             val = v(i, s)
             if val < -EPS:
                 yield Violation("negative", i, (s,), val, 0.0)
+            elif not val < math.inf:
+                yield Violation("nonfinite", i, (s,), val, 0.0)
             r = (rng.getrandbits(n) & fullm) | bit
             u = v(i, s | r)
             bound = val + v(i, r)

@@ -4,7 +4,14 @@ import re
 
 import pytest
 
-from extauction import DegreeWeight, GraphConcaveModel, ScalarModel, TableWeight, ValuationProfile
+from extauction import (
+    DegreeWeight,
+    GraphConcaveModel,
+    ScalarModel,
+    TableWeight,
+    ValuationProfile,
+    check_conditions,
+)
 from extauction import mechanisms as mech
 from extauction.cli import main
 from extauction.experiments import GEN_MODELS, ExperimentReport, f2_gap_demo, gen_instance
@@ -702,3 +709,48 @@ def test_mechanism2_rejects_alpha_outside_the_domain(alpha):
         mech.mechanism2(profile, alpha=alpha)
     with pytest.raises(ValueError, match="alpha must be positive"):
         mech.mechanism2_expected_revenue(profile, alpha, 1.0)
+
+
+# --- valuations that overflow: v_i(S) = inf, or 0 * inf = NaN ------------------------
+
+def _overflow_profiles():
+    return {
+        "inf": ValuationProfile([ScalarModel(1e308, DegreeWeight(10.0, 1.0))] * 3),
+        "nan": ValuationProfile([ScalarModel(0.0, DegreeWeight(1e308, 1e308))]
+                                + [ScalarModel(1.0, DegreeWeight())] * 2),
+    }
+
+
+@pytest.mark.parametrize("name", ["inf", "nan"])
+@pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+def test_checker_flags_non_finite_values(name, mode):
+    profile = _overflow_profiles()[name]
+    found = check_conditions(profile, mode=mode, samples=200, max_violations=10_000)
+    nonfinite = [v for v in found if v.kind == "nonfinite"]
+    assert nonfinite
+    assert all(v.sets[0] >> v.agent & 1 for v in nonfinite)
+    assert all(not v.lhs < math.inf for v in nonfinite)
+
+
+def test_minus_inf_stays_a_negative_violation():
+    profile = ValuationProfile([ScalarModel(-1e308, DegreeWeight(10.0, 1.0))] * 3)
+    assert profile.value(0, 0b111) == -math.inf
+    assert {v.kind for v in check_conditions(profile)} == {"negative"}
+
+
+@pytest.mark.parametrize("name", ["inf", "nan"])
+def test_cli_rejects_non_finite_values(tmp_path, capsys, name):
+    path = tmp_path / f"{name}.json"
+    save_instance(_overflow_profiles()[name], path)
+    assert main(["check", "--instance", str(path)]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert not out["valid"] and any(v.startswith("nonfinite") for v in out["violations"])
+    assert main(["check", "--instance", str(path), "--sampled"]) == 1
+    capsys.readouterr()
+    with pytest.raises(InstanceError, match="nonfinite"):
+        load_instance(path)
+    for argv in (["run", "--mechanism", "main"], ["run", "--mechanism", "fixed-price", "--price", "1"],
+                 ["expect"], ["benchmark", "--method", "brute"], ["benchmark", "--method", "sweep"]):
+        assert main([*argv, "--instance", str(path)]) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and "nonfinite" in captured.err, argv
