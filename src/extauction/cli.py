@@ -18,7 +18,7 @@ from . import experiments as ex
 from . import mechanisms as mech
 from . import truthfulness as tr
 from .io import emit_report, instance_digest, is_number, load_instance, require_valid
-from .valuations import EXHAUSTIVE_MAX_N, check_conditions, estimate_L
+from .valuations import EPS, EXHAUSTIVE_MAX_N, check_conditions, estimate_L
 
 
 class UsageError(Exception):
@@ -104,11 +104,12 @@ def _cmd_expect(args) -> int:
     profile = _load(args.instance)
     expected = mech.main_mechanism_exact_expectation(profile)
     f3 = bm.benchmark_bruteforce(profile, 3).value
+    bound = f3 / ex.REVENUE_GUARANTEE_FACTOR
     out = {
         "expected_revenue": expected,
         "f3": f3,
-        "bound": f3 / ex.REVENUE_GUARANTEE_FACTOR,
-        "bound_ok": expected >= f3 / ex.REVENUE_GUARANTEE_FACTOR - 1e-9,
+        "bound": bound,
+        "bound_ok": expected >= bound - EPS,
     }
     _print(out)
     return 0 if out["bound_ok"] else 1

@@ -30,6 +30,7 @@ from .mechanisms import (
     main_mechanism,
     main_mechanism_exact_expectation,
     mechanism2_expected_revenue,
+    require_additive,
     testers_revenue,
 )
 from .sets import iter_members
@@ -333,6 +334,12 @@ def _ratio(benchmark: float, revenue: float) -> float:
     return benchmark / revenue
 
 
+def _ratio_summary(ratios) -> dict:
+    """``min_ratio`` and ``mean_ratio`` over the finite ratios, NaN when there are none."""
+    finite = [r for r in ratios if math.isfinite(r)] or [math.nan]
+    return {"min_ratio": min(finite), "mean_ratio": statistics.fmean(finite)}
+
+
 GUARANTEE_COLUMNS = ("instance", "n", "f1", "f2", "f3", "expected_revenue", "ratio", "bound_ok")
 
 
@@ -357,7 +364,6 @@ def revenue_guarantee_suite(instances: Sequence[tuple[str, ValuationProfile]]) -
         if f3 > EPS and (worst is None or expected / f3 < worst):
             worst = expected / f3
         rows.append((name, profile.n, f1, f2, f3, expected, ratio, ok))
-    finite = [r[6] for r in rows if math.isfinite(r[6])]
     return ExperimentReport(
         GUARANTEE_COLUMNS,
         rows,
@@ -366,8 +372,7 @@ def revenue_guarantee_suite(instances: Sequence[tuple[str, ValuationProfile]]) -
             "instances": len(rows),
             "worst_revenue_over_f3": worst,
             "required_fraction": 1 / REVENUE_GUARANTEE_FACTOR,
-            "min_ratio": min(finite) if finite else math.nan,
-            "mean_ratio": statistics.fmean(finite) if finite else math.nan,
+            **_ratio_summary(r[6] for r in rows),
         },
     )
 
@@ -393,6 +398,7 @@ def mechanism2_bound_check(profile: ValuationProfile, alpha: float = 1.0) -> Dec
     classical-benchmark oracle as the plug-in mechanism and compares it to
     ``F^(2) / (2*(1+alpha))``.
     """
+    require_additive(profile)
     f2 = benchmark_bruteforce(profile, 2).value
     t_bids = [m.t for m in profile.models]
     f2_classical = classical_best_price(t_bids, min_winners=2)[0]
@@ -572,7 +578,5 @@ def ratio_campaign(
         "within_query_budget": budget_ok,
     }
     if rows:
-        finite = [r[6] for r in rows if math.isfinite(r[6])]
-        summary["mean_ratio"] = statistics.fmean(finite) if finite else math.nan
-        summary["min_ratio"] = min(finite) if finite else math.nan
+        summary.update(_ratio_summary(r[6] for r in rows))
     return ExperimentReport(CAMPAIGN_COLUMNS, rows, summary)

@@ -246,14 +246,15 @@ def _require_alpha(alpha: float):
         raise ValueError("alpha must be positive and finite")
 
 
-def _require_additive(profile: ValuationProfile):
+def require_additive(profile: ValuationProfile):
+    """Refuse a profile unless every agent is an :class:`AdditiveModel`."""
     if not all(isinstance(m, AdditiveModel) for m in profile.models):
         raise ValueError("mechanism2 requires an additive profile")
 
 
 def public_weight_vector(profile: ValuationProfile, s: int) -> list[float]:
     """Public additive weights ``w_i(S)`` of an additive profile."""
-    _require_additive(profile)
+    require_additive(profile)
     return [
         m.weight.bind(i, profile.neighbor_masks[i])(s)
         for i, m in enumerate(profile.models)
@@ -270,7 +271,7 @@ def mechanism2(profile, alpha: float = DEFAULT_ALPHA, m0=rsop, rng=0) -> Outcome
     plus ``w_i`` of the allocated set.
     """
     _require_alpha(alpha)
-    _require_additive(profile)
+    require_additive(profile)
     r = as_rng(rng)
     if r.random() < 1.0 / (1.0 + alpha):
         w_full = public_weight_vector(profile, profile.full)
@@ -278,17 +279,15 @@ def mechanism2(profile, alpha: float = DEFAULT_ALPHA, m0=rsop, rng=0) -> Outcome
         return Outcome(profile.full, payments, sum(w_full), 0)
     t_bids = [m.t for m in profile.models]
     classical = m0(t_bids, r)
-    payments = {}
-    for i in iter_members(classical.winners):
-        w_i = profile.models[i].weight.bind(i, profile.neighbor_masks[i])
-        payments[i] = classical.payment(i) + w_i(classical.winners)
+    w = public_weight_vector(profile, classical.winners)
+    payments = {i: classical.payment(i) + w[i] for i in iter_members(classical.winners)}
     return Outcome(classical.winners, payments, sum(payments.values()), classical.queries_used)
 
 
 def mechanism2_expected_revenue(profile, alpha: float, m0_expected_revenue: float) -> float:
     """Exact two-branch expectation given the classical branch's expected revenue."""
     _require_alpha(alpha)
-    _require_additive(profile)
+    require_additive(profile)
     w_total = sum(public_weight_vector(profile, profile.full))
     p1 = 1.0 / (1.0 + alpha)
     return p1 * w_total + (1.0 - p1) * m0_expected_revenue

@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 
 from .mechanisms import Outcome
 from .sets import contains
-from .valuations import EPS, Model, TableModel, ValuationProfile, as_oracle
+from .valuations import EPS, DegreeWeight, Model, TableModel, ValuationProfile, as_oracle
 
 
 class CharacterizationError(ValueError):
@@ -51,6 +51,10 @@ class SingleParamRule:
         vec = list(context[:i]) + [b_i] + list(context[i:])
         return tuple(vec)
 
+    def allocations(self, i: int, context: tuple[float, ...]) -> list[int]:
+        """The allocated set at each of agent ``i``'s grid bids, in grid order."""
+        return [self.allocate(self.vector(i, context, b)) for b in self.grids[i]]
+
 
 def uniform_grid(lo: float, hi: float, points: int = 64) -> tuple[float, ...]:
     """Evenly spaced bid grid, the default discretization of the bid axis."""
@@ -69,18 +73,24 @@ class RuleViolation:
     detail: str
 
 
+def _lost_wins(grid: Sequence[float], allocs: Sequence[int], i: int):
+    """``(last winning bid, higher bid)`` for each grid bid at which agent
+    ``i`` loses after winning at a lower one, in grid order."""
+    last_win = None
+    for b, s in zip(grid, allocs):
+        if contains(s, i):
+            last_win = b
+        elif last_win is not None:
+            yield last_win, b
+
+
 def check_bid_independent_monotone(rule: SingleParamRule, i: int) -> list[RuleViolation]:
     """Winning must survive raising one's own bid, for every context."""
-    out = []
-    for ctx in rule.contexts(i):
-        last_win = None
-        for b in rule.grids[i]:
-            wins = contains(rule.allocate(rule.vector(i, ctx, b)), i)
-            if wins:
-                last_win = b
-            elif last_win is not None:
-                out.append(RuleViolation(i, ctx, last_win, b, "win lost at higher bid"))
-    return out
+    return [
+        RuleViolation(i, ctx, won, lost, "win lost at higher bid")
+        for ctx in rule.contexts(i)
+        for won, lost in _lost_wins(rule.grids[i], rule.allocations(i, ctx), i)
+    ]
 
 
 def check_encourages_higher_bids(
@@ -91,8 +101,7 @@ def check_encourages_higher_bids(
     for ctx in rule.contexts(i):
         prev_w = None
         prev_b = None
-        for b in rule.grids[i]:
-            w = w_i(rule.allocate(rule.vector(i, ctx, b)))
+        for b, w in zip(rule.grids[i], map(w_i, rule.allocations(i, ctx))):
             if prev_w is not None and w < prev_w - EPS:
                 out.append(
                     RuleViolation(i, ctx, prev_b, b, f"weight drops {prev_w:.12g} -> {w:.12g}")
@@ -136,16 +145,12 @@ def discover_breakpoints(
     """
     grid = rule.grids[i]
     t_lo, t_hi = grid[0], grid[-1]
-    allocs = [rule.allocate(rule.vector(i, context, b)) for b in grid]
-
-    won = False
-    for b, s in zip(grid, allocs):
-        wins = contains(s, i)
-        if won and not wins:
-            raise CharacterizationError(
-                f"agent {i}: rule is not bid-independent monotone at bid {b:.12g}"
-            )
-        won = won or wins
+    allocs = rule.allocations(i, context)
+    lost = next(_lost_wins(grid, allocs, i), None)
+    if lost is not None:
+        raise CharacterizationError(
+            f"agent {i}: rule is not bid-independent monotone at bid {lost[1]:.12g}"
+        )
 
     starts = [0]
     reps = [allocs[0]]
@@ -241,8 +246,6 @@ def verify_rule_truthful(
             for ti, t in enumerate(grid):
                 u_truth = utility(t, ti)
                 for bi in range(len(grid)):
-                    if bi == ti:
-                        continue
                     gain = utility(t, bi) - u_truth
                     if gain > EPS:
                         out.append(GridViolation(i, ctx, t, grid[bi], gain))
@@ -390,24 +393,15 @@ def random_passing_rule(
             s = full
         return s
 
-    weights = []
     vals = []
     for i in range(n):
         base = rng.uniform(0.5, 2.0)
         per = rng.uniform(0.0, 1.5)
         off = rng.uniform(0.0, 3.0)
-        bit = 1 << i
-
-        def w(s, base=base, per=per, bit=bit):
-            return base + per * (s.bit_count() - 1) if s & bit else 0.0
-
-        def off_fn(s, off=off, bit=bit):
-            return off if s & bit else 0.0
-
-        weights.append(w)
-        vals.append(linear_valuation(w, off_fn))
-    rule = SingleParamRule(grids, allocate)
-    return rule, vals
+        # on the complete graph: w_i(S) = base + per * (|S| - 1), offset a flat ``off``
+        w = DegreeWeight(base, per).bind(i, full)
+        vals.append(linear_valuation(w, DegreeWeight(off, 0.0).bind(i, full)))
+    return SingleParamRule(grids, allocate), vals
 
 
 def random_failing_rule(
@@ -433,12 +427,6 @@ def random_failing_rule(
         # shrink: culprit always wins, everyone else dropped at high bids
         return full if b <= mid + EPS else (1 << culprit)
 
-    vals = []
-    for i in range(n):
-        bit = 1 << i
-
-        def w(s, bit=bit):
-            return float(s.bit_count()) if s & bit else 0.0
-
-        vals.append(linear_valuation(w))
+    # w_i(S) = |S| for i in S, on the complete graph
+    vals = [linear_valuation(DegreeWeight().bind(i, full)) for i in range(n)]
     return SingleParamRule(grids, allocate), vals, culprit

@@ -250,13 +250,15 @@ class Oracle:
         return self._fns[i](s)
 
     def argmin(self, t: int, union: int) -> tuple[float, int]:
-        """``(v_i(union), i)`` for the member ``i`` of ``t`` bidding least, ties
-        to the smallest ``i``: one sweep step, counted as ``|t|`` queries."""
+        """``(v_i(union), i)`` for the member ``i`` of non-empty ``t`` bidding least,
+        ties to the smallest ``i`` (so the first member when every bid is inf or
+        NaN): one sweep step, counted as ``|t|`` queries."""
         self.queries += t.bit_count()
         fns = self._fns
-        low = math.inf
-        arg = -1
-        for i in iter_members(t):
+        it = iter_members(t)
+        arg = next(it)
+        low = fns[arg](union)
+        for i in it:
             v = fns[i](union)
             if v < low:
                 low = v

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from extauction import (
+    DegreeWeight,
+    ScalarModel,
     TableModel,
     ValuationProfile,
     benchmark_bruteforce,
@@ -105,6 +107,17 @@ def test_sweep_size_scalar_k3():
 
 def test_sweep_infeasible_k():
     assert benchmark_sweep(flat_bids_profile([1.0, 2.0]), 3).value == 0.0
+
+
+def test_sweep_survives_overflowing_bids():
+    # every bid overflows to inf, so no bid compares below another; the sweep
+    # must still delete a member each step, and agree with the subset scan
+    inf_profile = ValuationProfile([ScalarModel(1e308, DegreeWeight(10.0, 1.0))] * 3)
+    assert benchmark_sweep(inf_profile, 1).value == math.inf
+    assert benchmark_bruteforce(inf_profile, 1).value == math.inf
+    # 0 * inf is NaN on every set of two or more agents
+    nan_profile = ValuationProfile([ScalarModel(0.0, DegreeWeight(1e308, 1e308))] * 3)
+    benchmark_sweep(nan_profile, 1)
 
 
 def test_sweep_query_budget():

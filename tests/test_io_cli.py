@@ -696,6 +696,17 @@ def test_additive_bound_config_rejects_alpha_outside_the_domain(tmp_path, capsys
     assert captured.err.startswith("error: ") and "alpha must be positive" in captured.err
 
 
+@pytest.mark.parametrize("model", ["table", "mixed"])
+def test_additive_bound_config_rejects_non_additive_instances(tmp_path, capsys, model):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"mode": "additive-bound",
+                                "instances": [{"model": model, "n": 3}]}))
+    assert main(["experiment", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: mechanism2 requires an additive profile\n"
+
+
 @pytest.mark.parametrize("c", [math.nan, math.inf, -1.0])
 def test_fixed_price_rejects_prices_outside_the_domain(c):
     with pytest.raises(ValueError, match="price must be nonnegative"):

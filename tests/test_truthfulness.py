@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from extauction import main_mechanism
+from extauction import DegreeWeight, main_mechanism
 from extauction.sets import contains
 from extauction.truthfulness import (
     BreakpointPartition,
@@ -212,6 +212,55 @@ def test_random_failing_rules_are_rejected_or_caught():
         except CharacterizationError:
             continue
         assert violations, "failing rule slipped through undetected"
+
+
+def test_breakpoint_refusal_and_monotonicity_check_share_one_scan():
+    rng = random.Random(13)
+    refused = 0
+    for trial in range(40):
+        n = 2 + trial % 2
+        if trial % 4 < 2:
+            rule, vals, _ = random_failing_rule(n, rng)
+        else:
+            rule, vals = random_passing_rule(n, rng)
+        for i in range(n):
+            first_lost = {}
+            for v in check_bid_independent_monotone(rule, i):
+                first_lost.setdefault(v.context, v.higher_bid)
+            for ctx in rule.contexts(i):
+                try:
+                    discover_breakpoints(rule, i, ctx, vals[i])
+                    message = None
+                except CharacterizationError as e:
+                    message = str(e)
+                if ctx in first_lost:
+                    refused += 1
+                    assert message == (
+                        f"agent {i}: rule is not bid-independent monotone at bid "
+                        f"{first_lost[ctx]:.12g}"
+                    )
+                else:
+                    assert message is None or "bid-independent" not in message
+    assert refused  # the seeded rules do include lost wins
+
+
+def test_fixture_weights_are_the_degree_weight_bindings():
+    # the fixtures bind DegreeWeight on the complete graph in place of these formulas
+    rng = random.Random(14)
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        full = (1 << n) - 1
+        i = rng.randrange(n)
+        bit = 1 << i
+        base, per, off = rng.uniform(0.5, 2.0), rng.uniform(0.0, 1.5), rng.uniform(0.0, 3.0)
+        w = DegreeWeight(base, per).bind(i, full)
+        w_off = DegreeWeight(off, 0.0).bind(i, full)
+        w_size = DegreeWeight().bind(i, full)
+        for s in range(1 << n):
+            inside = bool(s & bit)
+            assert w(s).hex() == (base + per * (s.bit_count() - 1) if inside else 0.0).hex()
+            assert w_off(s).hex() == (off if inside else 0.0).hex()
+            assert w_size(s).hex() == (float(s.bit_count()) if inside else 0.0).hex()
 
 
 # --- black-box deviation testing ----------------------------------------------------
