@@ -158,8 +158,7 @@ def classical_best_price(bids, min_winners: int = 1) -> tuple[float, float, int]
     """
     best = (0.0, math.inf, 0)
     srt = sorted(bids, reverse=True)
-    for idx, b in enumerate(srt):
-        count = idx + 1
+    for count, b in enumerate(srt, 1):
         if count < min_winners or b <= 0:
             continue
         rev = b * count

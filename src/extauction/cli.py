@@ -145,7 +145,7 @@ _CONFIG_TYPES = {
     "name": (lambda x: type(x) is str, "a string"),
     "n": (lambda x: type(x) is int, "an integer"),
     "seed": (lambda x: type(x) is int, "an integer"),
-    "trials": (lambda x: type(x) is int, "an integer"),
+    "trials": (lambda x: type(x) is int and x >= 1, "an integer >= 1"),
     "alpha": (is_number, "a number"),
     "graph_p": (is_number, "a number"),
     "m_values": (lambda x: type(x) is list and all(map(is_number, x)), "a list of numbers"),
@@ -164,6 +164,15 @@ def _cmd_experiment(args) -> int:
         raise UsageError(f"{args.config}: experiment config must be a JSON object")
     _check_config_types(config, args.config)
     seed = config.get("seed", 0)
+    suites = {
+        "exact": ex.revenue_guarantee_suite,
+        "monte-carlo": lambda inst: ex.ratio_campaign(inst, config.get("trials", 100), seed),
+        "additive-bound": lambda inst: ex.additive_bound_suite(inst, config.get("alpha", 1.0)),
+        "f2-gap": lambda inst: ex.f2_gap_demo(config.get("m_values", ex.F2_GAP_M_VALUES)),
+    }
+    mode = config.get("mode", "exact")
+    if not isinstance(mode, str) or mode not in suites:
+        raise UsageError(f"unknown experiment mode {mode!r}")
     instances = []
     for j, spec in enumerate(config.get("instances", [])):
         _check_config_types(spec, f"{args.config}: instances[{j}]")
@@ -178,27 +187,16 @@ def _cmd_experiment(args) -> int:
             graph_p=spec.get("graph_p", 0.5),
         )
         instances.append((name, profile))
-    mode = config.get("mode", "exact")
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    if mode == "exact":
-        report = ex.revenue_guarantee_suite(instances)
-    elif mode == "monte-carlo":
-        report = ex.ratio_campaign(instances, trials=config.get("trials", 100), seed=seed)
-    elif mode == "additive-bound":
-        report = ex.additive_bound_suite(instances, alpha=config.get("alpha", 1.0))
-    elif mode == "f2-gap":
-        report = ex.f2_gap_demo(config.get("m_values", [1.0, 10.0, 100.0, 1000.0]))
-    else:
-        raise UsageError(f"unknown experiment mode {mode!r}")
+    report = suites[mode](instances)
     report.summary["seed"] = seed
     report.summary["mode"] = mode
     report.summary["instance_digests"] = {name: instance_digest(p) for name, p in instances}
     emit_report(report, "csv", outdir / "rows.csv")
     emit_report(report, "json", outdir / "summary.json")
     _print({"rows": len(report.rows), "out": str(outdir), "mode": mode})
-    violations = report.summary.get("violations", 0)
-    return 0 if not violations else 1
+    return 1 if report.summary.get("violations") else 0
 
 
 def _cmd_demo(args) -> int:
@@ -266,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("demo", help="adversarial demonstrations")
     c.add_argument("--which", choices=["f2-gap", "losing-value"], required=True)
-    c.add_argument("--m-values", type=float, nargs="*", default=[1.0, 10.0, 100.0, 1000.0])
+    c.add_argument("--m-values", type=float, nargs="*", default=ex.F2_GAP_M_VALUES)
     c.set_defaults(fn=_cmd_demo)
     return p
 

@@ -79,23 +79,19 @@ def _random_graph(n: int, rng: random.Random, kind: str = "er", p: float = 0.5):
                 if rng.random() < p:
                     adj[i].add(j)
                     adj[j].add(i)
-    elif kind == "pa":
-        degrees = [1] * min(2, n)
+    elif kind == "pa":  # a stub per edge end, so a node is drawn by its degree
         if n >= 2:
             adj[0].add(1)
             adj[1].add(0)
         for i in range(2, n):
             targets = set()
-            stubs = [j for j, d in enumerate(degrees) for _ in range(d)]
+            stubs = [j for j in range(i) for _ in adj[j]]
             targets.add(rng.choice(stubs))
             if rng.random() < 0.5 and len(stubs) > 1:
                 targets.add(rng.choice(stubs))
             for j in targets:
                 adj[i].add(j)
                 adj[j].add(i)
-            degrees.append(len(targets))
-            for j in targets:
-                degrees[j] += 1
     elif kind == "complete":
         for i in range(n):
             adj[i] = set(range(n)) - {i}
@@ -196,16 +192,15 @@ def standard_suite(seed: int = 20240801, total: int = 200) -> list[tuple[str, Va
     kinds = ["table", "additive", "scalar", "graph_concave", "linear", "mixed"]
     graphs = [None, "er", "pa"]
     out = []
-    idx = 0
     for n, cnt in zip(sizes, counts):
         for j in range(cnt):
+            idx = len(out)
             kind = kinds[idx % len(kinds)]
             graph = graphs[idx % len(graphs)]
             profile = gen_instance(
                 kind, n, seed=derive_seed("suite", seed, idx), graph=graph
             )
             out.append((f"{kind}-n{n}-{j}", profile))
-            idx += 1
     return out
 
 
@@ -295,22 +290,22 @@ def quarter_bound_check(
 def quarter_bound_exhaustive(profile) -> tuple[int, int, list[Partition3]]:
     """Run the quarter-bound check over all ``3^n`` partitions.
 
-    Returns (checked, skipped, failures).  Values come from tables built
+    Returns (checked, skipped, failures); all partitions skip when the
+    benchmark optimum is zero, none otherwise.  Values come from tables built
     once on the oracle (:meth:`~extauction.valuations.Oracle.tabulate`).
     """
     oracle = as_oracle(profile)
     oracle.tabulate()
     optimum = benchmark_bruteforce(oracle, 3)
-    checked = skipped = 0
-    failures = []
-    for part in Partition3.all_partitions(oracle.n):
-        res = quarter_bound_check(oracle, part, optimum)
-        checked += 1
-        if res.status == "skip":
-            skipped += 1
-        elif res.status == "fail":
-            failures.append(part)
-    return checked, skipped, failures
+    checked = 3 ** oracle.n
+    if optimum.value <= EPS:
+        return checked, checked, []
+    failures = [
+        part
+        for part in Partition3.all_partitions(oracle.n)
+        if quarter_bound_check(oracle, part, optimum).status == "fail"
+    ]
+    return checked, 0, failures
 
 
 # ---------------------------------------------------------------------------
@@ -350,29 +345,24 @@ def revenue_guarantee_suite(instances: Sequence[tuple[str, ValuationProfile]]) -
     summary; the bound is checked exactly, no sampling error.
     """
     rows = []
-    violations = 0
-    worst = None
     for name, profile in instances:
         f1 = benchmark_bruteforce(profile, 1).value
         f2 = benchmark_bruteforce(profile, 2).value
         f3 = benchmark_bruteforce(profile, 3).value
         expected = main_mechanism_exact_expectation(profile)
         ok = expected >= f3 / REVENUE_GUARANTEE_FACTOR - EPS
-        if not ok:
-            violations += 1
         ratio = _ratio(f3, expected) if f3 > EPS else math.nan
-        if f3 > EPS and (worst is None or expected / f3 < worst):
-            worst = expected / f3
         rows.append((name, profile.n, f1, f2, f3, expected, ratio, ok))
+    worst = min((expected / f3 for *_, f3, expected, _, _ in rows if f3 > EPS), default=None)
     return ExperimentReport(
         GUARANTEE_COLUMNS,
         rows,
         {
-            "violations": violations,
+            "violations": sum(not ok for *_, ok in rows),
             "instances": len(rows),
             "worst_revenue_over_f3": worst,
             "required_fraction": 1 / REVENUE_GUARANTEE_FACTOR,
-            **_ratio_summary(r[6] for r in rows),
+            **_ratio_summary(ratio for *_, ratio, _ in rows),
         },
     )
 
@@ -427,15 +417,13 @@ def additive_bound_suite(
 ) -> ExperimentReport:
     """Run the decomposition and mixture checks across additive instances."""
     rows = []
-    violations = 0
     for name, profile in instances:
         c = mechanism2_bound_check(profile, alpha=alpha)
-        if not (c.passed and c.mixture_ok):
-            violations += 1
         rows.append(
             (name, profile.n, c.f2, c.f2_classical, c.sum_v_full, c.mixture_expected,
              c.passed, c.mixture_ok)
         )
+    violations = sum(not (passed and mixture_ok) for *_, passed, mixture_ok in rows)
     return ExperimentReport(
         ADDITIVE_BOUND_COLUMNS,
         rows,
@@ -459,6 +447,9 @@ def two_agent_gap_instance(m_factor: float, x: float = 1.0) -> ValuationProfile:
         models.append(ScalarModel(t=x, weight=weights))
     return ValuationProfile(models)
 
+
+#: the ``m`` values of the f2-gap demo when none are given
+F2_GAP_M_VALUES = (1.0, 10.0, 100.0, 1000.0)
 
 F2_GAP_COLUMNS = ("m_factor", "f2", "f3", "expected_revenue", "ratio_vs_f2")
 
@@ -552,22 +543,15 @@ def ratio_campaign(
     the per-run query budget ``10 n^2`` is recorded and checked.
     """
     rows = []
-    budget_ok = True
-    for name, profile in instances:
+    for name, profile in instances if trials > 0 else ():
         f3 = benchmark_sweep(profile, 3).value
-        if trials <= 0:
-            continue
-        revenues = []
-        max_q = 0
-        for trial in range(trials):
-            run_seed = derive_seed("campaign", seed, name, trial)
-            out = main_mechanism(profile, run_seed)
-            revenues.append(out.revenue)
-            max_q = max(max_q, out.queries_used)
+        runs = [
+            main_mechanism(profile, derive_seed("campaign", seed, name, trial))
+            for trial in range(trials)
+        ]
+        mean, err = _mean_stderr([out.revenue for out in runs])
+        max_q = max(out.queries_used for out in runs)
         budget = 10 * profile.n * profile.n
-        if max_q > budget:
-            budget_ok = False
-        mean, err = _mean_stderr(revenues)
         rows.append(
             (name, seed, profile.n, f3, mean, err, _ratio(f3, mean), trials, max_q, budget)
         )
@@ -575,8 +559,8 @@ def ratio_campaign(
         "instances": len(rows),
         "trials": trials,
         "seed": seed,
-        "within_query_budget": budget_ok,
+        "within_query_budget": all(max_q <= budget for *_, max_q, budget in rows),
     }
     if rows:
-        summary.update(_ratio_summary(r[6] for r in rows))
+        summary.update(_ratio_summary(ratio for *_, ratio, _, _, _ in rows))
     return ExperimentReport(CAMPAIGN_COLUMNS, rows, summary)

@@ -20,7 +20,7 @@ from .benchmark import (
     deletion_fixpoint,
     maximal_feasible_set,
 )
-from .sets import iter_members, members
+from .sets import iter_members, mask_of, members
 from .valuations import EPS, AdditiveModel, Oracle, ValuationProfile, as_oracle
 
 #: documented best known competitive bound for RSOP, used as the default
@@ -231,14 +231,12 @@ def rsop(bids, rng=0, coins=None) -> Outcome:
     for side in (0, 1):
         _, price, _ = classical_best_price([bids[j] for j in halves[side]])
         prices.append(price)
-    winners = 0
     payments = {}
     for i, side in enumerate(coins):
         offered = prices[1 - side]
         if not math.isinf(offered) and bids[i] >= offered - EPS:
-            winners |= 1 << i
             payments[i] = offered
-    return Outcome(winners, payments, sum(payments.values()), 0)
+    return Outcome(mask_of(payments), payments, sum(payments.values()), 0)
 
 
 def _require_alpha(alpha: float):

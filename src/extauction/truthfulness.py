@@ -48,8 +48,7 @@ class SingleParamRule:
         return itertools.product(*(g for j, g in enumerate(self.grids) if j != i))
 
     def vector(self, i: int, context: tuple[float, ...], b_i: float) -> tuple[float, ...]:
-        vec = list(context[:i]) + [b_i] + list(context[i:])
-        return tuple(vec)
+        return (*context[:i], b_i, *context[i:])
 
     def allocations(self, i: int, context: tuple[float, ...]) -> list[int]:
         """The allocated set at each of agent ``i``'s grid bids, in grid order."""
@@ -97,17 +96,14 @@ def check_encourages_higher_bids(
     rule: SingleParamRule, i: int, w_i: Callable[[int], float]
 ) -> list[RuleViolation]:
     """Public weight of the allocated set must be nondecreasing in own bid."""
-    out = []
-    for ctx in rule.contexts(i):
-        prev_w = None
-        prev_b = None
-        for b, w in zip(rule.grids[i], map(w_i, rule.allocations(i, ctx))):
-            if prev_w is not None and w < prev_w - EPS:
-                out.append(
-                    RuleViolation(i, ctx, prev_b, b, f"weight drops {prev_w:.12g} -> {w:.12g}")
-                )
-            prev_w, prev_b = w, b
-    return out
+    return [
+        RuleViolation(i, ctx, prev_b, b, f"weight drops {prev_w:.12g} -> {w:.12g}")
+        for ctx in rule.contexts(i)
+        for (prev_b, prev_w), (b, w) in itertools.pairwise(
+            zip(rule.grids[i], map(w_i, rule.allocations(i, ctx)))
+        )
+        if w < prev_w - EPS
+    ]
 
 
 @dataclass
@@ -152,10 +148,9 @@ def discover_breakpoints(
             f"agent {i}: rule is not bid-independent monotone at bid {lost[1]:.12g}"
         )
 
-    starts = [0]
-    reps = [allocs[0]]
+    starts = [0]  # each class is represented by the allocation at its first bid
     for idx in range(1, len(grid)):
-        s_prev, s_cur = reps[-1], allocs[idx]
+        s_prev, s_cur = allocs[starts[-1]], allocs[idx]
         g_lo = valuation(t_lo, s_cur) - valuation(t_lo, s_prev)
         g_hi = valuation(t_hi, s_cur) - valuation(t_hi, s_prev)
         if abs(g_hi - g_lo) <= EPS:
@@ -165,12 +160,11 @@ def discover_breakpoints(
                 f"agent {i}: allocation at bid {grid[idx]:.12g} has a decreasing marginal"
             )
         starts.append(idx)
-        reps.append(s_cur)
 
-    d = []
-    for j in range(len(starts) - 1):
-        rep = reps[j]
-        d.append(valuation(grid[starts[j + 1]], rep) - valuation(grid[starts[j]], rep))
+    d = [
+        valuation(grid[hi], allocs[lo]) - valuation(grid[lo], allocs[lo])
+        for lo, hi in itertools.pairwise(starts)
+    ]
     return BreakpointPartition(grid, starts, allocs, d)
 
 
@@ -296,10 +290,9 @@ def misreport_plan(
     structured = [0.0, 0.25, 0.5, 0.9, 1.1, 2.0, 10.0]
     per_agent = max(1, -(-count // n))  # ceil
     for i, model in enumerate(profile.models):
-        made = 0
+        stop = len(plan) + per_agent
         for f in structured:
             plan.append(Deviation(i, _scale_model(model, f), f"scale x{f}"))
-            made += 1
         if isinstance(model, TableModel):
             plan.append(
                 Deviation(
@@ -308,21 +301,17 @@ def misreport_plan(
                     "huge table",
                 )
             )
-            made += 1
-            while made < per_agent:
+            while len(plan) < stop:
                 noisy = {
                     k: v * rng.uniform(0.0, 2.0) for k, v in model.values.items()
                 }
                 plan.append(Deviation(i, TableModel(noisy), "table noise"))
-                made += 1
         else:
             plan.append(Deviation(i, replace(model, t=0.0), "zero bid"))
             plan.append(Deviation(i, replace(model, t=1e6), "huge bid"))
-            made += 2
-            while made < per_agent:
+            while len(plan) < stop:
                 f = rng.uniform(0.0, 4.0)
                 plan.append(Deviation(i, _scale_model(model, f), f"scale x{f:.3f}"))
-                made += 1
     return plan
 
 

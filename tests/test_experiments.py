@@ -1,9 +1,11 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
 
 from extauction import Partition3, benchmark_bruteforce, check_conditions
+from extauction import experiments
 from extauction.experiments import (
     binomial_low_tail,
     chernoff_tail_check,
@@ -22,7 +24,7 @@ from extauction.experiments import (
     two_agent_gap_instance,
 )
 from extauction.mechanisms import main_mechanism_exact_expectation
-from extauction.valuations import AdditiveModel, DegreeWeight, ValuationProfile
+from extauction.valuations import AdditiveModel, DegreeWeight, ScalarModel, ValuationProfile
 
 from conftest import size_scalar_profile
 
@@ -128,6 +130,18 @@ def test_quarter_bound_exhaustive_on_random_instances():
         assert failures == []
 
 
+def test_quarter_bound_exhaustive_zero_benchmark_skips_every_partition():
+    zero_bidder = ValuationProfile(
+        [ScalarModel(0.0, DegreeWeight())] + [ScalarModel(2.0, DegreeWeight())] * 2
+    )
+    for profile in (two_agent_gap_instance(5.0), zero_bidder):
+        assert benchmark_bruteforce(profile, 3).value == 0.0
+        oracle = profile.oracle()
+        n = profile.n
+        assert quarter_bound_exhaustive(oracle) == (3**n, 3**n, [])
+        assert oracle.revenues == {}  # no partition ran a sweep
+
+
 # --- revenue guarantee skeleton ----------------------------------------------------
 
 def test_revenue_guarantee_suite_small():
@@ -197,11 +211,38 @@ def test_losing_value_demo():
     assert demo["truncated_violations"] == []
 
 
+def test_revenue_guarantee_suite_with_no_three_winner_benchmark():
+    instances = [(f"gap{m}", two_agent_gap_instance(m)) for m in (1.0, 10.0)]
+    summary = revenue_guarantee_suite(instances).summary
+    assert summary["violations"] == 0
+    assert summary["instances"] == 2
+    assert summary["worst_revenue_over_f3"] is None
+    assert math.isnan(summary["min_ratio"]) and math.isnan(summary["mean_ratio"])
+
+
 # --- campaigns --------------------------------------------------------------------------
 
 def test_ratio_campaign_empty_when_no_trials():
     report = ratio_campaign([("a", size_scalar_profile(3))], trials=0)
     assert report.rows == []
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_ratio_campaign_summary_without_trials(trials):
+    report = ratio_campaign([("a", size_scalar_profile(3))], trials=trials)
+    assert report.rows == []
+    assert report.summary == {
+        "instances": 0, "trials": trials, "seed": 0, "within_query_budget": True,
+    }
+    assert "min_ratio" not in report.summary
+
+
+def test_ratio_campaign_without_trials_runs_no_sweep(monkeypatch):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("a benchmark sweep ran for a campaign without trials")
+
+    monkeypatch.setattr(experiments, "benchmark_sweep", no_sweep)
+    assert ratio_campaign([("a", size_scalar_profile(3))], trials=0).rows == []
 
 
 def test_ratio_campaign_deterministic_and_within_budget():

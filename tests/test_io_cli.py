@@ -12,6 +12,7 @@ from extauction import (
     ValuationProfile,
     check_conditions,
 )
+from extauction import experiments as ex
 from extauction import mechanisms as mech
 from extauction.cli import main
 from extauction.experiments import GEN_MODELS, ExperimentReport, f2_gap_demo, gen_instance
@@ -528,6 +529,50 @@ def test_cli_experiment_config_types_exit_2(tmp_path, capsys, config, key):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and f"{key!r} must be" in captured.err
+
+
+@pytest.mark.parametrize(
+    "mode, instances",
+    [
+        ("bogus", [{"model": "additive", "n": 3}]),
+        ("bogus", [{"model": "no-such-family", "n": 3}]),
+        (["exact"], [{"model": "additive", "n": 3}]),
+    ],
+    ids=["valid-instance", "instance-that-would-fail", "unhashable-mode"],
+)
+def test_cli_experiment_unknown_mode_exits_2_before_any_work(tmp_path, capsys, monkeypatch,
+                                                             mode, instances):
+    """The mode is looked up first: no instance is generated and ``--out`` is never made."""
+
+    def no_generation(*args, **kwargs):
+        raise AssertionError("an instance was generated for an unknown mode")
+
+    monkeypatch.setattr(ex, "gen_instance", no_generation)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"mode": mode, "instances": instances}))
+    out = tmp_path / "out"
+    assert main(["experiment", "--config", str(path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: unknown experiment mode {mode!r}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+def test_cli_experiment_trials_below_one_exit_2(tmp_path, capsys, trials):
+    """Like ``--runs`` and ``--samples``: a campaign over zero trials checks nothing."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(
+        {"mode": "monte-carlo", "trials": trials, "instances": [{"model": "scalar", "n": 3}]}
+    ))
+    out = tmp_path / "out"
+    assert main(["experiment", "--config", str(path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: {path}: 'trials' must be an integer >= 1, got {trials}\n"
+    )
+    assert not out.exists()
 
 
 def test_cli_verify_truthful_and_broken(instance_path):

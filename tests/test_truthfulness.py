@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -22,6 +23,12 @@ from extauction.truthfulness import (
     verify_rule_truthful,
 )
 from extauction.experiments import gen_instance
+from extauction.valuations import (
+    AdditiveModel,
+    LinearModel,
+    TableModel,
+    ValuationProfile,
+)
 
 from conftest import size_scalar_profile
 
@@ -287,6 +294,34 @@ def test_main_mechanism_survives_misreports_on_parametric_models():
         profile = gen_instance(kind, 5, seed=7)
         plan = misreport_plan(profile, 200, seed=8)
         assert deviation_test(main_mechanism, profile, plan, seeds=range(2)) == []
+
+
+#: ``misreport_plan(MIXED_PLAN_PROFILE, 40, seed=7)``: 14 misreports per agent, so
+#: the seeded ``table noise`` and ``scale x...`` draws fill each agent's tail
+MIXED_PLAN_LABELS = (
+    [(0, f"scale x{f}") for f in (0.0, 0.25, 0.5, 0.9, 1.1, 2.0, 10.0)]
+    + [(0, "huge table")] + [(0, "table noise")] * 6
+    + [(1, f"scale x{f}") for f in (0.0, 0.25, 0.5, 0.9, 1.1, 2.0, 10.0)]
+    + [(1, "zero bid"), (1, "huge bid")]
+    + [(1, f"scale x{f}") for f in ("0.577", "0.471", "1.234", "3.265", "0.723")]
+    + [(2, f"scale x{f}") for f in (0.0, 0.25, 0.5, 0.9, 1.1, 2.0, 10.0)]
+    + [(2, "zero bid"), (2, "huge bid")]
+    + [(2, f"scale x{f}") for f in ("2.326", "2.556", "1.490", "2.191", "0.251")]
+)
+MIXED_PLAN_MODELS_SHA256 = "d9f03bd1b8508339c56aa17773f6d764d0f82e6554f29077ecc57d66ba37582b"
+
+
+def test_misreport_plan_random_extras_are_pinned():
+    """The order, labels and seeded draws of a plan that reaches the random extras."""
+    profile = ValuationProfile([
+        TableModel({0b001: 1.0, 0b011: 1.5, 0b101: 2.0, 0b111: 2.5}),
+        AdditiveModel(t=2.0, weight=DegreeWeight(1.0, 0.5)),
+        LinearModel(t=3.0, weight=DegreeWeight(0.5, 1.0, "sqrt"), offset=DegreeWeight(0.25, 0.0)),
+    ])
+    plan = misreport_plan(profile, 40, seed=7)
+    assert [(d.agent, d.label) for d in plan] == MIXED_PLAN_LABELS
+    models = "\n".join(repr(d.model) for d in plan).encode()
+    assert hashlib.sha256(models).hexdigest() == MIXED_PLAN_MODELS_SHA256
 
 
 def test_broken_mechanism_is_flagged():
