@@ -173,6 +173,8 @@ def _cmd_experiment(args) -> int:
     mode = config.get("mode", "exact")
     if not isinstance(mode, str) or mode not in suites:
         raise UsageError(f"unknown experiment mode {mode!r}")
+    if mode != "f2-gap" and not config.get("instances"):
+        raise UsageError(f"{args.config}: mode {mode!r} needs a non-empty 'instances' list")
     instances = []
     for j, spec in enumerate(config.get("instances", [])):
         _check_config_types(spec, f"{args.config}: instances[{j}]")
@@ -250,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--mechanism", required=True)
     c.add_argument("--instance", required=True)
     c.add_argument("--exhaustive", action="store_true")
-    c.add_argument("--misreports", type=int, default=200)
+    c.add_argument("--misreports", type=_count, default=200)
     c.add_argument("--runs", type=_count, default=3)
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--price", type=float, default=None)

@@ -184,12 +184,18 @@ class ValuationProfile:
             self.neighbor_masks = tuple(self.full for _ in range(self.n))
         else:
             self.neighbor_masks = tuple(mask_of(nb) for nb in self.graph)
-        if any(isinstance(m, TableModel) for m in models) and self.n > TABLE_MODEL_MAX_N:
-            raise ValueError(f"table models are capped at n <= {TABLE_MODEL_MAX_N}")
-        self._fns = tuple(
-            m.bind(i, self.neighbor_masks[i]) for i, m in enumerate(models)
-        )
+        self._fns = tuple(self._bind(enumerate(self.models)))
         self.declared_L = declared_L
+
+    def _bind(self, agents) -> list[Callable[[int], float]]:
+        """Agent ``i``'s value function for each ``(i, model)`` of ``agents``.
+
+        Table models are refused past n = 10 before anything is bound.
+        """
+        agents = list(agents)
+        if self.n > TABLE_MODEL_MAX_N and any(isinstance(m, TableModel) for _, m in agents):
+            raise ValueError(f"table models are capped at n <= {TABLE_MODEL_MAX_N}")
+        return [m.bind(i, self.neighbor_masks[i]) for i, m in agents]
 
     def value(self, i: int, s: int) -> float:
         """Pure, uncounted ``v_i(S)``; ``s`` is a bitmask."""
@@ -207,10 +213,20 @@ class ValuationProfile:
         return Oracle(self)
 
     def replace(self, i: int, model: Model) -> "ValuationProfile":
-        """New profile where agent ``i`` reports ``model`` instead."""
-        models = list(self.models)
-        models[i] = model
-        return ValuationProfile(models, graph=self.graph, declared_L=self.declared_L)
+        """New profile where agent ``i`` reports ``model`` instead.
+
+        Only agent ``i`` is bound anew.  The graph, the neighbour masks and
+        the other agents' value functions are shared with this profile, which
+        is safe because profiles are immutable and bound functions are pure.
+        """
+        i = range(self.n)[i]
+        (fn,) = self._bind([(i, model)])
+        cls = type(self)
+        new = cls.__new__(cls)
+        new.__dict__.update(self.__dict__)
+        new.models = (*self.models[:i], model, *self.models[i + 1:])
+        new._fns = (*self._fns[:i], fn, *self._fns[i + 1:])
+        return new
 
     def __repr__(self):
         kinds = ",".join(type(m).__name__ for m in self.models)

@@ -575,6 +575,21 @@ def test_cli_experiment_trials_below_one_exit_2(tmp_path, capsys, trials):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("mode", ["exact", "monte-carlo", "additive-bound"])
+@pytest.mark.parametrize("instances", [None, []], ids=["missing", "empty"])
+def test_cli_experiment_without_instances_exits_2(tmp_path, capsys, mode, instances):
+    """A campaign over no instances checks nothing, like one over zero trials."""
+    config = {"mode": mode} if instances is None else {"mode": mode, "instances": instances}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main(["experiment", "--config", str(path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: mode {mode!r} needs a non-empty 'instances' list\n"
+    assert not out.exists()
+
+
 def test_cli_verify_truthful_and_broken(instance_path):
     assert main([
         "verify", "--mechanism", "main", "--instance", instance_path, "--misreports", "60",
@@ -678,12 +693,17 @@ _M_VALUE = "m values must be finite and >= 1"
          _COUNT),
         (lambda tmp, inst: ["verify", "--mechanism", "main", "--instance", inst, "--runs", "x"],
          _COUNT),
+        (lambda tmp, inst: ["verify", "--mechanism", "main", "--instance", inst,
+                            "--misreports", "0"], _COUNT),
+        (lambda tmp, inst: ["verify", "--mechanism", "main", "--instance", inst,
+                            "--misreports", "-5"], _COUNT),
         (lambda tmp, inst: ["demo", "--which", "f2-gap", "--m-values", "nan"], _M_VALUE),
         (lambda tmp, inst: ["demo", "--which", "f2-gap", "--m-values", "10", "inf"], _M_VALUE),
         (lambda tmp, inst: ["demo", "--which", "f2-gap", "--m-values", "-1"], _M_VALUE),
         (lambda tmp, inst: ["demo", "--which", "f2-gap", "--m-values", "0.5"], _M_VALUE),
     ],
     ids=["check-samples-0", "check-samples-negative", "verify-runs-0", "verify-runs-not-int",
+         "verify-misreports-0", "verify-misreports-negative",
          "demo-m-nan", "demo-m-inf", "demo-m-negative", "demo-m-below-1"],
 )
 def test_cli_checks_that_check_nothing_exit_2(tmp_path, instance_path, capsys, argv, message):

@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from extauction import DegreeWeight, main_mechanism
+from extauction import DegreeWeight, fixed_price_mechanism, main_mechanism, mechanism2
+from extauction.benchmark import benchmark_bruteforce
 from extauction.sets import contains
 from extauction.truthfulness import (
     BreakpointPartition,
@@ -329,6 +330,90 @@ def test_broken_mechanism_is_flagged():
     plan = misreport_plan(profile, 50, seed=0)
     violations = deviation_test(broken_first_price_mechanism, profile, plan)
     assert violations, "negative control: first-price fixed allocation must fail"
+
+
+def _replay_record(profile, mechanism):
+    """sha256 over every run ``deviation_test`` makes (truth and each misreport, in
+    call order) of ``(winners, sorted payments, queries)``, and its violations."""
+    runs = []
+
+    def recorded(p, s):
+        o = mechanism(p, s)
+        runs.append(repr((o.winners, sorted(o.payments.items()), o.queries_used)))
+        return o
+
+    plan = misreport_plan(profile, 60, seed=1)
+    violations = deviation_test(recorded, profile, plan, seeds=(0, 1))
+    assert len(runs) == 2 * (len(plan) + 1)
+    return hashlib.sha256("\n".join(runs).encode()).hexdigest(), violations
+
+
+#: ``_replay_record`` per (family, mechanism), recorded with a ``replace`` that rebuilt the
+#: whole profile for every misreport; the broken control's violations are pinned by the
+#: sha256 of their repr
+REPLAY_RECORDS = {
+    ("table", "main"): (
+        "ffd46acd44130a19c28ccb8044909d72cad8b93c26cfcfef5478dedcb2aed656",
+        [],
+    ),
+    ("table", "fixed-price"): (
+        "207a1d08f1220ab984fd925a235a7d54f73d37adc08052bf2cb08c1dacade4a0",
+        [],
+    ),
+    ("table", "broken"): (
+        "559b5d13061645a3d84e9fefd9ad0edb1169ce71d9039a01dbe5fd9c4c0465d6",
+        "b9fd2d9869db1c594acf158b7c25217108d9623eee5ec71075da632e6a1b95c3",
+    ),
+    ("mixed", "main"): (
+        "8ce313e8ca4cd574a910abb89ae34da8af29a0c1e5a9735ab014b7ba344a8e4e",
+        [],
+    ),
+    ("mixed", "fixed-price"): (
+        "d44fb9dfbc62719810140be27d3b187a3cbf50716aed7a2d7899b6a76ea8fe25",
+        [],
+    ),
+    ("mixed", "broken"): (
+        "62af9fc1ab3353efec506d0bf80baac53cf41f5d1aaf2c6daba7aa4f9ad4d157",
+        "b9f007573d6194b6ab333ba3a40c1ed9e48eb3e34fb2539cb48acec5118cf177",
+    ),
+    ("additive", "main"): (
+        "ab8eb9f5ae289f99685f5fd174cb5813c760f7d98d7bd262f3b7a8579e37ae60",
+        [],
+    ),
+    ("additive", "fixed-price"): (
+        "9639520dea85c56f9b08af92f328125b98755025808122d86650595705b037a2",
+        [],
+    ),
+    ("additive", "broken"): (
+        "a714833d4a6132c2a9c3b7a0beb1d30d8d4ea70aa1850afad49b1e25fd57483a",
+        "da594b3676ae4716da85188db96158c783ca286ed95620605a180e241343b604",
+    ),
+    ("additive", "mechanism2"): (
+        "2647256329ec7def9759645bef5b8c4d8d3d4f389fc81c870c2be59918c140ee",
+        [],
+    ),
+}
+
+
+@pytest.mark.parametrize("family, graph", [("table", None), ("mixed", "pa"), ("additive", "er")])
+def test_replayed_misreports_are_pinned(family, graph):
+    profile = gen_instance(family, 6, seed=3, graph=graph)
+    price = benchmark_bruteforce(profile, 1).price
+    mechanisms = {
+        "main": lambda p, s: main_mechanism(p, s),
+        "fixed-price": lambda p, s: fixed_price_mechanism(p, price),
+        "broken": broken_first_price_mechanism,
+    }
+    if family == "additive":
+        mechanisms["mechanism2"] = lambda p, s: mechanism2(p, alpha=1.0, rng=s)
+    for name, mechanism in mechanisms.items():
+        digest, violations = _replay_record(profile, mechanism)
+        want_digest, want_violations = REPLAY_RECORDS[family, name]
+        assert digest == want_digest, name
+        if name == "broken":
+            assert len(violations) >= 1
+            violations = hashlib.sha256(repr(violations).encode()).hexdigest()
+        assert violations == want_violations, name
 
 
 def test_rules_selling_both_are_upward_closed():

@@ -13,7 +13,9 @@ from extauction import (
     estimate_L,
 )
 from extauction.benchmark import benchmark_sweep
+from extauction.experiments import GEN_MODELS, gen_instance
 from extauction.sets import mask_of
+from extauction.truthfulness import misreport_plan
 from extauction.valuations import EXHAUSTIVE_MAX_N
 
 from conftest import flat_bids_profile, size_scalar_profile, square_table_profile
@@ -158,6 +160,49 @@ def test_replace_leaves_original_untouched():
     changed = profile.replace(1, ScalarModel(t=99.0, weight=DegreeWeight(1.0, 1.0)))
     assert profile.value(1, 0b111) == 3.0
     assert changed.value(1, 0b111) == 99.0 * 3.0
+
+
+def _snapshot(profile):
+    """Everything a profile answers, by ``repr`` so that ``-0.0`` and NaN count."""
+    columns = [profile.column(j) for j in range(profile.n)]
+    return repr((profile.models, profile.graph, profile.neighbor_masks, profile.declared_L,
+                 columns))
+
+
+@pytest.mark.parametrize("family", GEN_MODELS)
+def test_replace_matches_a_fresh_build(family):
+    """``replace`` rebinds one agent; the result must be the profile a full build gives."""
+    for n in range(4, 8):
+        for graph in (None, "er", "pa"):
+            generated = gen_instance(family, n, seed=n, graph=graph)
+            declared_L = None if graph is None else 1.0 + n / 10
+            profile = ValuationProfile(generated.models, graph=generated.graph,
+                                       declared_L=declared_L)
+            before = _snapshot(profile)
+            for dev in misreport_plan(profile, 60, seed=n):
+                models = list(profile.models)
+                models[dev.agent] = dev.model
+                fresh = ValuationProfile(models, graph=profile.graph,
+                                         declared_L=profile.declared_L)
+                assert _snapshot(profile.replace(dev.agent, dev.model)) == _snapshot(fresh), (
+                    family, n, graph, dev.agent, dev.label)
+            assert _snapshot(profile) == before
+
+
+def test_replace_takes_list_indices():
+    profile = size_scalar_profile(3)
+    model = ScalarModel(t=5.0, weight=DegreeWeight(1.0, 1.0))
+    assert _snapshot(profile.replace(-1, model)) == _snapshot(profile.replace(2, model))
+    with pytest.raises(IndexError):
+        profile.replace(3, model)
+
+
+def test_replace_keeps_the_table_cap():
+    profile = size_scalar_profile(11)
+    before = _snapshot(profile)
+    with pytest.raises(ValueError, match="table models are capped at n <= 10"):
+        profile.replace(3, TableModel({1 << 3: 1.0}))
+    assert _snapshot(profile) == before
 
 
 def test_empty_profile_rejected():
