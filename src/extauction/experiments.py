@@ -26,6 +26,7 @@ from .benchmark import (  # noqa: F401  (_greedy_sweep stays bound for perfbench
     classical_best_price,
 )
 from .mechanisms import (
+    EXACT_EXPECTATION_MAX_N,
     Partition3,
     main_mechanism,
     main_mechanism_exact_expectation,
@@ -293,8 +294,11 @@ def quarter_bound_exhaustive(profile) -> tuple[int, int, list[Partition3]]:
     Returns (checked, skipped, failures); all partitions skip when the
     benchmark optimum is zero, none otherwise.  Values come from tables built
     once on the oracle (:meth:`~extauction.valuations.Oracle.tabulate`).
+    Rejected for n > 10, like the exact expectation it shares sweeps with.
     """
     oracle = as_oracle(profile)
+    if oracle.n > EXACT_EXPECTATION_MAX_N:
+        raise ValueError(f"quarter bound rejected for n > {EXACT_EXPECTATION_MAX_N}")
     oracle.tabulate()
     optimum = benchmark_bruteforce(oracle, 3)
     checked = 3 ** oracle.n
@@ -371,13 +375,14 @@ def revenue_guarantee_suite(instances: Sequence[tuple[str, ValuationProfile]]) -
 # additive-market decomposition bound
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DecompositionCheck:
-    passed: bool
+class DecompositionCheck(NamedTuple):
+    """One additive-bound row after its instance name and n (fields in column order)."""
+
     f2: float
     f2_classical: float
     sum_v_full: float
     mixture_expected: float
+    passed: bool
     mixture_ok: bool
 
 
@@ -397,7 +402,7 @@ def mechanism2_bound_check(profile: ValuationProfile, alpha: float = 1.0) -> Dec
     passed = f2 <= 2 * f2_classical + 2 * sum_v_full + EPS
     mixture = mechanism2_expected_revenue(profile, alpha, f2_classical)
     mixture_ok = mixture >= f2 / (2 * (1 + alpha)) - EPS
-    return DecompositionCheck(passed, f2, f2_classical, sum_v_full, mixture, mixture_ok)
+    return DecompositionCheck(f2, f2_classical, sum_v_full, mixture, passed, mixture_ok)
 
 
 ADDITIVE_BOUND_COLUMNS = (
@@ -416,13 +421,8 @@ def additive_bound_suite(
     instances: Sequence[tuple[str, ValuationProfile]], alpha: float = 1.0
 ) -> ExperimentReport:
     """Run the decomposition and mixture checks across additive instances."""
-    rows = []
-    for name, profile in instances:
-        c = mechanism2_bound_check(profile, alpha=alpha)
-        rows.append(
-            (name, profile.n, c.f2, c.f2_classical, c.sum_v_full, c.mixture_expected,
-             c.passed, c.mixture_ok)
-        )
+    rows = [(name, profile.n, *mechanism2_bound_check(profile, alpha=alpha))
+            for name, profile in instances]
     violations = sum(not (passed and mixture_ok) for *_, passed, mixture_ok in rows)
     return ExperimentReport(
         ADDITIVE_BOUND_COLUMNS,

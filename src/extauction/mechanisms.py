@@ -112,9 +112,10 @@ def fixed_price_mechanism(profile, c: float) -> Outcome:
     return Outcome(winners, payments, c * winners.bit_count(), oracle.queries)
 
 
-def _cost_share_survivors(oracle: Oracle, r: float, x: int, y: int) -> int:
-    """Survivor set of the equal-share deletion loop on ``x`` given ``y`` free."""
-    return deletion_fixpoint(oracle, x, y, lambda size: r / size)
+def _cost_share_survivors(oracle: Oracle, r: float, x: int, y: int) -> tuple[int, float]:
+    """Survivors of the equal-share deletion loop on ``x`` given ``y`` free, and their share."""
+    s = deletion_fixpoint(oracle, x, y, lambda size: r / size)
+    return s, r / s.bit_count() if s else 0.0
 
 
 def cost_share(profile, r: float, x: int, y: int) -> Outcome:
@@ -130,12 +131,8 @@ def cost_share(profile, r: float, x: int, y: int) -> Outcome:
     if r < 0:
         raise ValueError("target revenue must be nonnegative")
     oracle = as_oracle(profile)
-    s = _cost_share_survivors(oracle, r, x, y)
-    if not s:
-        return Outcome(0, {}, 0.0, oracle.queries)
-    share = r / s.bit_count()
-    payments = {i: share for i in iter_members(s)}
-    return Outcome(s, payments, share * s.bit_count(), oracle.queries)
+    s, share = _cost_share_survivors(oracle, r, x, y)
+    return Outcome(s, dict.fromkeys(iter_members(s), share), share * s.bit_count(), oracle.queries)
 
 
 def testers_revenue(oracle: Oracle, part: Partition3) -> float:
@@ -161,18 +158,11 @@ def _run_partitioned(oracle: Oracle, part: Partition3) -> Outcome:
     """Deterministic core of the tripartition auction for a fixed partition."""
     a, b, _ = part
     r_c = testers_revenue(oracle, part)
+    s, share = _cost_share_survivors(oracle, r_c, b, a) if b else (0, 0.0)
     payments = dict.fromkeys(iter_members(a), 0.0)
-    winners = a
-    revenue = 0.0
-    if b:
-        survivors = _cost_share_survivors(oracle, r_c, b, a)
-        if survivors:
-            share = r_c / survivors.bit_count()
-            for i in iter_members(survivors):
-                payments[i] = share
-            winners |= survivors
-            revenue = share * survivors.bit_count()
-    return Outcome(winners, payments, revenue, oracle.queries)
+    for i in iter_members(s):
+        payments[i] = share
+    return Outcome(a | s, payments, share * s.bit_count(), oracle.queries)
 
 
 def main_mechanism(profile, rng=0, partition: Partition3 | None = None) -> Outcome:
@@ -224,13 +214,10 @@ def rsop(bids, rng=0, coins=None) -> Outcome:
         coins = [r.randrange(2) for _ in range(n)]
     elif len(coins) != n:
         raise ValueError("need one coin per bidder")
-    halves = ([], [])
-    for i, side in enumerate(coins):
-        halves[side].append(i)
-    prices = []
-    for side in (0, 1):
-        _, price, _ = classical_best_price([bids[j] for j in halves[side]])
-        prices.append(price)
+    elif not set(coins) <= {0, 1}:
+        raise ValueError("coins must be 0 or 1")
+    prices = [classical_best_price([b for b, c in zip(bids, coins) if c == side])[1]
+              for side in (0, 1)]
     payments = {}
     for i, side in enumerate(coins):
         offered = prices[1 - side]

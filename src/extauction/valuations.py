@@ -169,6 +169,11 @@ class ValuationProfile:
     builds one holds it (an :class:`Oracle` after ``tabulate()``, the
     checker for one agent's scan), so a profile that is only validated costs
     no memory beyond its models.
+
+    A profile is not checked when built.  On one that fails
+    :func:`check_conditions`, the output of the benchmarks and mechanisms is
+    unspecified.  The loader, the CLI and ``gen_instance`` run that check;
+    code that builds a profile by hand runs it first.
     """
 
     def __init__(self, models: Sequence[Model], graph=None, declared_L: float | None = None):
@@ -364,6 +369,7 @@ def _violations(profile: ValuationProfile, mode: str, samples: int, seed: int):
     its cap and :func:`estimate_L` reads its subadditivity witnesses.
     """
     n = profile.n
+    fullm = profile.full
     if mode == "exhaustive":
         nmasks = 1 << n
         for i in range(n):
@@ -380,13 +386,10 @@ def _violations(profile: ValuationProfile, mode: str, samples: int, seed: int):
                 elif not val < math.inf:  # NaN or +inf
                     yield Violation("nonfinite", i, (s,), val, 0.0)
                 # single-element monotonicity steps imply the full condition
-                for j in range(n):
-                    jb = 1 << j
-                    if s & jb:
-                        continue
-                    up = v[s | jb]
+                for j in iter_members(fullm ^ s):
+                    up = v[s | 1 << j]
                     if val > up + EPS:
-                        yield Violation("monotonicity", i, (s, s | jb), val, up)
+                        yield Violation("monotonicity", i, (s, s | 1 << j), val, up)
             for s, r in _pair_iter_exhaustive(n, i):
                 u = v[s | r]
                 bound = v[s] + v[r]
@@ -395,7 +398,6 @@ def _violations(profile: ValuationProfile, mode: str, samples: int, seed: int):
     else:
         v = profile.value
         rng = random.Random(seed)
-        fullm = profile.full
         for _ in range(samples):
             i = rng.randrange(n)
             bit = 1 << i

@@ -142,6 +142,18 @@ def test_quarter_bound_exhaustive_zero_benchmark_skips_every_partition():
         assert oracle.revenues == {}  # no partition ran a sweep
 
 
+def test_quarter_bound_exhaustive_is_capped_with_the_exact_expectation():
+    """Both ``3^n`` enumerations refuse n = 11, with the same message shape,
+    before any value is read."""
+    profile = size_scalar_profile(11)
+    oracle = profile.oracle()
+    with pytest.raises(ValueError, match=r"^quarter bound rejected for n > 10$"):
+        quarter_bound_exhaustive(oracle)
+    with pytest.raises(ValueError, match=r"^exact expectation rejected for n > 10$"):
+        main_mechanism_exact_expectation(oracle)
+    assert oracle.queries == 0
+
+
 # --- revenue guarantee skeleton ----------------------------------------------------
 
 def test_revenue_guarantee_suite_small():

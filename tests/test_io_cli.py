@@ -88,6 +88,30 @@ def test_load_rejects_bad_set_key(tmp_path):
         load_instance(_write(tmp_path, doc))
 
 
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (lambda doc: _agent_table(doc, {"": 1.0}), "empty set key"),
+        (lambda doc: _agent_table(doc, {" ": 1.0}), "empty set key"),
+        (lambda doc: _agent_table(doc, {"0,x": 1.0}), "bad set key"),
+        (lambda doc: _agent_table(doc, {"0,,1": 1.0}), "bad set key"),
+        (lambda doc: doc.update(graph=[[1], [0], []]), "adjacency list length != n"),
+        (lambda doc: doc["agents"][0].update(t=10**400), "numbers must be finite"),
+    ],
+    ids=["empty-key", "blank-key", "non-int-key", "double-comma-key", "graph-length",
+         "int-beyond-float"],
+)
+def test_load_names_the_guard_it_fails(tmp_path, capsys, change, message):
+    doc = _valid_doc()
+    change(doc)
+    path = _write(tmp_path, doc)
+    with pytest.raises(InstanceError, match=re.escape(message)):
+        load_instance(path)
+    assert main(["check", "--instance", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ") and message in captured.err
+
+
 def test_load_rejects_table_key_without_agent(tmp_path):
     doc = _valid_doc()
     doc["agents"][1]["values"] = {"0": 1.0}
@@ -588,6 +612,27 @@ def test_cli_experiment_without_instances_exits_2(tmp_path, capsys, mode, instan
     assert captured.out == ""
     assert captured.err == f"error: {path}: mode {mode!r} needs a non-empty 'instances' list\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("config", [[{"mode": "exact"}], "exact", 3, None])
+def test_cli_experiment_config_that_is_not_an_object_exits_2(tmp_path, capsys, config):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main(["experiment", "--config", str(path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: experiment config must be a JSON object\n"
+    assert not out.exists()
+
+
+def test_cli_verify_unknown_mechanism_exits_2(instance_path, capsys):
+    """``verify`` takes any ``--mechanism`` string (it also knows ``broken``), so the
+    mechanism table, not argparse, refuses an unknown name."""
+    assert main(["verify", "--mechanism", "nope", "--instance", instance_path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: unknown mechanism 'nope'\n"
 
 
 def test_cli_verify_truthful_and_broken(instance_path):

@@ -227,6 +227,13 @@ def test_rsop_unequal_bids():
     assert out.revenue == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("coins, message", [([0], "one coin per bidder"), ([0, 2], "0 or 1"),
+                                            ([0, -1], "0 or 1")])
+def test_rsop_rejects_bad_coins(coins, message):
+    with pytest.raises(ValueError, match=message):
+        rsop([10.0, 1.0], coins=coins)
+
+
 def test_rsop_seeded_deterministic():
     a = rsop([3.0, 7.0, 2.0, 9.0], rng=5)
     b = rsop([3.0, 7.0, 2.0, 9.0], rng=5)

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from extauction import DegreeWeight, fixed_price_mechanism, main_mechanism, mechanism2
+from extauction import DegreeWeight, fixed_price_mechanism, main_mechanism, mechanism2, truthfulness
 from extauction.benchmark import benchmark_bruteforce
 from extauction.sets import contains
 from extauction.truthfulness import (
@@ -220,6 +220,26 @@ def test_random_failing_rules_are_rejected_or_caught():
         except CharacterizationError:
             continue
         assert violations, "failing rule slipped through undetected"
+
+
+@pytest.mark.parametrize("mutant", ["overcharge", "free"])
+def test_grid_verifier_flags_wrong_payments(monkeypatch, mutant):
+    """Negative control: the verifier's violation branch fires once the
+    characterization's payments are wrong, and stays silent on the clean rule."""
+    rule, vals = random_passing_rule(2, random.Random(3))
+    assert verify_rule_truthful(rule, vals) == []
+    clean = truthfulness.payment_from_characterization
+
+    def wrong(partition, i, b_i, valuation):
+        pay = clean(partition, i, b_i, valuation)
+        if not contains(partition.allocs[partition.grid.index(b_i)], i):
+            return pay
+        return pay + 1.0 if mutant == "overcharge" else 0.0
+
+    monkeypatch.setattr(truthfulness, "payment_from_characterization", wrong)
+    violations = verify_rule_truthful(rule, vals)
+    assert len(violations) > 0
+    assert all(v.gain > 0 for v in violations)
 
 
 def test_breakpoint_refusal_and_monotonicity_check_share_one_scan():
