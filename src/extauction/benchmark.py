@@ -153,13 +153,13 @@ def classical_best_price(bids, min_winners: int = 1) -> tuple[float, float, int]
     """Best uniform price for a plain bid vector (no externalities).
 
     Returns ``(revenue, price, count)`` for the best price with at least
-    ``min_winners`` takers; ``(0.0, inf, 0)`` if no price qualifies (the
-    infinite price is the sell-nothing convention used by RSOP).
+    ``min_winners`` takers; ``(0.0, inf, 0)`` if no such price earns a positive
+    revenue (the infinite price is the sell-nothing convention used by RSOP).
     """
     best = (0.0, math.inf, 0)
     srt = sorted(bids, reverse=True)
     for count, b in enumerate(srt, 1):
-        if count < min_winners or b <= 0:
+        if count < min_winners:
             continue
         rev = b * count
         if rev > best[0] + EPS:

@@ -17,7 +17,7 @@ from . import benchmark as bm
 from . import experiments as ex
 from . import mechanisms as mech
 from . import truthfulness as tr
-from .io import emit_report, instance_digest, is_number, load_instance, require_valid
+from .io import emit_report, instance_digest, is_number, load_instance, require_keys, require_valid
 from .valuations import EPS, EXHAUSTIVE_MAX_N, check_conditions, estimate_L
 
 
@@ -48,12 +48,13 @@ def _load(path):
 
 
 def _mechanism(args):
-    """``fn(profile, seed)`` for ``--mechanism``, shared by ``run`` and ``verify``."""
+    """``fn(profile, seed)`` for ``--mechanism``, shared by ``run`` and ``verify``;
+    ``--price -0`` runs at 0.0, so no payment prints ``-0.0``."""
     if args.mechanism == "fixed-price" and args.price is None:
         raise UsageError("--price is required for the fixed-price mechanism")
     mechanisms = {
         "main": lambda p, s: mech.main_mechanism(p, s),
-        "fixed-price": lambda p, s: mech.fixed_price_mechanism(p, args.price),
+        "fixed-price": lambda p, s: mech.fixed_price_mechanism(p, args.price + 0.0),
         "mechanism2": lambda p, s: mech.mechanism2(p, alpha=args.alpha, rng=s),
         "broken": tr.broken_first_price_mechanism,
     }
@@ -152,7 +153,14 @@ _CONFIG_TYPES = {
 }
 
 
-def _check_config_types(obj: dict, where: str) -> None:
+#: the keys an experiment config may hold, at the top level and in each instance entry
+_CONFIG_KEYS = {"seed", "mode", "instances", "trials", "alpha", "m_values"}
+_INSTANCE_KEYS = {"model", "n", "name", "graph", "graph_p"}
+
+
+def _check_config(obj: dict, allowed: set[str], where: str) -> None:
+    """Unknown keys are rejected, as in instance files; known ones must have their types."""
+    require_keys(obj, allowed, set(), where)
     for key, (ok, want) in _CONFIG_TYPES.items():
         if key in obj and not ok(obj[key]):
             raise UsageError(f"{where}: {key!r} must be {want}, got {obj[key]!r}")
@@ -162,7 +170,7 @@ def _cmd_experiment(args) -> int:
     config = json.loads(Path(args.config).read_text())
     if not isinstance(config, dict):
         raise UsageError(f"{args.config}: experiment config must be a JSON object")
-    _check_config_types(config, args.config)
+    _check_config(config, _CONFIG_KEYS, args.config)
     seed = config.get("seed", 0)
     suites = {
         "exact": ex.revenue_guarantee_suite,
@@ -177,7 +185,7 @@ def _cmd_experiment(args) -> int:
         raise UsageError(f"{args.config}: mode {mode!r} needs a non-empty 'instances' list")
     instances = []
     for j, spec in enumerate(config.get("instances", [])):
-        _check_config_types(spec, f"{args.config}: instances[{j}]")
+        _check_config(spec, _INSTANCE_KEYS, f"{args.config}: instances[{j}]")
         if not {"model", "n"} <= spec.keys():
             raise UsageError(f"{args.config}: instances[{j}] needs 'model' and 'n'")
         name = spec.get("name") or f"{spec['model']}-n{spec['n']}"

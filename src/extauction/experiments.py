@@ -43,7 +43,6 @@ from .valuations import (
     DegreeWeight,
     GraphConcaveModel,
     LinearModel,
-    Model,
     ScalarModel,
     TableModel,
     TableWeight,
@@ -127,20 +126,21 @@ def _xos_table(i: int, n: int, rng: random.Random) -> TableModel:
     return TableModel(values)
 
 
-def _random_model(kind: str, i: int, n: int, rng: random.Random) -> Model:
-    if kind == "table":
-        return _xos_table(i, n, rng)
-    if kind == "additive":
-        return AdditiveModel(t=rng.uniform(1.0, 10.0), weight=_random_weight(rng))
-    if kind == "scalar":
-        return ScalarModel(t=rng.uniform(1.0, 10.0), weight=_random_weight(rng))
-    if kind == "linear":
-        return LinearModel(
-            t=rng.uniform(1.0, 10.0), weight=_random_weight(rng), offset=_random_weight(rng)
-        )
-    if kind == "graph_concave":
-        return GraphConcaveModel(t=rng.uniform(1.0, 10.0), beta=rng.uniform(0.2, 2.0))
-    raise ValueError(f"unknown model kind {kind!r}")
+#: generated family -> ``(i, n, rng) -> model`` of agent i, in the order ``mixed`` draws
+#: from; each draws ``t`` before its weights, an order the generated instances depend on
+_FAMILIES = {
+    "table": _xos_table,
+    "additive": lambda i, n, rng: AdditiveModel(
+        t=rng.uniform(1.0, 10.0), weight=_random_weight(rng)
+    ),
+    "scalar": lambda i, n, rng: ScalarModel(t=rng.uniform(1.0, 10.0), weight=_random_weight(rng)),
+    "graph_concave": lambda i, n, rng: GraphConcaveModel(
+        t=rng.uniform(1.0, 10.0), beta=rng.uniform(0.2, 2.0)
+    ),
+    "linear": lambda i, n, rng: LinearModel(
+        t=rng.uniform(1.0, 10.0), weight=_random_weight(rng), offset=_random_weight(rng)
+    ),
+}
 
 
 def gen_instance(
@@ -162,15 +162,13 @@ def gen_instance(
         raise ValueError(f"unknown model {model!r}; choose from {GEN_MODELS}")
     if model == "table" and n > TABLE_MODEL_MAX_N:
         raise ValueError(f"table instances are capped at n <= {TABLE_MODEL_MAX_N}")
-    mixed = ["table", "additive", "scalar", "graph_concave", "linear"]
-    if n > TABLE_MODEL_MAX_N:
-        mixed.remove("table")
+    mixed = [kind for kind in _FAMILIES if kind != "table" or n <= TABLE_MODEL_MAX_N]
     rng = random.Random(derive_seed("gen", model, n, seed, 0))
     kind_of = (lambda i: rng.choice(mixed)) if model == "mixed" else (lambda i: model)
     adjacency = None
     if graph is not None:
         adjacency = _random_graph(n, rng, graph, graph_p)
-    models = [_random_model(kind_of(i), i, n, rng) for i in range(n)]
+    models = [_FAMILIES[kind_of(i)](i, n, rng) for i in range(n)]
     profile = ValuationProfile(models, graph=adjacency)
     if n <= EXHAUSTIVE_MAX_N and check_conditions(profile):
         raise ValueError(f"generated {model} instance for n={n} violates the conditions")
@@ -190,7 +188,7 @@ def standard_suite(seed: int = 20240801, total: int = 200) -> list[tuple[str, Va
         counts[counts.index(max(counts))] -= 1
     while sum(counts) < total:
         counts[0] += 1
-    kinds = ["table", "additive", "scalar", "graph_concave", "linear", "mixed"]
+    kinds = [*_FAMILIES, "mixed"]
     graphs = [None, "er", "pa"]
     out = []
     for n, cnt in zip(sizes, counts):
@@ -376,13 +374,13 @@ def revenue_guarantee_suite(instances: Sequence[tuple[str, ValuationProfile]]) -
 # ---------------------------------------------------------------------------
 
 class DecompositionCheck(NamedTuple):
-    """One additive-bound row after its instance name and n (fields in column order)."""
+    """One additive-bound row after its instance name and n; the fields name its columns."""
 
     f2: float
     f2_classical: float
     sum_v_full: float
     mixture_expected: float
-    passed: bool
+    decomposition_ok: bool
     mixture_ok: bool
 
 
@@ -399,22 +397,13 @@ def mechanism2_bound_check(profile: ValuationProfile, alpha: float = 1.0) -> Dec
     f2_classical = classical_best_price(t_bids, min_winners=2)[0]
     full = profile.full
     sum_v_full = sum(profile.value(i, full) for i in range(profile.n))
-    passed = f2 <= 2 * f2_classical + 2 * sum_v_full + EPS
+    decomposition_ok = f2 <= 2 * f2_classical + 2 * sum_v_full + EPS
     mixture = mechanism2_expected_revenue(profile, alpha, f2_classical)
     mixture_ok = mixture >= f2 / (2 * (1 + alpha)) - EPS
-    return DecompositionCheck(f2, f2_classical, sum_v_full, mixture, passed, mixture_ok)
+    return DecompositionCheck(f2, f2_classical, sum_v_full, mixture, decomposition_ok, mixture_ok)
 
 
-ADDITIVE_BOUND_COLUMNS = (
-    "instance",
-    "n",
-    "f2",
-    "f2_classical",
-    "sum_v_full",
-    "mixture_expected",
-    "decomposition_ok",
-    "mixture_ok",
-)
+ADDITIVE_BOUND_COLUMNS = ("instance", "n", *DecompositionCheck._fields)
 
 
 def additive_bound_suite(
@@ -423,7 +412,7 @@ def additive_bound_suite(
     """Run the decomposition and mixture checks across additive instances."""
     rows = [(name, profile.n, *mechanism2_bound_check(profile, alpha=alpha))
             for name, profile in instances]
-    violations = sum(not (passed and mixture_ok) for *_, passed, mixture_ok in rows)
+    violations = sum(not (ok and mixture_ok) for *_, ok, mixture_ok in rows)
     return ExperimentReport(
         ADDITIVE_BOUND_COLUMNS,
         rows,

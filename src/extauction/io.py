@@ -71,7 +71,8 @@ class InstanceError(ValueError):
     """Malformed or invalid instance file."""
 
 
-def _require_keys(obj: dict, allowed: set[str], required: set[str], where: str):
+def require_keys(obj: dict, allowed: set[str], required: set[str], where: str):
+    """Reject keys outside ``allowed`` and a missing ``required`` one (strict schema)."""
     unknown = set(obj) - allowed
     if unknown:
         raise InstanceError(f"{where}: unknown fields {sorted(unknown)} (strict schema)")
@@ -102,7 +103,8 @@ def is_number(x) -> bool:
 
 
 def _float(x, where: str) -> float:
-    """Every number of an instance file is read here; it must be a finite JSON number."""
+    """Every number of an instance file is read here; it must be a finite JSON number.
+    A negative zero reads as 0.0, so no output of a valid file prints ``-0.0``."""
     if not is_number(x):
         raise InstanceError(f"{where}: expected a number, got {x!r}")
     try:
@@ -111,7 +113,7 @@ def _float(x, where: str) -> float:
         v = math.inf
     if not math.isfinite(v):
         raise InstanceError(f"{where}: numbers must be finite, got {x!r}")
-    return v
+    return v + 0.0
 
 
 def _to_json(obj, tag: str) -> dict:
@@ -141,7 +143,7 @@ def _from_json(obj, tag: str, n: int, where: str, agent: int | None = None):
         what = "model" if tag == "model" else "weight kind"
         raise InstanceError(f"{where}: unknown {what} {obj[tag]!r}")
     cls, spec, allowed, required = schema
-    _require_keys(obj, allowed, required, where)
+    require_keys(obj, allowed, required, where)
     kwargs = {}
     for field, annotation in spec:
         if field in obj:
@@ -211,7 +213,7 @@ def load_instance(path, validate: bool = True) -> ValuationProfile:
         raise InstanceError(f"{path} is not valid JSON: {e}") from e
     if not isinstance(doc, dict):
         raise InstanceError(f"{path}: top level must be an object")
-    _require_keys(
+    require_keys(
         doc,
         {"schema", "n", "agents", "graph", "declared_L", "name"},
         {"schema", "n", "agents"},
@@ -270,13 +272,7 @@ def require_valid(profile: ValuationProfile, where) -> None:
 # ---------------------------------------------------------------------------
 
 def _render(x) -> str:
-    if isinstance(x, float):
-        if math.isnan(x):
-            return "nan"
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        return f"{x:.12g}"
-    return str(x)
+    return f"{x:.12g}" if isinstance(x, float) else str(x)  # nan, inf and -inf as such
 
 
 def emit_report(report: ExperimentReport, fmt: str, path) -> None:

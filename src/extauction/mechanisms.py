@@ -128,8 +128,8 @@ def cost_share(profile, r: float, x: int, y: int) -> Outcome:
     """
     if x & y:
         raise ValueError("cost-share pool and free set must be disjoint")
-    if r < 0:
-        raise ValueError("target revenue must be nonnegative")
+    if not 0 <= r < math.inf:  # NaN fails every comparison
+        raise ValueError("target revenue must be nonnegative and finite")
     oracle = as_oracle(profile)
     s, share = _cost_share_survivors(oracle, r, x, y)
     return Outcome(s, dict.fromkeys(iter_members(s), share), share * s.bit_count(), oracle.queries)
@@ -272,7 +272,6 @@ def mechanism2(profile, alpha: float = DEFAULT_ALPHA, m0=rsop, rng=0) -> Outcome
 def mechanism2_expected_revenue(profile, alpha: float, m0_expected_revenue: float) -> float:
     """Exact two-branch expectation given the classical branch's expected revenue."""
     _require_alpha(alpha)
-    require_additive(profile)
     w_total = sum(public_weight_vector(profile, profile.full))
     p1 = 1.0 / (1.0 + alpha)
     return p1 * w_total + (1.0 - p1) * m0_expected_revenue

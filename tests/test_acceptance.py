@@ -197,7 +197,7 @@ def test_criterion_6_characterization_consistency():
 def test_criterion_7_additive_mixture(additive_instances):
     for name, profile in additive_instances:
         check = mechanism2_bound_check(profile, alpha=1.0)
-        assert check.passed, f"{name}: decomposition inequality failed"
+        assert check.decomposition_ok, f"{name}: decomposition inequality failed"
         assert check.mixture_ok, f"{name}: mixture expectation below F2/4"
     _report(
         7,

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 from fractions import Fraction
@@ -23,8 +24,15 @@ from extauction.experiments import (
     standard_suite,
     two_agent_gap_instance,
 )
+from extauction.io import instance_digest
 from extauction.mechanisms import main_mechanism_exact_expectation
-from extauction.valuations import AdditiveModel, DegreeWeight, ScalarModel, ValuationProfile
+from extauction.valuations import (
+    AdditiveModel,
+    DegreeWeight,
+    ScalarModel,
+    TableModel,
+    ValuationProfile,
+)
 
 from conftest import size_scalar_profile
 
@@ -130,6 +138,21 @@ def test_quarter_bound_exhaustive_on_random_instances():
         assert failures == []
 
 
+@pytest.mark.parametrize(
+    "model, n, seed, expected", [("mixed", 6, 1, 585), ("table", 5, 2, 211), ("scalar", 7, 3, 1539)]
+)
+def test_quarter_bound_exhaustive_reports_failures(monkeypatch, model, n, seed, expected):
+    """Negative control: with ``r(C)`` forced to 0, exactly the partitions whose C
+    holds a benchmark winner fail, ``3^n - 2^m 3^(n-m)`` of them for ``m = |S*|``."""
+    profile = gen_instance(model, n, seed=seed)
+    assert quarter_bound_exhaustive(profile)[2] == []
+    m = benchmark_bruteforce(profile, 3).winners.bit_count()
+    assert 3**n - 2**m * 3 ** (n - m) == expected
+    monkeypatch.setattr(experiments, "testers_revenue", lambda oracle, part: 0.0)
+    checked, skipped, failures = quarter_bound_exhaustive(profile)
+    assert (checked, skipped, len(failures)) == (3**n, 0, expected)
+
+
 def test_quarter_bound_exhaustive_zero_benchmark_skips_every_partition():
     zero_bidder = ValuationProfile(
         [ScalarModel(0.0, DegreeWeight())] + [ScalarModel(2.0, DegreeWeight())] * 2
@@ -173,6 +196,36 @@ def test_standard_suite_composition():
     assert sizes == set(range(3, 10))
 
 
+#: recorded before the generated families moved into one table: the names and
+#: instance digests of ``standard_suite(total=12)``, and one n = 11 ``mixed``
+#: instance (past the table cap, so its agents draw from the other four families)
+SUITE_12_DIGEST = "ed6a1a0852caf78acc19e45ad173d6a0a003b82b9c09d929d041fc58822c901a"
+MIXED_11_DIGEST = "e33c12bd85faf0bd"
+
+
+def test_standard_suite_tops_up_to_its_total():
+    """At ``total=12`` the rounded per-size counts sum to 11, so the top-up loop runs."""
+    suite = standard_suite(total=12)
+    assert [name for name, _ in suite] == [
+        "table-n3-0", "additive-n3-1", "scalar-n3-2", "graph_concave-n4-0", "linear-n4-1",
+        "mixed-n5-0", "table-n5-1", "additive-n6-0", "scalar-n6-1", "graph_concave-n7-0",
+        "linear-n8-0", "mixed-n9-0",
+    ]
+    listing = " ".join(f"{name}:{instance_digest(p)}" for name, p in suite)
+    assert hashlib.sha256(listing.encode()).hexdigest() == SUITE_12_DIGEST
+
+
+def test_mixed_past_the_table_cap_draws_no_table():
+    profile = gen_instance("mixed", 11, seed=3)
+    assert not any(isinstance(m, TableModel) for m in profile.models)
+    assert instance_digest(profile) == MIXED_11_DIGEST
+
+
+def test_gen_instance_caps_table_instances():
+    with pytest.raises(ValueError, match=r"^table instances are capped at n <= 10$"):
+        gen_instance("table", 11)
+
+
 # --- additive decomposition ---------------------------------------------------------
 
 def _additive(ws, ts, scale=0.0):
@@ -183,14 +236,14 @@ def _additive(ws, ts, scale=0.0):
 
 def test_mechanism2_bound_no_externality():
     check = mechanism2_bound_check(_additive([0.0, 0.0, 0.0], [5.0, 3.0, 3.0]))
-    assert check.passed
+    assert check.decomposition_ok
     assert check.f2 == pytest.approx(check.f2_classical)
     assert check.mixture_ok
 
 
 def test_mechanism2_bound_pure_externality():
     check = mechanism2_bound_check(_additive([4.0, 4.0], [0.0, 0.0]))
-    assert check.passed
+    assert check.decomposition_ok
     assert check.f2_classical == 0.0
     assert check.f2 == pytest.approx(8.0)
     assert check.mixture_ok
@@ -200,7 +253,7 @@ def test_mechanism2_bound_random_additive():
     for seed in range(15):
         profile = gen_instance("additive", 3 + seed % 5, seed=seed)
         check = mechanism2_bound_check(profile)
-        assert check.passed and check.mixture_ok
+        assert check.decomposition_ok and check.mixture_ok
 
 
 # --- demos ----------------------------------------------------------------------------

@@ -396,6 +396,19 @@ def test_emit_report_twelve_significant_digits(tmp_path):
     assert path.read_text().splitlines()[1] == "0.123456789012"
 
 
+def test_emit_report_renders_non_finite_and_signed_floats(tmp_path):
+    """NaN of either sign, inf and -inf keep their names; -0.0 keeps its sign."""
+    assert math.copysign(1.0, -math.nan) == -1.0
+    row = (math.nan, math.inf, -math.inf, -math.nan, -0.0)
+    report = ExperimentReport(("a", "b", "c", "d", "e"), [row], {"worst": -math.inf})
+    emit_report(report, "csv", tmp_path / "r.csv")
+    emit_report(report, "json", tmp_path / "r.json")
+    assert (tmp_path / "r.csv").read_text().splitlines()[1] == "nan,inf,-inf,nan,-0"
+    doc = json.loads((tmp_path / "r.json").read_text())
+    assert doc["rows"] == [["nan", "inf", "-inf", "nan", "-0"]]
+    assert doc["summary"] == {"worst": "-inf"}
+
+
 # --- CLI ---------------------------------------------------------------------------
 
 @pytest.fixture
@@ -453,6 +466,38 @@ def test_cli_run_and_expect(instance_path, capsys):
     assert main(["expect", "--instance", instance_path]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["bound_ok"] and out["expected_revenue"] == pytest.approx(21 / 27)
+
+
+def _signed_zero_path(tmp_path):
+    """A valid 3-agent scalar file whose agent 0 has ``t = -0.0``."""
+    degree = {"kind": "degree", "base": 1.0, "scale": 1.0, "shape": "linear"}
+    doc = {
+        "schema": 1,
+        "n": 3,
+        "agents": [{"model": "scalar", "t": t, "weight": degree} for t in (-0.0, 2.0, 3.0)],
+    }
+    assert '"t": -0.0' in json.dumps(doc)
+    return str(_write(tmp_path, doc))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        lambda path: ["run", "--mechanism", "main", "--instance", path],
+        lambda path: ["run", "--mechanism", "fixed-price", "--instance", path, "--price", "-0.0"],
+        lambda path: ["run", "--mechanism", "fixed-price", "--instance", path, "--price", "-0"],
+    ],
+    ids=["main-on-a-negative-zero-t", "fixed-price-minus-0.0", "fixed-price-minus-0"],
+)
+def test_cli_prints_no_negative_zero(tmp_path, capsys, argv):
+    """A negative zero read from a file or ``--price`` runs as 0.0."""
+    path = _signed_zero_path(tmp_path)
+    assert main(["check", "--instance", path]) == 0
+    capsys.readouterr()
+    for seed in range(10):
+        assert main([*argv(path), "--seed", str(seed)]) == 0
+        out = capsys.readouterr().out
+        assert "-0.0" not in out, (seed, out)
 
 
 def test_cli_run_fixed_price_requires_price(instance_path, capsys):
@@ -611,6 +656,29 @@ def test_cli_experiment_without_instances_exits_2(tmp_path, capsys, mode, instan
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {path}: mode {mode!r} needs a non-empty 'instances' list\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "config, where, unknown",
+    [
+        ({"mode": "exact", "trails": 5, "instances": [{"model": "scalar", "n": 3}]}, "", "trails"),
+        ({"mode": "exact", "instances": [{"model": "scalar", "n": 3, "grahp": "er", "seed": 99}]},
+         ": instances[0]", "grahp', 'seed"),
+        ({"mode": "f2-gap", "x": 1.0}, "", "x"),
+    ],
+    ids=["top-level", "instance", "f2-gap"],
+)
+def test_cli_experiment_unknown_config_keys_exit_2(tmp_path, capsys, config, where, unknown):
+    """Config keys follow the instance files' strict schema: a misspelt key is an error,
+    not a default silently taken."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main(["experiment", "--config", str(path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}{where}: unknown fields ['{unknown}'] (strict schema)\n"
     assert not out.exists()
 
 

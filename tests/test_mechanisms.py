@@ -72,6 +72,20 @@ def test_cost_share_even_split():
     assert out.revenue == pytest.approx(6.0)
 
 
+@pytest.mark.parametrize("r", [-1.0, float("nan"), float("inf")])
+def test_cost_share_rejects_targets_outside_the_domain(r):
+    """Like a fixed price: a NaN target would sell to everyone at NaN, an infinite
+    one to nobody."""
+    with pytest.raises(ValueError, match=r"^target revenue must be nonnegative and finite$"):
+        cost_share(flat_bids_profile([10.0, 1.0]), r, 0b11, 0)
+
+
+@pytest.mark.parametrize("r", [0.0, -0.0])
+def test_cost_share_accepts_both_zeros(r):
+    out = cost_share(flat_bids_profile([10.0, 1.0]), r, 0b11, 0)
+    assert out.winners == 0b11 and repr(out.revenue) == repr(r)
+
+
 def test_cost_share_revenue_all_or_nothing():
     for seed in range(8):
         profile = gen_instance("mixed", 5, seed=seed)

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -75,6 +77,18 @@ def test_check_conditions_rejects_large_exhaustive():
     with pytest.raises(ValueError):
         check_conditions(flat_bids_profile([1.0] * (EXHAUSTIVE_MAX_N + 1)), mode="exhaustive")
     assert check_conditions(profile, mode="sampled", samples=500) == []
+
+
+def test_sampled_check_flags_value_outside_the_winner_set():
+    """Negative control for the sampled check: the losing-value demo's unguarded
+    profile, ``v_i(S) = |S|`` for every S, values sets that do not hold the agent."""
+    n = 3
+    size_value = {s: float(s.bit_count()) for s in range(1 << n)}
+    unguarded = SimpleNamespace(bind=lambda i, neighbor_mask: lambda s: size_value[s])
+    violations = check_conditions(
+        ValuationProfile([unguarded] * n), mode="sampled", samples=50, seed=0
+    )
+    assert any(v.kind == "nonzero_outside" for v in violations)
 
 
 def test_estimate_L_subadditive_is_one():
