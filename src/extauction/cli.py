@@ -148,7 +148,7 @@ _CONFIG_TYPES = {
     "seed": (lambda x: type(x) is int, "an integer"),
     "trials": (lambda x: type(x) is int and x >= 1, "an integer >= 1"),
     "alpha": (is_number, "a number"),
-    "graph_p": (is_number, "a number"),
+    "graph_p": (lambda x: is_number(x) and 0 <= x <= 1, "a number in [0, 1]"),
     "m_values": (lambda x: type(x) is list and all(map(is_number, x)), "a list of numbers"),
 }
 
@@ -167,7 +167,10 @@ def _check_config(obj: dict, allowed: set[str], where: str) -> None:
 
 
 def _cmd_experiment(args) -> int:
-    config = json.loads(Path(args.config).read_text())
+    try:
+        config = json.loads(Path(args.config).read_text())
+    except (ValueError, RecursionError) as e:  # bad JSON or UTF-8, huge int literal, deep nesting
+        raise UsageError(f"{args.config} is not valid JSON: {e}") from e
     if not isinstance(config, dict):
         raise UsageError(f"{args.config}: experiment config must be a JSON object")
     _check_config(config, _CONFIG_KEYS, args.config)

@@ -154,7 +154,8 @@ def gen_instance(
 
     ``model="mixed"`` draws a model kind per agent.  The built-in families
     are valid by construction; for n <= 12 :func:`check_conditions` confirms
-    it, and a failure raises.
+    it, and a failure raises.  ``graph_p``, the edge probability of an
+    ``"er"`` graph, must lie in [0, 1] whatever the graph.
     """
     if n < 1:
         raise ValueError("empty market rejected: need n >= 1")
@@ -162,6 +163,8 @@ def gen_instance(
         raise ValueError(f"unknown model {model!r}; choose from {GEN_MODELS}")
     if model == "table" and n > TABLE_MODEL_MAX_N:
         raise ValueError(f"table instances are capped at n <= {TABLE_MODEL_MAX_N}")
+    if not 0 <= graph_p <= 1:  # NaN fails every comparison
+        raise ValueError(f"graph_p must be in [0, 1], got {graph_p!r}")
     mixed = [kind for kind in _FAMILIES if kind != "table" or n <= TABLE_MODEL_MAX_N]
     rng = random.Random(derive_seed("gen", model, n, seed, 0))
     kind_of = (lambda i: rng.choice(mixed)) if model == "mixed" else (lambda i: model)
@@ -282,8 +285,13 @@ def quarter_bound_check(
         return QuarterBoundResult("skip", 0.0, 0.0)
     r_f_c = optimum.price * (optimum.winners & partition.c).bit_count()
     r_c = testers_revenue(oracle, partition)
-    status = "pass" if r_c >= r_f_c / 4 - EPS else "fail"
+    status = "pass" if r_c >= _quarter_floor(r_f_c) else "fail"
     return QuarterBoundResult(status, r_c, r_f_c)
+
+
+def _quarter_floor(r_f_c: float) -> float:
+    """The least ``r(C)`` that passes the quarter bound: ``r_F(C)/4``, less EPS."""
+    return r_f_c / 4 - EPS
 
 
 def quarter_bound_exhaustive(profile) -> tuple[int, int, list[Partition3]]:
@@ -293,6 +301,13 @@ def quarter_bound_exhaustive(profile) -> tuple[int, int, list[Partition3]]:
     benchmark optimum is zero, none otherwise.  Values come from tables built
     once on the oracle (:meth:`~extauction.valuations.Oracle.tabulate`).
     Rejected for n > 10, like the exact expectation it shares sweeps with.
+
+    Each partition gets :func:`quarter_bound_check`'s test, inline: ``r(C)``
+    against the floor ``r_F(C)/4 - EPS``, looked up by the number of
+    benchmark winners in C.  No partition is skipped, not even one whose C
+    misses the optimum: the exact expectation skips the cost sharing where
+    B's sweep value ``r(B | A)`` is under ``r(C) - n^2 * EPS * (1 + r(C))``,
+    but it too reads every ``r(C)``, so after it this scan sweeps nothing.
     """
     oracle = as_oracle(profile)
     if oracle.n > EXACT_EXPECTATION_MAX_N:
@@ -302,10 +317,12 @@ def quarter_bound_exhaustive(profile) -> tuple[int, int, list[Partition3]]:
     checked = 3 ** oracle.n
     if optimum.value <= EPS:
         return checked, checked, []
+    price, winners = optimum.price, optimum.winners
+    floors = [_quarter_floor(price * m) for m in range(winners.bit_count() + 1)]
     failures = [
         part
         for part in Partition3.all_partitions(oracle.n)
-        if quarter_bound_check(oracle, part, optimum).status == "fail"
+        if not testers_revenue(oracle, part) >= floors[(winners & part.c).bit_count()]
     ]
     return checked, 0, failures
 

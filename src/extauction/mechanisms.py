@@ -144,14 +144,16 @@ def testers_revenue(oracle: Oracle, part: Partition3) -> float:
     a, b, c = part
     if not c:
         return 0.0
+    return max(_sweep_value(oracle, c, a), _sweep_value(oracle, c, b))
+
+
+def _sweep_value(oracle: Oracle, pool: int, free: int) -> float:
+    """``r(pool | free)``, the sweep value, memoized on the oracle."""
     memo = oracle.revenues
-    r_a = memo.get((c, a))
-    if r_a is None:
-        r_a = memo[c, a] = _greedy_sweep(oracle, c, a, 1)[0]
-    r_b = memo.get((c, b))
-    if r_b is None:
-        r_b = memo[c, b] = _greedy_sweep(oracle, c, b, 1)[0]
-    return max(r_a, r_b)
+    r = memo.get((pool, free))
+    if r is None:
+        r = memo[pool, free] = _greedy_sweep(oracle, pool, free, 1)[0]
+    return r
 
 
 def _run_partitioned(oracle: Oracle, part: Partition3) -> Outcome:
@@ -187,14 +189,45 @@ def main_mechanism_exact_expectation(profile) -> float:
     labeled partitions; no sampling error, bit-reproducible.  Rejected for
     n > 10.  Values come from tables built once on the oracle
     (:meth:`~extauction.valuations.Oracle.tabulate`).
+
+    The deletion fixpoint runs only where B can pay.  A partition pays
+    nothing, and is skipped, when B is empty, when ``r = r(C)`` is 0.0 or
+    -0.0 (adding either leaves the sum as it is, since a sum that starts at
+    0.0 is never -0.0), or when ``r > 0`` and B's own sweep value
+    ``r(B | A)``, a memo entry the enumeration fills anyway, is under
+    ``r - n^2 * EPS * (1 + r)``.
+
+    Why that margin suffices: say the fixpoint keeps a non-empty ``S``,
+    ``k = |S|``.  Each member of ``S`` bids at least ``r/k - EPS`` on
+    ``A | S``.  Let ``T`` be the last set of B's sweep that contains ``S``
+    (``t = |T| <= n - 1``, as C is non-empty).  The sweep deletes a member
+    of ``S`` there, and a valid profile is monotone only up to EPS per
+    added agent, so that step records
+    ``t * low >= t * (r/k - (t - k + 1) * EPS) >= r - t * (t - k + 1) * EPS``.
+    Each of the ``t`` steps from there on lowers the sweep's best by at
+    most EPS (``_better`` takes ties within EPS), so
+    ``r(B | A) >= r - t * (t - k + 2) * EPS >= r - n * (n - 1) * EPS``.
+    Rounding in ``r/k``, ``bar - EPS``, ``t * low`` and the comparisons
+    adds a few ulps of ``r`` per step: the relative term covers that, and
+    an absolute margin alone does not (seven buyers bidding ``r/7`` with
+    ``r = 6.5e10`` have ``r(B | A) = 7 * fl(r/7)``, 7.6e-6 under ``r``,
+    and all seven pay).  A negative ``r``, which bids in ``[-EPS, 0)``
+    make possible on a valid profile, is never skipped: B pays it.
     """
     oracle = as_oracle(profile)
     n = oracle.n
     if n > EXACT_EXPECTATION_MAX_N:
         raise ValueError(f"exact expectation rejected for n > {EXACT_EXPECTATION_MAX_N}")
     oracle.tabulate()
+    slack = n * n * EPS
     total = 0.0
     for part in Partition3.all_partitions(n):
+        r_c = testers_revenue(oracle, part)
+        a, b, _ = part
+        if not b or not r_c:
+            continue
+        if r_c > 0 and _sweep_value(oracle, b, a) < r_c - slack * (1.0 + r_c):
+            continue
         total += _run_partitioned(oracle, part).revenue
     return total / (3 ** n)
 

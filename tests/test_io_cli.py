@@ -575,6 +575,10 @@ def test_cli_usage_errors_exit_2(tmp_path, instance_path, capsys, argv, message)
         ({"mode": "exact", "instances": [{"model": "scalar", "n": True}]}, "n"),
         ({"mode": "exact", "instances": [{"model": 5, "n": 4}]}, "model"),
         ({"mode": "exact", "instances": [{"model": "scalar", "n": 4, "graph_p": "1"}]}, "graph_p"),
+        ({"mode": "exact", "instances": [{"model": "scalar", "n": 4, "graph_p": 7.0}]}, "graph_p"),
+        ({"mode": "exact", "instances": [{"model": "scalar", "n": 4, "graph_p": -1.0}]}, "graph_p"),
+        ({"mode": "exact", "instances": [{"model": "scalar", "n": 4, "graph_p": math.nan}]},
+         "graph_p"),
         ({"mode": "exact", "instances": 3}, "instances"),
         ({"mode": "exact", "instances": [3]}, "instances"),
         ({"mode": "monte-carlo", "trials": "5", "instances": []}, "trials"),
@@ -587,7 +591,8 @@ def test_cli_usage_errors_exit_2(tmp_path, instance_path, capsys, argv, message)
         ({"mode": "exact", "instances": [{"model": "scalar", "n": 2, "name": ["a"]}]}, "name"),
         ({"mode": "exact", "seed": "1", "instances": []}, "seed"),
     ],
-    ids=["n-str", "n-bool", "model-int", "graph_p-str", "instances-int", "instances-entry-int",
+    ids=["n-str", "n-bool", "model-int", "graph_p-str", "graph_p-above-1", "graph_p-negative",
+         "graph_p-nan", "instances-int", "instances-entry-int",
          "trials-str", "alpha-str", "m_values-entry-str", "m_values-number", "name-int",
          "name-list", "seed-str"],
 )
@@ -598,6 +603,33 @@ def test_cli_experiment_config_types_exit_2(tmp_path, capsys, config, key):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and f"{key!r} must be" in captured.err
+
+
+@pytest.mark.parametrize("graph_p", [7.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("graph", [None, "er"])
+def test_gen_instance_rejects_graph_p_outside_the_unit_interval(graph, graph_p):
+    with pytest.raises(ValueError, match=r"^graph_p must be in \[0, 1\], got "):
+        gen_instance("scalar", 4, seed=1, graph=graph, graph_p=graph_p)
+
+
+@pytest.mark.parametrize("graph_p", [0, 0.0, 1, 1.0])
+def test_gen_instance_accepts_graph_p_at_the_ends(graph_p):
+    edges = sum(map(len, gen_instance("scalar", 4, seed=1, graph="er", graph_p=graph_p).graph))
+    assert edges == 12 * graph_p
+
+
+def test_cli_experiment_deeply_nested_config_exits_2(tmp_path, capsys):
+    """Deep nesting makes ``json.loads`` recurse past the limit; like a bad instance
+    file, that is an input error, not a crash."""
+    path = tmp_path / "config.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    out = tmp_path / "out"
+    assert main(["experiment", "--config", str(path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path} is not valid JSON: ")
+    assert "Traceback" not in captured.err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -10,6 +10,7 @@ from extauction import (
     TableModel,
     ValuationProfile,
     benchmark_bruteforce,
+    check_conditions,
     cost_share,
     fixed_price_mechanism,
     main_mechanism,
@@ -18,6 +19,8 @@ from extauction import (
     mechanism2_expected_revenue,
     rsop,
 )
+from extauction import mechanisms as mech
+from extauction.benchmark import revenue_given_free
 from extauction.experiments import gen_instance, two_agent_gap_instance
 from extauction.sets import mask_of, members
 
@@ -213,6 +216,62 @@ def test_exact_expectation_meets_revenue_guarantee():
 def test_exact_expectation_rejects_large_n():
     with pytest.raises(ValueError):
         main_mechanism_exact_expectation(flat_bids_profile([1.0] * 11))
+
+
+# --- partitions the exact expectation skips ----------------------------------------
+
+def _expectation_runs(monkeypatch, profile):
+    """The exact expectation, and the partitions it ran the cost sharing on."""
+    ran = set()
+    run = mech._run_partitioned
+    with monkeypatch.context() as patch:
+        patch.setattr(mech, "_run_partitioned", lambda o, part: ran.add(part) or run(o, part))
+        return main_mechanism_exact_expectation(profile), ran
+
+
+R = 65244415293.32113
+
+
+@pytest.mark.parametrize(
+    "bids, expected",
+    [
+        # r(B|A) = 7 * fl(R/7) lies 7.6e-6 under r(C) = R: no margin of a few
+        # EPS covers that, the relative part does
+        ([R] + [R / 7] * 7, "0x1.2f79ae3c6cecap+33"),
+        # each buyer bids 0.99 * EPS under r(C)/|B|, so r(B|A) lies 2.97 * EPS
+        # under r(C) = 0.01: the margin's relative part, 16 * EPS * 0.01, falls
+        # short, and its absolute part covers the gap
+        ([0.01] + [0.01 / 3 - 0.99e-9] * 3, "0x1.a4b98dfed4341p-10"),
+    ],
+    ids=["relative", "absolute"],
+)
+def test_exact_expectation_runs_near_ties_that_pay(monkeypatch, bids, expected):
+    """Values recorded before the skip rule.  B = everyone but agent 0, C = {0}:
+    B's own sweep value misses ``r(C)``, yet every buyer survives and pays."""
+    profile = flat_bids_profile(bids)
+    assert check_conditions(profile) == []
+    n = profile.n
+    part = Partition3(0, profile.full - 1, 1)
+    r_c = mech.testers_revenue(profile.oracle(), part)
+    assert revenue_given_free(profile, part.b, part.a).value < r_c
+    outcome = main_mechanism(profile, partition=part)
+    assert outcome.winners == part.b and outcome.revenue > 0
+    value, ran = _expectation_runs(monkeypatch, profile)
+    assert value.hex() == expected and part in ran
+    assert len(ran) < 3**n - 2**n
+
+
+def test_exact_expectation_keeps_a_negative_testers_revenue(monkeypatch):
+    """A valid profile may bid in ``[-EPS, 0)``, so ``r(C)`` can be negative and B
+    pays it: those partitions are run, not skipped with the zeros (value recorded
+    before the skip rule)."""
+    profile = flat_bids_profile([-5e-10, 1.0, 2.0])
+    assert check_conditions(profile) == []
+    part = Partition3(0b010, 0b100, 0b001)
+    assert mech.testers_revenue(profile.oracle(), part) == -5e-10
+    assert main_mechanism(profile, partition=part).revenue == -5e-10
+    value, ran = _expectation_runs(monkeypatch, profile)
+    assert value.hex() == "0x1.c71c71c34b19cp-4" and part in ran
 
 
 def test_two_agent_gap_expected_revenue():

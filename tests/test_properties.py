@@ -207,6 +207,20 @@ def test_scaling_values_keeps_sweep_equal_to_brute(model, n, graph, scale):
         assert (sweep.value, sweep.price, sweep.winners) == (brute.value, brute.price, brute.winners)
 
 
+@pytest.mark.parametrize("scale", [1e-6, 1e-3, 1.0, 1e3, 1e6, 1e9])
+@pytest.mark.parametrize("model, n, graph", _INSTANCES)
+def test_scaling_values_keeps_the_expectation_equal_to_the_run_sum(model, n, graph, scale):
+    """The exact expectation skips partitions where B cannot pay, with a margin
+    partly relative to ``r(C)``; at every scale it still equals, bit for bit,
+    the sum of the ``3^n`` single runs."""
+    scaled = _tabulated(gen_instance(model, n, seed=5, graph=graph), scale=scale)
+    oracle = scaled.oracle()
+    total = 0.0
+    for part in mech.Partition3.all_partitions(n):
+        total += mech.main_mechanism(oracle, partition=part).revenue
+    assert main_mechanism_exact_expectation(scaled) == total / 3**n
+
+
 # --- the r(C) memo ------------------------------------------------------------------
 
 def test_second_quarter_bound_scan_on_one_oracle_sweeps_nothing(monkeypatch):
