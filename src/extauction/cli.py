@@ -1,9 +1,10 @@
 """Command-line harness.
 
 Subcommands: ``check``, ``benchmark``, ``run``, ``expect``, ``verify``,
-``experiment``, ``demo``.  Exit codes: 0 success / all checks pass,
-1 a property violation was found, 2 usage or IO error.  All output is
-structured JSON on stdout; identical invocations produce identical bytes.
+``experiment``, ``demo``.  Each returns its document and whether its checks
+passed; ``main`` alone prints the document as strict JSON on stdout and exits
+0 (all pass), 1 (a property violation was found) or 2 (a usage or IO error,
+or a result that is not finite).  Identical invocations give identical bytes.
 """
 
 from __future__ import annotations
@@ -23,10 +24,6 @@ from .valuations import EPS, EXHAUSTIVE_MAX_N, check_conditions, estimate_L
 
 class UsageError(Exception):
     """Usage error signalled from a subcommand."""
-
-
-def _print(obj) -> None:
-    print(json.dumps(obj, indent=2, sort_keys=True))
 
 
 def _count(text: str) -> int:
@@ -63,7 +60,7 @@ def _mechanism(args):
     return mechanisms[args.mechanism]
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(args) -> tuple[dict, bool]:
     profile = load_instance(args.instance, validate=False)
     mode = "sampled" if args.sampled else "auto"
     violations = check_conditions(profile, mode=mode, samples=args.samples, seed=args.seed)
@@ -75,11 +72,10 @@ def _cmd_check(args) -> int:
     if not violations and profile.n <= EXHAUSTIVE_MAX_N:
         # a clean exhaustive check has passed every witness pair, so L = 1
         out["estimated_L"] = estimate_L(profile) if args.sampled else 1.0
-    _print(out)
-    return 0 if not violations else 1
+    return out, not violations
 
 
-def _cmd_benchmark(args) -> int:
+def _cmd_benchmark(args) -> tuple[dict, bool]:
     profile = _load(args.instance)
     oracle = profile.oracle()
     fn = bm.benchmark_bruteforce if args.method == "brute" else bm.benchmark_sweep
@@ -87,54 +83,43 @@ def _cmd_benchmark(args) -> int:
     out = res.to_json()
     out["method"] = args.method
     out["queries"] = oracle.queries
-    _print(out)
-    return 0
+    return out, True
 
 
-def _cmd_run(args) -> int:
+def _cmd_run(args) -> tuple[dict, bool]:
     profile = _load(args.instance)
     mechanism = _mechanism(args)
     out = mechanism(profile, args.seed).to_json()
     out["mechanism"] = args.mechanism
     out["seed"] = args.seed
-    _print(out)
-    return 0
+    return out, True
 
 
-def _cmd_expect(args) -> int:
+def _cmd_expect(args) -> tuple[dict, bool]:
     profile = _load(args.instance)
     expected = mech.main_mechanism_exact_expectation(profile)
     f3 = bm.benchmark_bruteforce(profile, 3).value
     bound = f3 / ex.REVENUE_GUARANTEE_FACTOR
-    out = {
-        "expected_revenue": expected,
-        "f3": f3,
-        "bound": bound,
-        "bound_ok": expected >= bound - EPS,
-    }
-    _print(out)
-    return 0 if out["bound_ok"] else 1
+    bound_ok = expected >= bound - EPS
+    return {"expected_revenue": expected, "f3": f3, "bound": bound, "bound_ok": bound_ok}, bound_ok
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[dict, bool]:
     profile = _load(args.instance)
     mechanism = _mechanism(args)
     count = args.misreports * (4 if args.exhaustive else 1)
     plan = tr.misreport_plan(profile, count, seed=args.seed)
     violations = tr.deviation_test(mechanism, profile, plan, seeds=range(args.runs))
-    _print(
-        {
-            "mechanism": args.mechanism,
-            "misreports": len(plan),
-            "runs": args.runs,
-            "violations": [
-                {"agent": v.agent, "seed": v.seed, "label": v.label, "gain": v.gain}
-                for v in violations[:20]
-            ],
-            "truthful": not violations,
-        }
-    )
-    return 0 if not violations else 1
+    return {
+        "mechanism": args.mechanism,
+        "misreports": len(plan),
+        "runs": args.runs,
+        "violations": [
+            {"agent": v.agent, "seed": v.seed, "label": v.label, "gain": v.gain}
+            for v in violations[:20]
+        ],
+        "truthful": not violations,
+    }, not violations
 
 
 #: experiment config field -> (type test, what it must be), for the top level
@@ -166,7 +151,7 @@ def _check_config(obj: dict, allowed: set[str], where: str) -> None:
             raise UsageError(f"{where}: {key!r} must be {want}, got {obj[key]!r}")
 
 
-def _cmd_experiment(args) -> int:
+def _cmd_experiment(args) -> tuple[dict, bool]:
     try:
         config = json.loads(Path(args.config).read_text())
     except (ValueError, RecursionError) as e:  # bad JSON or UTF-8, huge int literal, deep nesting
@@ -200,31 +185,27 @@ def _cmd_experiment(args) -> int:
             graph_p=spec.get("graph_p", 0.5),
         )
         instances.append((name, profile))
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     report = suites[mode](instances)
     report.summary["seed"] = seed
     report.summary["mode"] = mode
     report.summary["instance_digests"] = {name: instance_digest(p) for name, p in instances}
+    outdir = Path(args.out)  # made only now, so a failed suite leaves no directory
+    outdir.mkdir(parents=True, exist_ok=True)
     emit_report(report, "csv", outdir / "rows.csv")
     emit_report(report, "json", outdir / "summary.json")
-    _print({"rows": len(report.rows), "out": str(outdir), "mode": mode})
-    return 1 if report.summary.get("violations") else 0
+    out = {"rows": len(report.rows), "out": str(outdir), "mode": mode}
+    return out, not report.summary.get("violations")
 
 
-def _cmd_demo(args) -> int:
-    if args.which == "f2-gap":
-        report = ex.f2_gap_demo(args.m_values)
-        _print(
-            {
-                "columns": list(report.columns),
-                "rows": [[str(x) for x in row] for row in report.rows],
-                "note": "ratio vs the 2-winner benchmark grows without bound",
-            }
-        )
-        return 0
-    _print(ex.losing_value_demo())  # the parser allows only these two demos
-    return 0
+def _cmd_demo(args) -> tuple[dict, bool]:
+    if args.which == "losing-value":  # the parser allows only these two demos
+        return ex.losing_value_demo(), True
+    report = ex.f2_gap_demo(args.m_values)
+    return {
+        "columns": list(report.columns),
+        "rows": [[str(x) for x in row] for row in report.rows],
+        "note": "ratio vs the 2-winner benchmark grows without bound",
+    }, True
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -291,10 +272,16 @@ def main(argv=None) -> int:
     # the library rejects bad arguments with ValueError (InstanceError and
     # JSONDecodeError are ValueErrors too), so each of them is a usage error
     try:
-        return args.fn(args)
+        document, ok = args.fn(args)
+        try:
+            text = json.dumps(document, indent=2, sort_keys=True, allow_nan=False)
+        except ValueError as e:  # inf or NaN, which JSON cannot hold
+            raise UsageError(f"the result is not finite ({e})") from e
+        print(text)
     except (ValueError, UsageError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

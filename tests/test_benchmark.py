@@ -176,3 +176,16 @@ def test_classical_best_price():
 def test_bruteforce_rejects_large_n():
     with pytest.raises(ValueError):
         benchmark_bruteforce(flat_bids_profile([1.0] * 21), 1)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda p: benchmark_bruteforce(p, 0), r"^k must be >= 1$"),
+        (lambda p: revenue_given_free(p, 0b011, 0b010), r"^pool and free sets must be disjoint$"),
+    ],
+    ids=["bruteforce-k0", "revenue-given-free-overlap"],
+)
+def test_benchmarks_reject_bad_arguments(call, message):
+    with pytest.raises(ValueError, match=message):
+        call(size_scalar_profile(3))

@@ -54,6 +54,25 @@ def test_gen_instance_rejects_empty_market():
         gen_instance("additive", 0)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: gen_instance("bogus", 3), r"^unknown model 'bogus'; choose from "),
+        (lambda: partition_min_expectation(-1), r"^m must be nonnegative$"),
+        (lambda: chernoff_tail_check(0), r"^m must be >= 1$"),
+    ],
+    ids=["gen-instance-unknown-model", "partition-min-negative-m", "chernoff-m0"],
+)
+def test_experiment_helpers_reject_bad_arguments(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+def test_monte_carlo_expectation_over_no_trials_is_zero(trials):
+    assert monte_carlo_expectation(size_scalar_profile(3), trials) == (0.0, 0.0)
+
+
 def test_gen_instance_deterministic():
     a = gen_instance("mixed", 5, seed=42, graph="pa")
     b = gen_instance("mixed", 5, seed=42, graph="pa")

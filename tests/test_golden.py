@@ -5,7 +5,8 @@ one small instance per generator family and graph kind, plus the four
 experiment modes.  Each subcommand's sha256 covers the argv, the exit code
 and the stdout of every call, and for ``experiment`` also the bytes of
 ``rows.csv`` and ``summary.json``.  Paths are relative to the corpus
-directory, so the hashes do not depend on where it lives.
+directory, so the hashes do not depend on where it lives.  Every stdout must
+also parse as strict JSON, without ``NaN`` or ``Infinity``.
 
 A refactor or speed-up must leave every hash unchanged.  A change meant to
 alter output re-records them with ``PYTHONPATH=src python tests/test_golden.py``
@@ -183,6 +184,10 @@ def _calls(root: Path) -> dict[str, list[list[str]]]:
     return calls
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"{name} in CLI output is not JSON")
+
+
 def corpus_hashes(root: Path) -> dict[str, str]:
     """Run the corpus inside ``root`` (the working directory meanwhile)."""
     cwd = os.getcwd()
@@ -195,6 +200,8 @@ def corpus_hashes(root: Path) -> dict[str, str]:
                 out = io.StringIO()
                 with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
                     code = main(argv)
+                if out.getvalue():
+                    json.loads(out.getvalue(), parse_constant=_reject_constant)
                 h.update(json.dumps(argv).encode())
                 h.update(f"\0{code}\0".encode())
                 h.update(out.getvalue().encode())

@@ -409,6 +409,28 @@ def test_emit_report_renders_non_finite_and_signed_floats(tmp_path):
     assert doc["summary"] == {"worst": "-inf"}
 
 
+class _UnnamedModel(ScalarModel):
+    """A model class the instance schema has no name for."""
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda tmp: save_instance(ValuationProfile([_UnnamedModel(1.0, DegreeWeight())]),
+                                   tmp / "inst.json"),
+         InstanceError, r"^unserializable model entry "),
+        (lambda tmp: emit_report(ExperimentReport(("a",), []), "xml", tmp / "r.xml"),
+         ValueError, r"^unknown report format 'xml'$"),
+        (lambda tmp: emit_report(ExperimentReport(("a",), []), "csv", tmp),
+         OSError, r"^cannot write report to "),
+    ],
+    ids=["save-unnamed-model", "emit-xml", "emit-to-a-directory"],
+)
+def test_save_and_emit_refuse_what_they_cannot_write(tmp_path, call, error, message):
+    with pytest.raises(error, match=message):
+        call(tmp_path)
+
+
 # --- CLI ---------------------------------------------------------------------------
 
 @pytest.fixture
@@ -975,3 +997,70 @@ def test_cli_rejects_non_finite_values(tmp_path, capsys, name):
         assert main([*argv, "--instance", str(path)]) == 2, argv
         captured = capsys.readouterr()
         assert captured.out == "" and "nonfinite" in captured.err, argv
+
+
+def _overflowing_file(tmp_path):
+    """Three valid agents at ``1e308`` on every set: sums of their bids overflow."""
+    flat = {"kind": "degree", "base": 1.0, "scale": 0.0}
+    doc = {"schema": 1, "n": 3, "agents": [{"model": "scalar", "t": 1e308, "weight": flat}] * 3}
+    return str(_write(tmp_path, doc, "overflow.json"))
+
+
+def _unbounded_L_file(tmp_path):
+    """Agent 0 is worth 0.0 on every set but the full one (1.0), the others 1.0
+    everywhere, so ``estimate_L`` is inf; 20 samples miss the violation."""
+    full = (1 << 6) - 1
+    agents = [
+        {"model": "table", "values": {
+            ",".join(str(j) for j in range(6) if s >> j & 1): float(i > 0 or s == full)
+            for s in range(1 << 6) if s >> i & 1
+        }}
+        for i in range(6)
+    ]
+    return str(_write(tmp_path, {"schema": 1, "n": 6, "agents": agents}, "unbounded-L.json"))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        lambda tmp: ["run", "--mechanism", "fixed-price", "--price", "1e308",
+                     "--instance", _overflowing_file(tmp)],
+        lambda tmp: ["benchmark", "--k", "3", "--instance", _overflowing_file(tmp)],
+        lambda tmp: ["expect", "--instance", _overflowing_file(tmp)],
+        lambda tmp: ["check", "--sampled", "--samples", "20", "--instance", _unbounded_L_file(tmp)],
+    ],
+    ids=["run-revenue", "benchmark-value", "expect-revenue", "check-estimated-L"],
+)
+def test_cli_result_that_is_not_finite_exits_2(tmp_path, capsys, argv):
+    """A result can overflow to inf, which JSON cannot hold: the command prints
+    nothing rather than a non-JSON ``Infinity``.  The overflowing file passes
+    ``check``; the other passes only the sampled check that then prints its L."""
+    argv = argv(tmp_path)
+    if argv[0] != "check":
+        assert main(["check", "--instance", argv[-1]]) == 0
+        capsys.readouterr()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: the result is not finite")
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ({"mode": "exact", "instances": [{"model": "scalar", "n": 11}]},
+         "exact expectation rejected for n > 10"),
+        ({"mode": "additive-bound", "instances": [{"model": "scalar", "n": 4}]},
+         "mechanism2 requires an additive profile"),
+    ],
+    ids=["exact-n11", "additive-bound-on-scalar"],
+)
+def test_cli_experiment_that_fails_leaves_no_out_directory(tmp_path, capsys, config, message):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main(["experiment", "--config", str(path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert not out.exists()

@@ -83,6 +83,11 @@ def test_cost_share_rejects_targets_outside_the_domain(r):
         cost_share(flat_bids_profile([10.0, 1.0]), r, 0b11, 0)
 
 
+def test_cost_share_rejects_a_pool_that_overlaps_the_free_set():
+    with pytest.raises(ValueError, match=r"^cost-share pool and free set must be disjoint$"):
+        cost_share(flat_bids_profile([10.0, 1.0]), 1.0, 0b11, 0b01)
+
+
 @pytest.mark.parametrize("r", [0.0, -0.0])
 def test_cost_share_accepts_both_zeros(r):
     out = cost_share(flat_bids_profile([10.0, 1.0]), r, 0b11, 0)

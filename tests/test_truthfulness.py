@@ -117,6 +117,25 @@ def test_payment_zero_for_losers():
     assert payment_from_characterization(part, 0, 2.0, val) == 0.0
 
 
+def _payment_off_the_grid():
+    val = linear_valuation(indicator_weight(0))
+    part = discover_breakpoints(fixed_price_rule(4.0), 0, (), val)
+    return payment_from_characterization(part, 0, 7.5, val)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: uniform_grid(0.0, 10.0, 1), r"^need at least two grid points$"),
+        (_payment_off_the_grid, r"^bid 7\.5 is not on the grid$"),
+    ],
+    ids=["grid-of-one-point", "bid-off-the-grid"],
+)
+def test_grid_helpers_reject_bad_arguments(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_constant_rule_single_interval():
     rule = SingleParamRule((GRID_0_10,), lambda bids: 1)
     val = linear_valuation(indicator_weight(0))

@@ -229,6 +229,20 @@ def test_table_cap():
         ValuationProfile([TableModel({1 << i: 1.0}) for i in range(11)])
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: ValuationProfile(size_scalar_profile(3).models, graph=[[1], [0]]),
+         r"^adjacency list length does not match agent count$"),
+        (lambda: check_conditions(size_scalar_profile(3), mode="bogus"), r"^unknown mode 'bogus'$"),
+    ],
+    ids=["graph-length", "check-mode"],
+)
+def test_profile_and_checker_reject_bad_arguments(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     n=st.integers(min_value=1, max_value=6),
