@@ -18,7 +18,7 @@ from . import benchmark as bm
 from . import experiments as ex
 from . import mechanisms as mech
 from . import truthfulness as tr
-from .io import emit_report, instance_digest, is_number, load_instance, require_keys, require_valid
+from .io import instance_digest, is_number, load_instance, require_keys, require_valid, write_report
 from .valuations import EPS, EXHAUSTIVE_MAX_N, check_conditions, estimate_L
 
 
@@ -138,8 +138,17 @@ _CONFIG_TYPES = {
 }
 
 
-#: the keys an experiment config may hold, at the top level and in each instance entry
-_CONFIG_KEYS = {"seed", "mode", "instances", "trials", "alpha", "m_values"}
+#: experiment mode -> (the config keys it reads besides ``seed`` and ``mode``,
+#: ``(config.get, seed, instances) -> report``); a key the mode does not read is refused
+_MODES = {
+    "exact": ({"instances"}, lambda get, seed, inst: ex.revenue_guarantee_suite(inst)),
+    "monte-carlo": ({"instances", "trials"},
+                    lambda get, seed, inst: ex.ratio_campaign(inst, get("trials", 100), seed)),
+    "additive-bound": ({"instances", "alpha"},
+                       lambda get, seed, inst: ex.additive_bound_suite(inst, get("alpha", 1.0))),
+    "f2-gap": ({"m_values"},
+               lambda get, seed, inst: ex.f2_gap_demo(get("m_values", ex.F2_GAP_M_VALUES))),
+}
 _INSTANCE_KEYS = {"model", "n", "name", "graph", "graph_p"}
 
 
@@ -158,43 +167,38 @@ def _cmd_experiment(args) -> tuple[dict, bool]:
         raise UsageError(f"{args.config} is not valid JSON: {e}") from e
     if not isinstance(config, dict):
         raise UsageError(f"{args.config}: experiment config must be a JSON object")
-    _check_config(config, _CONFIG_KEYS, args.config)
-    seed = config.get("seed", 0)
-    suites = {
-        "exact": ex.revenue_guarantee_suite,
-        "monte-carlo": lambda inst: ex.ratio_campaign(inst, config.get("trials", 100), seed),
-        "additive-bound": lambda inst: ex.additive_bound_suite(inst, config.get("alpha", 1.0)),
-        "f2-gap": lambda inst: ex.f2_gap_demo(config.get("m_values", ex.F2_GAP_M_VALUES)),
-    }
     mode = config.get("mode", "exact")
-    if not isinstance(mode, str) or mode not in suites:
+    if not isinstance(mode, str) or mode not in _MODES:
         raise UsageError(f"unknown experiment mode {mode!r}")
-    if mode != "f2-gap" and not config.get("instances"):
+    keys, suite = _MODES[mode]
+    _check_config(config, {"seed", "mode", *keys}, args.config)
+    if "instances" in keys and not config.get("instances"):
         raise UsageError(f"{args.config}: mode {mode!r} needs a non-empty 'instances' list")
-    instances = []
+    seed = config.get("seed", 0)
+    instances = {}
     for j, spec in enumerate(config.get("instances", [])):
         _check_config(spec, _INSTANCE_KEYS, f"{args.config}: instances[{j}]")
         if not {"model", "n"} <= spec.keys():
             raise UsageError(f"{args.config}: instances[{j}] needs 'model' and 'n'")
         name = spec.get("name") or f"{spec['model']}-n{spec['n']}"
-        profile = ex.gen_instance(
+        if name in instances:  # the name seeds the instance, so a repeat is the same one
+            raise UsageError(f"{args.config}: instances[{j}] repeats the name {name!r}")
+        instances[name] = ex.gen_instance(
             spec["model"],
             spec["n"],
             seed=ex.derive_seed(seed, name),
             graph=spec.get("graph"),
             graph_p=spec.get("graph_p", 0.5),
         )
-        instances.append((name, profile))
-    report = suites[mode](instances)
+    report = suite(config.get, seed, list(instances.items()))
     report.summary["seed"] = seed
     report.summary["mode"] = mode
-    report.summary["instance_digests"] = {name: instance_digest(p) for name, p in instances}
-    outdir = Path(args.out)  # made only now, so a failed suite leaves no directory
-    outdir.mkdir(parents=True, exist_ok=True)
-    emit_report(report, "csv", outdir / "rows.csv")
-    emit_report(report, "json", outdir / "summary.json")
-    out = {"rows": len(report.rows), "out": str(outdir), "mode": mode}
-    return out, not report.summary.get("violations")
+    report.summary["instance_digests"] = {name: instance_digest(p) for name, p in instances.items()}
+    write_report(report, args.out)  # only now, so a failed suite leaves no directory
+    out = {"rows": len(report.rows), "out": str(Path(args.out)), "mode": mode}
+    # a campaign checks its query budget instead of counting violations
+    ok = not report.summary.get("violations") and report.summary.get("within_query_budget", True)
+    return out, ok
 
 
 def _cmd_demo(args) -> tuple[dict, bool]:

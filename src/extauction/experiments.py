@@ -178,7 +178,7 @@ def gen_instance(
     return profile
 
 
-def standard_suite(seed: int = 20240801, total: int = 200) -> list[tuple[str, ValuationProfile]]:
+def standard_suite(total: int = 200) -> list[tuple[str, ValuationProfile]]:
     """Deterministic mixed suite of valid instances with n in [3, 9].
 
     The composition (sizes, families, graph shapes) is a choice of this
@@ -200,7 +200,7 @@ def standard_suite(seed: int = 20240801, total: int = 200) -> list[tuple[str, Va
             kind = kinds[idx % len(kinds)]
             graph = graphs[idx % len(graphs)]
             profile = gen_instance(
-                kind, n, seed=derive_seed("suite", seed, idx), graph=graph
+                kind, n, seed=derive_seed("suite", 20240801, idx), graph=graph
             )
             out.append((f"{kind}-n{n}-{j}", profile))
     return out
@@ -441,16 +441,16 @@ def additive_bound_suite(
 # demos
 # ---------------------------------------------------------------------------
 
-def two_agent_gap_instance(m_factor: float, x: float = 1.0) -> ValuationProfile:
+def two_agent_gap_instance(m_factor: float) -> ValuationProfile:
     """Two agents who value winning together ``m_factor`` times more than alone.
 
-    Scalar valuations: ``v_i(x, {i}) = x`` and ``v_i(x, {0,1}) = m_factor*x``.
+    Scalar valuations at ``t = 1``: ``v_i({i}) = 1`` and ``v_i({0,1}) = m_factor``.
     """
     both = 0b11
     models = []
     for i in range(2):
         weights = TableWeight({1 << i: 1.0, both: float(m_factor)})
-        models.append(ScalarModel(t=x, weight=weights))
+        models.append(ScalarModel(t=1.0, weight=weights))
     return ValuationProfile(models)
 
 
@@ -460,37 +460,41 @@ F2_GAP_M_VALUES = (1.0, 10.0, 100.0, 1000.0)
 F2_GAP_COLUMNS = ("m_factor", "f2", "f3", "expected_revenue", "ratio_vs_f2")
 
 
-def f2_gap_demo(m_values: Sequence[float], x: float = 1.0) -> ExperimentReport:
+def f2_gap_demo(m_values: Sequence[float]) -> ExperimentReport:
     """Exact demonstration that no constant ratio vs ``F^(2)`` is possible.
 
     For each scale factor the two-agent instance's benchmark grows linearly
     while the tripartition auction's exact expected revenue stays put, so
     the ratio (inf sentinel once revenue hits zero) grows without bound.
     The 3-winner benchmark is zero here, so the main guarantee is untouched.
-    Each ``m`` must be finite and >= 1, or the instance is not monotone.
+    Each ``m`` must be finite and >= 1, or the instance is not monotone, and
+    there must be at least one: a demo over no ``m`` shows nothing.
     """
+    if not m_values:
+        raise ValueError("the f2-gap demo needs at least one m value")
     rows = []
     for m in m_values:
         if not 1 <= m < math.inf:  # NaN fails every comparison
             raise ValueError(f"m values must be finite and >= 1, got {m!r}")
-        profile = two_agent_gap_instance(m, x)
+        profile = two_agent_gap_instance(m)
         f2 = benchmark_bruteforce(profile, 2).value
         f3 = benchmark_bruteforce(profile, 3).value
         expected = main_mechanism_exact_expectation(profile)
         rows.append((m, f2, f3, expected, _ratio(f2, expected)))
-    return ExperimentReport(F2_GAP_COLUMNS, rows, {"x": x})
+    return ExperimentReport(F2_GAP_COLUMNS, rows, {"x": 1.0})  # the instances' t
 
 
-def losing_value_demo(n: int = 3, t: float = 1.0) -> dict:
+def losing_value_demo() -> dict:
     """Show that paying losers' externalities breaks the domain conditions.
 
-    Builds the family ``v_i(t, S) = t * |S|`` held even by losing agents;
+    Builds the family ``v_i(S) = |S|`` on three agents, held even by losing agents;
     the validator must reject it (losers deriving value violates the
     zero-when-losing condition), while the truncated-to-winners variant is
     accepted.  No truthful competitive mechanism survives the unrestricted
     family, which is exactly why the condition is imposed.
     """
-    size_value = {s: t * s.bit_count() for s in range(1 << n)}
+    n = 3
+    size_value = {s: 1.0 * s.bit_count() for s in range(1 << n)}
     unguarded = SimpleNamespace(bind=lambda i, neighbor_mask: lambda s: size_value[s])
     invalid = ValuationProfile([unguarded] * n)
     invalid_violations = check_conditions(invalid)

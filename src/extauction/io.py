@@ -167,6 +167,8 @@ def _field(annotation: str, value, n: int, where: str, agent: int | None):
     table = {}
     for k, v in value.items():
         mask = _parse_set_key(k, n, where)
+        if mask in table:
+            raise InstanceError(f"{where}: table key {k!r} names the set {_set_key(mask)!r} again")
         if agent is not None and not (mask >> agent) & 1:
             raise InstanceError(f"{where}: table key {k!r} does not contain agent {agent}")
         table[mask] = _float(v, where)
@@ -275,25 +277,29 @@ def _render(x) -> str:
     return f"{x:.12g}" if isinstance(x, float) else str(x)  # nan, inf and -inf as such
 
 
-def emit_report(report: ExperimentReport, fmt: str, path) -> None:
-    """Write a report as CSV rows or a JSON document, deterministically."""
-    path = Path(path)
+def _csv_field(x) -> str:
+    """One CSV field, quoted (RFC 4180) when it holds a comma, a quote or a line break."""
+    text = _render(x)
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def write_report(report: ExperimentReport, outdir) -> None:
+    """Create ``outdir`` and write the report there as ``rows.csv`` and
+    ``summary.json``, deterministically."""
+    outdir = Path(outdir)
+    lines = [",".join(map(_csv_field, row)) + "\n" for row in [report.columns, *report.rows]]
+    doc = {
+        "schema": SCHEMA_VERSION,
+        "columns": list(report.columns),
+        "rows": [[_render(x) if isinstance(x, float) else x for x in row] for row in report.rows],
+        "summary": {k: _render(v) if isinstance(v, float) else v
+                    for k, v in sorted(report.summary.items())},
+    }
     try:
-        if fmt == "csv":
-            lines = [",".join(report.columns)]
-            for row in report.rows:
-                lines.append(",".join(_render(x) for x in row))
-            path.write_text("\n".join(lines) + "\n")
-        elif fmt == "json":
-            doc = {
-                "schema": SCHEMA_VERSION,
-                "columns": list(report.columns),
-                "rows": [[_render(x) if isinstance(x, float) else x for x in row] for row in report.rows],
-                "summary": {k: _render(v) if isinstance(v, float) else v
-                            for k, v in sorted(report.summary.items())},
-            }
-            path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-        else:
-            raise ValueError(f"unknown report format {fmt!r}")
+        outdir.mkdir(parents=True, exist_ok=True)
+        (outdir / "rows.csv").write_text("".join(lines))
+        (outdir / "summary.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     except OSError as e:
-        raise OSError(f"cannot write report to {path}: {e}") from e
+        raise OSError(f"cannot write report to {outdir}: {e}") from e

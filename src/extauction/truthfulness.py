@@ -359,7 +359,7 @@ def broken_first_price_mechanism(profile, rng=0) -> Outcome:
 # ---------------------------------------------------------------------------
 
 def random_passing_rule(
-    n: int, rng: random.Random, points: int = 6, hi: float = 10.0
+    n: int, rng: random.Random
 ) -> tuple[SingleParamRule, list[Callable[[float, int], float]]]:
     """Random rule satisfying both conditions, with matching linear valuations.
 
@@ -367,9 +367,9 @@ def random_passing_rule(
     total clears a pot threshold; both clauses grow the allocated set as any
     single bid rises, so weights can only increase.
     """
-    grids = tuple(uniform_grid(0.0, hi, points) for _ in range(n))
+    grids = (uniform_grid(0.0, 10.0, 6),) * n
     reserves = [rng.choice(grids[i]) for i in range(n)]
-    pot = rng.uniform(0.6, 0.9) * hi * n
+    pot = rng.uniform(0.6, 0.9) * 10.0 * n
     use_pot = rng.random() < 0.5
     full = (1 << n) - 1
 
@@ -394,7 +394,7 @@ def random_passing_rule(
 
 
 def random_failing_rule(
-    n: int, rng: random.Random, points: int = 6, hi: float = 10.0
+    n: int, rng: random.Random
 ) -> tuple[SingleParamRule, list[Callable[[float, int], float]], int]:
     """Random rule violating one condition for a designated agent.
 
@@ -402,12 +402,12 @@ def random_failing_rule(
     shrinking allocation (higher own bid drops the other winners: weight
     decreases).  Returns the culprit agent as well.
     """
-    grids = tuple(uniform_grid(0.0, hi, points) for _ in range(n))
+    grids = (uniform_grid(0.0, 10.0, 6),) * n
     culprit = rng.randrange(n)
     full = (1 << n) - 1
     kind = rng.choice(["window", "shrink"])
-    lo = rng.uniform(0.2, 0.4) * hi
-    mid = rng.uniform(0.5, 0.8) * hi
+    lo = rng.uniform(0.2, 0.4) * 10.0
+    mid = rng.uniform(0.5, 0.8) * 10.0
 
     def allocate(bids: tuple[float, ...]) -> int:
         b = bids[culprit]

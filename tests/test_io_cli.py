@@ -1,3 +1,5 @@
+import csv
+import dataclasses
 import json
 import math
 import re
@@ -16,7 +18,7 @@ from extauction import experiments as ex
 from extauction import mechanisms as mech
 from extauction.cli import main
 from extauction.experiments import GEN_MODELS, ExperimentReport, f2_gap_demo, gen_instance
-from extauction.io import InstanceError, emit_report, load_instance, save_instance
+from extauction.io import InstanceError, load_instance, save_instance, write_report
 from conftest import size_scalar_profile
 
 
@@ -97,9 +99,19 @@ def test_load_rejects_bad_set_key(tmp_path):
         (lambda doc: _agent_table(doc, {"0,,1": 1.0}), "bad set key"),
         (lambda doc: doc.update(graph=[[1], [0], []]), "adjacency list length != n"),
         (lambda doc: doc["agents"][0].update(t=10**400), "numbers must be finite"),
+        *[
+            (lambda doc, k=k: _agent_table(doc, {"1": 2.0, k: 5.0, "0,1": 3.0}),
+             f"table key {k!r} names the set '1' again")
+            for k in ("1,1", " 1", "+1", "01", "0_1", "\u0661")
+        ],
+        (lambda doc: _agent_table(doc, {"0,1": 3.0, "1": 2.0, "1,0": 5.0}),
+         "table key '1,0' names the set '0,1' again"),
+        (lambda doc: _weight_table(doc, {"0": 1.0, "0,0": 5.0}),
+         "table key '0,0' names the set '0' again"),
     ],
     ids=["empty-key", "blank-key", "non-int-key", "double-comma-key", "graph-length",
-         "int-beyond-float"],
+         "int-beyond-float", "repeat-1,1", "repeat-space-1", "repeat-plus-1", "repeat-01",
+         "repeat-0_1", "repeat-arabic-indic-1", "repeat-1,0", "weight-repeat-0,0"],
 )
 def test_load_names_the_guard_it_fails(tmp_path, capsys, change, message):
     doc = _valid_doc()
@@ -365,9 +377,9 @@ def test_hand_written_doc_round_trips_byte_identically(tmp_path, make_doc):
 
 def test_emit_report_deterministic(tmp_path):
     report = ExperimentReport(("a", "b"), [(1, 2.5), (3, float("inf"))], {"seed": 7})
-    p1, p2 = tmp_path / "r1.csv", tmp_path / "r2.csv"
-    emit_report(report, "csv", p1)
-    emit_report(report, "csv", p2)
+    write_report(report, tmp_path / "r1")
+    write_report(report, tmp_path / "r2")
+    p1, p2 = tmp_path / "r1" / "rows.csv", tmp_path / "r2" / "rows.csv"
     assert p1.read_bytes() == p2.read_bytes()
     assert p1.read_text().splitlines()[0] == "a,b"
     assert "inf" in p1.read_text()
@@ -375,25 +387,22 @@ def test_emit_report_deterministic(tmp_path):
 
 def test_emit_report_empty_is_header_only(tmp_path):
     report = ExperimentReport(("x", "y"), [])
-    path = tmp_path / "empty.csv"
-    emit_report(report, "csv", path)
-    assert path.read_text() == "x,y\n"
+    write_report(report, tmp_path)
+    assert (tmp_path / "rows.csv").read_text() == "x,y\n"
 
 
 def test_emit_report_json_has_seed_and_schema(tmp_path):
     report = ExperimentReport(("a",), [(1,)], {"seed": 11})
-    path = tmp_path / "r.json"
-    emit_report(report, "json", path)
-    doc = json.loads(path.read_text())
+    write_report(report, tmp_path)
+    doc = json.loads((tmp_path / "summary.json").read_text())
     assert doc["schema"] == 1
     assert doc["summary"]["seed"] == 11
 
 
 def test_emit_report_twelve_significant_digits(tmp_path):
     report = ExperimentReport(("v",), [(0.1234567890123456789,)])
-    path = tmp_path / "digits.csv"
-    emit_report(report, "csv", path)
-    assert path.read_text().splitlines()[1] == "0.123456789012"
+    write_report(report, tmp_path)
+    assert (tmp_path / "rows.csv").read_text().splitlines()[1] == "0.123456789012"
 
 
 def test_emit_report_renders_non_finite_and_signed_floats(tmp_path):
@@ -401,10 +410,9 @@ def test_emit_report_renders_non_finite_and_signed_floats(tmp_path):
     assert math.copysign(1.0, -math.nan) == -1.0
     row = (math.nan, math.inf, -math.inf, -math.nan, -0.0)
     report = ExperimentReport(("a", "b", "c", "d", "e"), [row], {"worst": -math.inf})
-    emit_report(report, "csv", tmp_path / "r.csv")
-    emit_report(report, "json", tmp_path / "r.json")
-    assert (tmp_path / "r.csv").read_text().splitlines()[1] == "nan,inf,-inf,nan,-0"
-    doc = json.loads((tmp_path / "r.json").read_text())
+    write_report(report, tmp_path)
+    assert (tmp_path / "rows.csv").read_text().splitlines()[1] == "nan,inf,-inf,nan,-0"
+    doc = json.loads((tmp_path / "summary.json").read_text())
     assert doc["rows"] == [["nan", "inf", "-inf", "nan", "-0"]]
     assert doc["summary"] == {"worst": "-inf"}
 
@@ -419,12 +427,10 @@ class _UnnamedModel(ScalarModel):
         (lambda tmp: save_instance(ValuationProfile([_UnnamedModel(1.0, DegreeWeight())]),
                                    tmp / "inst.json"),
          InstanceError, r"^unserializable model entry "),
-        (lambda tmp: emit_report(ExperimentReport(("a",), []), "xml", tmp / "r.xml"),
-         ValueError, r"^unknown report format 'xml'$"),
-        (lambda tmp: emit_report(ExperimentReport(("a",), []), "csv", tmp),
+        (lambda tmp: write_report(ExperimentReport(("a",), []), (tmp / "rows.csv").mkdir() or tmp),
          OSError, r"^cannot write report to "),
     ],
-    ids=["save-unnamed-model", "emit-xml", "emit-to-a-directory"],
+    ids=["save-unnamed-model", "emit-to-a-directory"],
 )
 def test_save_and_emit_refuse_what_they_cannot_write(tmp_path, call, error, message):
     with pytest.raises(error, match=message):
@@ -720,8 +726,25 @@ def test_cli_experiment_without_instances_exits_2(tmp_path, capsys, mode, instan
         ({"mode": "exact", "instances": [{"model": "scalar", "n": 3, "grahp": "er", "seed": 99}]},
          ": instances[0]", "grahp', 'seed"),
         ({"mode": "f2-gap", "x": 1.0}, "", "x"),
+        ({"mode": "exact", "trials": 5, "instances": [{"model": "scalar", "n": 3}]}, "", "trials"),
+        ({"mode": "exact", "alpha": 2.0, "instances": [{"model": "scalar", "n": 3}]}, "", "alpha"),
+        ({"mode": "exact", "m_values": [1.0], "instances": [{"model": "scalar", "n": 3}]}, "",
+         "m_values"),
+        ({"mode": "monte-carlo", "alpha": 2.0, "instances": [{"model": "scalar", "n": 3}]}, "",
+         "alpha"),
+        ({"mode": "monte-carlo", "m_values": [1.0], "instances": [{"model": "scalar", "n": 3}]},
+         "", "m_values"),
+        ({"mode": "additive-bound", "trials": 5, "instances": [{"model": "additive", "n": 3}]}, "",
+         "trials"),
+        ({"mode": "additive-bound", "m_values": [1.0],
+          "instances": [{"model": "additive", "n": 3}]}, "", "m_values"),
+        ({"mode": "f2-gap", "instances": [{"model": "scalar", "n": 3}]}, "", "instances"),
+        ({"mode": "f2-gap", "trials": 5}, "", "trials"),
+        ({"mode": "f2-gap", "alpha": 2.0}, "", "alpha"),
     ],
-    ids=["top-level", "instance", "f2-gap"],
+    ids=["top-level", "instance", "f2-gap", "exact-trials", "exact-alpha", "exact-m_values",
+         "monte-carlo-alpha", "monte-carlo-m_values", "additive-bound-trials",
+         "additive-bound-m_values", "f2-gap-instances", "f2-gap-trials", "f2-gap-alpha"],
 )
 def test_cli_experiment_unknown_config_keys_exit_2(tmp_path, capsys, config, where, unknown):
     """Config keys follow the instance files' strict schema: a misspelt key is an error,
@@ -789,6 +812,88 @@ def test_cli_experiment_pipeline_deterministic(tmp_path, capsys):
     doc = json.loads((out1 / "summary.json").read_text())
     assert doc["summary"]["violations"] == 0
     assert doc["summary"]["seed"] == 3
+
+
+@pytest.mark.parametrize(
+    "instances, name",
+    [
+        ([{"model": "scalar", "n": 3}, {"model": "scalar", "n": 3}], "scalar-n3"),
+        ([{"model": "scalar", "n": 3}, {"model": "scalar", "n": 4, "name": "scalar-n3"}],
+         "scalar-n3"),
+        ([{"model": "scalar", "n": 3, "name": "a"}, {"model": "additive", "n": 4, "name": "a"}],
+         "a"),
+    ],
+    ids=["default-twice", "explicit-equals-default", "explicit-twice"],
+)
+def test_cli_experiment_repeated_instance_name_exits_2(tmp_path, capsys, instances, name):
+    """The name seeds the instance: two entries under one name would be one instance run
+    twice, with one digest for two rows."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"seed": 1, "mode": "exact", "instances": instances}))
+    out = tmp_path / "out"
+    assert main(["experiment", "--config", str(path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: instances[1] repeats the name {name!r}\n"
+    assert not out.exists()
+
+
+def test_cli_experiment_rows_csv_quotes_names(tmp_path, capsys):
+    names = ["a,b", 'say "hi"', "two\nlines", "carriage\rreturn", "plain"]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({
+        "seed": 1, "mode": "exact",
+        "instances": [{"model": "scalar", "n": 2, "name": name} for name in names],
+    }))
+    assert main(["experiment", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    with open(tmp_path / "out" / "rows.csv", newline="") as f:
+        rows = list(csv.reader(f))
+    assert rows[0] == list(ex.GUARANTEE_COLUMNS)
+    assert [len(row) for row in rows] == [8] * (1 + len(names))
+    assert [row[0] for row in rows[1:]] == names
+
+
+def test_cli_monte_carlo_over_the_query_budget_exits_1(tmp_path, capsys, monkeypatch):
+    """The campaign records ``within_query_budget``; a broken budget fails the experiment,
+    with its files written, as a violation does in ``exact``."""
+    real = ex.main_mechanism
+    monkeypatch.setattr(
+        ex, "main_mechanism",
+        lambda *a, **kw: dataclasses.replace(real(*a, **kw), queries_used=10**9),
+    )
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(
+        {"seed": 6, "mode": "monte-carlo", "trials": 3, "instances": [{"model": "scalar", "n": 4}]}
+    ))
+    out = tmp_path / "out"
+    assert main(["experiment", "--config", str(path), "--out", str(out)]) == 1
+    assert json.loads(capsys.readouterr().out)["rows"] == 1
+    assert json.loads((out / "summary.json").read_text())["summary"]["within_query_budget"] is False
+    assert (out / "rows.csv").read_text().splitlines()[1].endswith(",1000000000,160")
+
+
+def _config(tmp_path, config):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        lambda tmp: ["demo", "--which", "f2-gap", "--m-values"],
+        lambda tmp: ["experiment", "--config", _config(tmp, {"mode": "f2-gap", "m_values": []}),
+                     "--out", str(tmp / "out")],
+    ],
+    ids=["demo", "experiment"],
+)
+def test_f2_gap_over_no_m_values_exits_2(tmp_path, capsys, argv):
+    """A demo over no ``m`` checks nothing, like a campaign over no instances."""
+    assert main(argv(tmp_path)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the f2-gap demo needs at least one m value\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_demo_f2_gap(capsys):
