@@ -10,6 +10,7 @@ or a result that is not finite).  Identical invocations give identical bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -212,7 +213,14 @@ def _cmd_demo(args) -> tuple[dict, bool]:
     }, True
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use.
+
+    ``parse_args`` leaves it unchanged, and each ``fn`` default is a module
+    function that looks its library calls up when it runs, so reuse changes
+    no output.
+    """
     p = argparse.ArgumentParser(
         prog="extauction",
         description="Truthful competitive auctions for digital goods with positive externalities",

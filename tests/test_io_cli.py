@@ -16,7 +16,7 @@ from extauction import (
 )
 from extauction import experiments as ex
 from extauction import mechanisms as mech
-from extauction.cli import main
+from extauction.cli import build_parser, main
 from extauction.experiments import GEN_MODELS, ExperimentReport, f2_gap_demo, gen_instance
 from extauction.io import InstanceError, load_instance, save_instance, write_report
 from conftest import size_scalar_profile
@@ -449,6 +449,21 @@ def test_cli_check_valid(instance_path, capsys):
     assert main(["check", "--instance", instance_path]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["valid"] and out["estimated_L"] == 1.0
+
+
+def test_cli_reuses_one_parser(instance_path, capsys):
+    """Every call of a process parses with the same parser, and no call leaves a
+    trace on it: a usage error, another command's defaults and a refused run in
+    between leave a repeated ``check`` byte-identical."""
+    assert build_parser() is build_parser()
+    check = ["check", "--instance", instance_path]
+    first = main(check), capsys.readouterr().out
+    assert main([*check, "--samples", "0"]) == 2
+    assert main(["demo", "--which", "f2-gap"]) == 0
+    assert main(["run", "--mechanism", "fixed-price", "--instance", instance_path]) == 2
+    capsys.readouterr()
+    assert (main(check), capsys.readouterr().out) == first
+    assert first[0] == 0
 
 
 def test_cli_check_sampled_prints_the_exhaustive_L(tmp_path, capsys):

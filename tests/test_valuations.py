@@ -1,3 +1,4 @@
+import math
 from types import SimpleNamespace
 
 import pytest
@@ -16,9 +17,9 @@ from extauction import (
 )
 from extauction.benchmark import benchmark_sweep
 from extauction.experiments import GEN_MODELS, gen_instance
-from extauction.sets import mask_of
+from extauction.sets import mask_of, members, submasks
 from extauction.truthfulness import misreport_plan
-from extauction.valuations import EXHAUSTIVE_MAX_N
+from extauction.valuations import EPS, EXHAUSTIVE_MAX_N, Violation
 
 from conftest import flat_bids_profile, size_scalar_profile, square_table_profile
 
@@ -89,6 +90,19 @@ def test_sampled_check_flags_value_outside_the_winner_set():
         ValuationProfile([unguarded] * n), mode="sampled", samples=50, seed=0
     )
     assert any(v.kind == "nonzero_outside" for v in violations)
+
+
+@pytest.mark.parametrize("outside", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+def test_non_finite_value_outside_the_winner_set_is_flagged(mode, outside):
+    """``abs(NaN) > EPS`` is False, so a NaN on a set without the agent needs
+    the negated test to be caught, as an inf there is."""
+    guarded = SimpleNamespace(bind=lambda i, neighbor_mask: lambda s: 1.0 if s >> i & 1 else outside)
+    scalar = ScalarModel(2.0, DegreeWeight())
+    violations = check_conditions(ValuationProfile([guarded, scalar, scalar]),
+                                  mode=mode, samples=500)
+    assert violations
+    assert {(v.kind, v.agent) for v in violations} == {("nonzero_outside", 0)}
 
 
 def test_estimate_L_subadditive_is_one():
@@ -322,3 +336,60 @@ def test_reduced_checker_agrees_with_naive_scan():
             profile = profile.replace(i, TableModel(values))
         naive_ok = _naive_condition_check(profile)
         assert (check_conditions(profile) == []) == naive_ok
+
+
+def _reference_violations(profile):
+    """The exhaustive walk as it was written with nested ``submasks`` generators:
+    the order the inline loops of ``check_conditions`` must keep."""
+    n = profile.n
+    full = (1 << n) - 1
+    for i in range(n):
+        v = profile.column(i)
+        bit = 1 << i
+        for s in range(1 << n):
+            val = v[s]
+            if not s & bit:
+                if not abs(val) <= EPS:
+                    yield Violation("nonzero_outside", i, (s,), val, 0.0)
+                continue
+            if val < -EPS:
+                yield Violation("negative", i, (s,), val, 0.0)
+            elif not val < math.inf:
+                yield Violation("nonfinite", i, (s,), val, 0.0)
+            for j in members(full ^ s):
+                up = v[s | 1 << j]
+                if val > up + EPS:
+                    yield Violation("monotonicity", i, (s, s | 1 << j), val, up)
+        rest = full & ~bit
+        for sub in submasks(rest):
+            s = sub | bit
+            for d in submasks(rest & ~sub):
+                r = d | bit
+                u = v[s | r]
+                bound = v[s] + v[r]
+                if u > bound + EPS:
+                    yield Violation("subadditivity", i, (s, r), u, bound)
+
+
+@st.composite
+def _table_profiles(draw):
+    """TableModel profiles at n = 2..5 over a small value set, so that ties,
+    negative, non-monotone and non-subadditive tables all come up."""
+    n = draw(st.integers(min_value=2, max_value=5))
+    value = st.sampled_from([-1.0, -EPS, 0.0, EPS, 0.5, 1.0, 1.0 + EPS, 2.0, 3.0, 7.0])
+    models = []
+    for i in range(n):
+        sets = [s for s in range(1 << n) if s >> i & 1]
+        models.append(TableModel(dict(zip(sets, draw(st.lists(value, min_size=len(sets),
+                                                                 max_size=len(sets)))))))
+    return ValuationProfile(models)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(profile=_table_profiles())
+def test_checker_walk_matches_the_nested_submask_walk(profile):
+    expected = list(_reference_violations(profile))
+    assert check_conditions(profile, max_violations=10**6) == expected
+    ratios = [w.lhs / w.rhs if w.rhs > EPS else math.inf
+              for w in expected if w.kind == "subadditivity"]
+    assert estimate_L(profile) == max(ratios, default=1.0)
