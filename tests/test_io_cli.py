@@ -458,12 +458,12 @@ def test_cli_reuses_one_parser(instance_path, capsys):
     assert build_parser() is build_parser()
     check = ["check", "--instance", instance_path]
     first = main(check), capsys.readouterr().out
+    assert first[0] == 0
     assert main([*check, "--samples", "0"]) == 2
     assert main(["demo", "--which", "f2-gap"]) == 0
     assert main(["run", "--mechanism", "fixed-price", "--instance", instance_path]) == 2
     capsys.readouterr()
     assert (main(check), capsys.readouterr().out) == first
-    assert first[0] == 0
 
 
 def test_cli_check_sampled_prints_the_exhaustive_L(tmp_path, capsys):

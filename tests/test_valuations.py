@@ -95,11 +95,11 @@ def test_sampled_check_flags_value_outside_the_winner_set():
 @pytest.mark.parametrize("outside", [math.nan, math.inf], ids=["nan", "inf"])
 @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
 def test_non_finite_value_outside_the_winner_set_is_flagged(mode, outside):
-    """``abs(NaN) > EPS`` is False, so a NaN on a set without the agent needs
-    the negated test to be caught, as an inf there is."""
-    guarded = SimpleNamespace(bind=lambda i, neighbor_mask: lambda s: 1.0 if s >> i & 1 else outside)
+    """A NaN on a set without the agent is flagged as an inf there is, although
+    ``abs(NaN) > EPS`` is False."""
+    leaky = SimpleNamespace(bind=lambda i, neighbor_mask: lambda s: 1.0 if s >> i & 1 else outside)
     scalar = ScalarModel(2.0, DegreeWeight())
-    violations = check_conditions(ValuationProfile([guarded, scalar, scalar]),
+    violations = check_conditions(ValuationProfile([leaky, scalar, scalar]),
                                   mode=mode, samples=500)
     assert violations
     assert {(v.kind, v.agent) for v in violations} == {("nonzero_outside", 0)}
@@ -380,8 +380,8 @@ def _table_profiles(draw):
     models = []
     for i in range(n):
         sets = [s for s in range(1 << n) if s >> i & 1]
-        models.append(TableModel(dict(zip(sets, draw(st.lists(value, min_size=len(sets),
-                                                                 max_size=len(sets)))))))
+        values = draw(st.lists(value, min_size=len(sets), max_size=len(sets)))
+        models.append(TableModel(dict(zip(sets, values))))
     return ValuationProfile(models)
 
 
