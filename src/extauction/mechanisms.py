@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import random
+from array import array
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -139,7 +140,8 @@ def testers_revenue(oracle: Oracle, part: Partition3) -> float:
     """``r(C)``: the best uniform-price revenue from C given A, or else B, holds the good.
 
     Each sweep value is memoized on the oracle per ``(C, free)`` pair, so the
-    partitions of one run that share a pair sweep it once.
+    partitions of one run that share a pair sweep it once.  The ``3^n``
+    enumerations read the same values from :func:`revenue_table` instead.
     """
     a, b, c = part
     if not c:
@@ -156,10 +158,40 @@ def _sweep_value(oracle: Oracle, pool: int, free: int) -> float:
     return r
 
 
-def _run_partitioned(oracle: Oracle, part: Partition3) -> Outcome:
-    """Deterministic core of the tripartition auction for a fixed partition."""
+def revenue_table(oracle: Oracle) -> array:
+    """``r(pool | free)`` for all ``3^n`` disjoint pairs, at ``tern[pool] + 2 * tern[free]``.
+
+    ``tern`` is ``oracle.tern`` (:func:`~extauction.sets.ternary_codes`); an
+    empty pool reads 0.0, and a non-empty one holds its sweep value
+    ``_greedy_sweep(oracle, pool, free, 1)[0]``, bit for bit.  Built once per
+    oracle, which it tabulates: every sweep step ``(T, free)`` is computed
+    once (:meth:`~extauction.valuations.Oracle.argmin`), so a fresh oracle
+    spends exactly ``n * 3^(n-1)`` queries here, one per ``i`` in ``T`` over
+    all disjoint ``(T, free)``.  For the ``3^n`` enumerations (n <= 10).
+    """
+    table = oracle.revenue_table
+    if table is None:
+        oracle.tabulate()
+        tern = oracle.tern
+        full = oracle.full
+        table = array("d", bytes(8 * 3 ** oracle.n))
+        for pool in range(1, full + 1):
+            code = tern[pool]
+            rest = full ^ pool
+            free = rest
+            while True:
+                table[code + 2 * tern[free]] = _greedy_sweep(oracle, pool, free, 1)[0]
+                if not free:
+                    break
+                free = (free - 1) & rest
+        oracle.revenue_table = table
+    return table
+
+
+def _run_partitioned(oracle: Oracle, part: Partition3, r_c: float) -> Outcome:
+    """Deterministic core of the tripartition auction for a fixed partition,
+    given ``r_c = r(C)``."""
     a, b, _ = part
-    r_c = testers_revenue(oracle, part)
     s, share = _cost_share_survivors(oracle, r_c, b, a) if b else (0, 0.0)
     payments = dict.fromkeys(iter_members(a), 0.0)
     for i in iter_members(s):
@@ -179,7 +211,7 @@ def main_mechanism(profile, rng=0, partition: Partition3 | None = None) -> Outco
     oracle = as_oracle(profile)
     if partition is None:
         partition = Partition3.sample(oracle.n, as_rng(rng))
-    return _run_partitioned(oracle, partition)
+    return _run_partitioned(oracle, partition, testers_revenue(oracle, partition))
 
 
 def main_mechanism_exact_expectation(profile) -> float:
@@ -187,15 +219,16 @@ def main_mechanism_exact_expectation(profile) -> float:
 
     Averages the deterministic revenue over all ``3^n`` equally likely
     labeled partitions; no sampling error, bit-reproducible.  Rejected for
-    n > 10.  Values come from tables built once on the oracle
-    (:meth:`~extauction.valuations.Oracle.tabulate`).
+    n > 10.  ``r(C | A)``, ``r(C | B)`` and ``r(B | A)`` are read from
+    :func:`revenue_table`, so on a fresh oracle the queries are
+    ``n * 3^(n-1)`` for the table plus those of the deletion fixpoints that
+    run; a single run's ``10 n^2`` budget is not in play here.
 
     The deletion fixpoint runs only where B can pay.  A partition pays
     nothing, and is skipped, when B is empty, when ``r = r(C)`` is 0.0 or
     -0.0 (adding either leaves the sum as it is, since a sum that starts at
     0.0 is never -0.0), or when ``r > 0`` and B's own sweep value
-    ``r(B | A)``, a memo entry the enumeration fills anyway, is under
-    ``r - n^2 * EPS * (1 + r)``.
+    ``r(B | A)`` is under ``r - n^2 * EPS * (1 + r)``.
 
     Why that margin suffices: say the fixpoint keeps a non-empty ``S``,
     ``k = |S|``.  Each member of ``S`` bids at least ``r/k - EPS`` on
@@ -218,17 +251,24 @@ def main_mechanism_exact_expectation(profile) -> float:
     n = oracle.n
     if n > EXACT_EXPECTATION_MAX_N:
         raise ValueError(f"exact expectation rejected for n > {EXACT_EXPECTATION_MAX_N}")
-    oracle.tabulate()
+    table = revenue_table(oracle)
+    tern = oracle.tern
     slack = n * n * EPS
     total = 0.0
     for part in Partition3.all_partitions(n):
-        r_c = testers_revenue(oracle, part)
-        a, b, _ = part
-        if not b or not r_c:
+        a, b, c = part
+        if not b:
             continue
-        if r_c > 0 and _sweep_value(oracle, b, a) < r_c - slack * (1.0 + r_c):
+        code_a = 2 * tern[a]
+        r_c = table[tern[c] + code_a]
+        r_cb = table[tern[c] + 2 * tern[b]]
+        if r_cb > r_c:  # max(r(C|A), r(C|B)), as testers_revenue takes it
+            r_c = r_cb
+        if not r_c:
             continue
-        total += _run_partitioned(oracle, part).revenue
+        if r_c > 0 and table[tern[b] + code_a] < r_c - slack * (1.0 + r_c):
+            continue
+        total += _run_partitioned(oracle, part, r_c).revenue
     return total / (3 ** n)
 
 

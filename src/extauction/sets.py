@@ -61,6 +61,19 @@ def iter_members(mask: int) -> Iterator[int]:
     return _scan(mask)
 
 
+def ternary_codes(n: int) -> list[int]:
+    """``codes[m] = sum(3**i for i in m)`` for every mask ``m`` of ``n`` agents.
+
+    A disjoint pair ``(x, y)`` then has the base-3 code ``codes[x] + 2 * codes[y]``
+    (digit 1 for ``x``, 2 for ``y``), one of ``0 .. 3^n - 1``.
+    """
+    codes = [0]
+    for i in range(n):
+        step = 3 ** i
+        codes += [c + step for c in codes]
+    return codes
+
+
 def contains(mask: int, i: int) -> bool:
     return (mask >> i) & 1 == 1
 

@@ -10,7 +10,7 @@ Every model enforces the domain conditions by construction:
      for ``i`` in both sets), or the L-relaxed variant thereof.
 
 Profiles are immutable once built and safe to share; the only mutable state
-(the query counter, the ``r(C)`` memo and any value tables) lives on a
+(the query counter, the ``r(C)`` memos and any value tables) lives on a
 per-run :class:`Oracle`.  The exhaustive paths (n <= 12) read each agent's
 values from one table (:meth:`ValuationProfile.column`) instead of calling
 the model once per lookup.
@@ -20,11 +20,12 @@ from __future__ import annotations
 
 import math
 import random
+from array import array
 from dataclasses import dataclass
 from itertools import islice
 from typing import Callable, Mapping, Sequence, Union
 
-from .sets import full_mask, iter_members, mask_of, members
+from .sets import full_mask, iter_members, mask_of, members, ternary_codes
 
 EPS = 1e-9
 
@@ -245,18 +246,28 @@ class Oracle:
     ``revenues``, the ``r(C)`` sweep values memoized per ``(C, free)`` by
     :func:`~extauction.mechanisms.testers_revenue`, so profiles stay
     shareable across threads and runs: concurrent runs each hold their own.
-    After :meth:`tabulate` it also holds the profile's value columns and
-    answers from them instead of the models; values and query counts stay
-    the same.
+
+    After :meth:`tabulate` it also holds the profile's value columns, answers
+    from them instead of the models, and remembers every sweep step
+    (:meth:`argmin`), so each step is computed and counted once; values stay
+    the same.  ``tern`` is then :func:`~extauction.sets.ternary_codes` of n,
+    and ``revenue_table``, once :func:`~extauction.mechanisms.revenue_table`
+    fills it, holds ``r(pool | free)`` for every disjoint pair.  A single run
+    on an oracle that is not tabulated counts every lookup, as before, and
+    keeps within its ``10 n^2`` budget.
     """
 
-    __slots__ = ("profile", "queries", "revenues", "_fns")
+    __slots__ = ("profile", "queries", "revenues", "_fns", "tern", "revenue_table", "_lows", "_args")
 
     def __init__(self, profile: ValuationProfile):
         self.profile = profile
         self._fns = profile._fns
         self.queries = 0
         self.revenues: dict[tuple[int, int], float] = {}
+        self.tern: list[int] | None = None
+        self.revenue_table: array | None = None
+        self._lows: array | None = None
+        self._args: bytearray | None = None
 
     @property
     def n(self) -> int:
@@ -273,7 +284,18 @@ class Oracle:
     def argmin(self, t: int, union: int) -> tuple[float, int]:
         """``(v_i(union), i)`` for the member ``i`` of non-empty ``t`` bidding least,
         ties to the smallest ``i`` (so the first member when every bid is inf or
-        NaN): one sweep step, counted as ``|t|`` queries."""
+        NaN): one sweep step, counted as ``|t|`` queries.
+
+        ``t`` lies inside ``union``.  On a tabulated oracle the step is kept
+        under the base-3 code of ``(t, union - t)``, and a repeat costs no
+        query."""
+        args = self._args
+        if args is not None:
+            tern = self.tern
+            key = 2 * tern[union] - tern[t]
+            arg = args[key]
+            if arg != 255:
+                return self._lows[key], arg
         self.queries += t.bit_count()
         fns = self._fns
         it = iter_members(t)
@@ -284,6 +306,9 @@ class Oracle:
             if v < low:
                 low = v
                 arg = i
+        if args is not None:
+            self._lows[key] = low
+            args[key] = arg
         return low, arg
 
     def below(self, t: int, union: int, bar: float) -> int:
@@ -298,15 +323,25 @@ class Oracle:
         return drop
 
     def tabulate(self) -> None:
-        """Answer from the profile's value columns from now on.
+        """Answer from the profile's value columns, and remember sweep steps, from now on.
 
-        For the ``3^n`` enumerations, which read each ``v_i(S)`` many times.
-        Every lookup still counts as one query.  The columns are built once
-        per oracle: a second call, and any call for n > 12, is a no-op.
+        For the ``3^n`` enumerations, which read each ``v_i(S)`` many times
+        and repeat each sweep step ``(T, free)`` across sweeps: the step memo
+        holds one low (an ``array('d')``) and one argmin (a ``bytearray``, 255
+        for unset) per base-3 code, so every step is computed, and counted as
+        ``|T|`` queries, once.  Value lookups outside sweeps still count one
+        query each.  Both are built once per oracle: a second call, and any
+        call for n > 12, is a no-op.  Evaluators that are not the profile's
+        own (a wrapped one, say) are kept, and only the step memo is added.
         """
         p = self.profile
-        if self._fns is p._fns and p.n <= EXHAUSTIVE_MAX_N:
-            self._fns = tuple(p.column(i).__getitem__ for i in range(p.n))
+        if self.tern is None and p.n <= EXHAUSTIVE_MAX_N:
+            if self._fns is p._fns:
+                self._fns = tuple(p.column(i).__getitem__ for i in range(p.n))
+            self.tern = ternary_codes(p.n)
+            size = 3 ** p.n
+            self._lows = array("d", bytes(8 * size))
+            self._args = bytearray(b"\xff") * size
 
 
 def as_oracle(profile_or_oracle) -> Oracle:

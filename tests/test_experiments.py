@@ -7,6 +7,7 @@ import pytest
 
 from extauction import Partition3, benchmark_bruteforce, check_conditions
 from extauction import experiments
+from extauction import mechanisms as mech
 from extauction.experiments import (
     binomial_low_tail,
     chernoff_tail_check,
@@ -161,13 +162,14 @@ def test_quarter_bound_exhaustive_on_random_instances():
     "model, n, seed, expected", [("mixed", 6, 1, 585), ("table", 5, 2, 211), ("scalar", 7, 3, 1539)]
 )
 def test_quarter_bound_exhaustive_reports_failures(monkeypatch, model, n, seed, expected):
-    """Negative control: with ``r(C)`` forced to 0, exactly the partitions whose C
-    holds a benchmark winner fail, ``3^n - 2^m 3^(n-m)`` of them for ``m = |S*|``."""
+    """Negative control: with every sweep value, and so ``r(C)``, forced to 0,
+    exactly the partitions whose C holds a benchmark winner fail,
+    ``3^n - 2^m 3^(n-m)`` of them for ``m = |S*|``."""
     profile = gen_instance(model, n, seed=seed)
     assert quarter_bound_exhaustive(profile)[2] == []
     m = benchmark_bruteforce(profile, 3).winners.bit_count()
     assert 3**n - 2**m * 3 ** (n - m) == expected
-    monkeypatch.setattr(experiments, "testers_revenue", lambda oracle, part: 0.0)
+    monkeypatch.setattr(mech, "_greedy_sweep", lambda oracle, pool, free, k: (0.0, 0.0, 0))
     checked, skipped, failures = quarter_bound_exhaustive(profile)
     assert (checked, skipped, len(failures)) == (3**n, 0, expected)
 
@@ -181,7 +183,7 @@ def test_quarter_bound_exhaustive_zero_benchmark_skips_every_partition():
         oracle = profile.oracle()
         n = profile.n
         assert quarter_bound_exhaustive(oracle) == (3**n, 3**n, [])
-        assert oracle.revenues == {}  # no partition ran a sweep
+        assert oracle.revenues == {} and oracle.revenue_table is None  # no sweep ran
 
 
 def test_quarter_bound_exhaustive_is_capped_with_the_exact_expectation():

@@ -230,7 +230,8 @@ def _expectation_runs(monkeypatch, profile):
     ran = set()
     run = mech._run_partitioned
     with monkeypatch.context() as patch:
-        patch.setattr(mech, "_run_partitioned", lambda o, part: ran.add(part) or run(o, part))
+        patch.setattr(mech, "_run_partitioned",
+                      lambda o, part, r_c: ran.add(part) or run(o, part, r_c))
         return main_mechanism_exact_expectation(profile), ran
 
 

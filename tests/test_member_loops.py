@@ -55,8 +55,9 @@ def test_iter_members_builds_no_tuple_past_the_table():
 def _counted_oracle(profile):
     """An oracle whose evaluators count their calls in ``counter[0]``.
 
-    Swapping the evaluators also keeps the oracle untabulated: ``tabulate()``
-    leaves an oracle alone once its evaluators are not the profile's.
+    Swapping the evaluators also keeps them in use: ``tabulate()`` adds only
+    the sweep-step memo to an oracle whose evaluators are not the profile's,
+    and a step read from the memo neither calls an evaluator nor counts.
     """
     oracle = profile.oracle()
     counter = [0]

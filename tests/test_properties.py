@@ -224,17 +224,19 @@ def test_scaling_values_keeps_the_expectation_equal_to_the_run_sum(model, n, gra
 # --- the r(C) memo ------------------------------------------------------------------
 
 def test_second_quarter_bound_scan_on_one_oracle_sweeps_nothing(monkeypatch):
-    profile = gen_instance("mixed", 5, seed=3, graph="er")
+    n = 5
+    profile = gen_instance("mixed", n, seed=3, graph="er")
     oracle = profile.oracle()
     first = quarter_bound_exhaustive(oracle)
+    # the subset scan's steps are sweep steps too, each computed once
+    assert oracle.queries == n * 3 ** (n - 1)
     sweeps = []
     sweep = mech._greedy_sweep
     monkeypatch.setattr(mech, "_greedy_sweep", lambda *a: sweeps.append(a) or sweep(*a))
-    before = oracle.queries
     assert quarter_bound_exhaustive(oracle) == first
-    # only the benchmark's subset scan queries again; every r(C) comes from the memo
+    # every r(C) comes from the revenue table and every scan step from the step memo
     assert sweeps == []
-    assert oracle.queries - before == _bruteforce_queries(profile)
+    assert oracle.queries == n * 3 ** (n - 1)
 
 
 def test_expectation_after_the_quarter_bound_reuses_its_sweeps(monkeypatch):
@@ -254,12 +256,6 @@ def test_empty_a_and_b_sweep_the_testers_once():
     part = mech.Partition3(0, 0, profile.full)
     out = mech.main_mechanism(profile, partition=part)
     assert out.queries_used == _sweep_queries(profile, profile.full, 0)
-
-
-def _bruteforce_queries(profile):
-    oracle = profile.oracle()
-    benchmark_bruteforce(oracle, 3)
-    return oracle.queries
 
 
 def _sweep_queries(profile, pool, free):

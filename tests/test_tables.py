@@ -1,12 +1,15 @@
-"""Per-agent value tables on the exhaustive paths.
+"""Per-agent value tables and the revenue table on the exhaustive paths.
 
 The exact ``3^n`` expectation, the exhaustive quarter bound and the
 exhaustive condition checker read ``ValuationProfile.column(i)``, the
 ``2^n`` values of agent ``i``, instead of calling the model once per lookup.
-These tests pin that the tables change no result and no query count, and that
-each ``v_i(S)`` is evaluated once.  The exact expectation makes fewer queries
-than the ``3^n`` runs it sums, by the deletion fixpoints of the partitions
-where B cannot pay, which it skips.
+The two ``3^n`` enumerations also read ``r(pool | free)`` from one revenue
+table, filled by sweeps on a tabulated oracle that computes, and counts,
+each sweep step ``(T, free)`` once: ``n * 3^(n-1)`` queries in all.  These
+tests pin that the tables change no result, that each ``v_i(S)`` is evaluated
+once, and the exact query counts: the table's, plus the deletion fixpoints
+of the partitions where B can pay.  Single runs on an oracle that is not
+tabulated count every lookup, as before.
 
 ``CHECKER_DIGEST`` was recorded on the code before the tables; re-record it
 with ``PYTHONPATH=src python tests/test_tables.py`` only for a change meant to
@@ -43,7 +46,8 @@ from extauction.experiments import (
 from extauction.sets import mask_of
 from extauction.valuations import EPS, EXHAUSTIVE_MAX_N
 
-from conftest import square_table_profile
+from conftest import flat_bids_profile, square_table_profile
+from test_outcome_digests import _disjoint_pairs, _profiles as digest_profiles
 
 
 def _product_order(n):
@@ -75,37 +79,38 @@ def test_partitions_are_immutable_and_hashable():
         parts[0].a = 7
 
 
-def _skipped_fixpoint_queries(profile):
-    """Queries of the deletion fixpoints the exact expectation leaves out.
+def _fixpoint_queries(profile):
+    """Queries of the deletion fixpoints the exact expectation runs.
 
     The skip rule is restated here: B non-empty, and ``r(C)`` zero or
     ``r(B | A) < r(C) - n^2 * EPS * (1 + r(C))`` with ``r(C) > 0``.  Each
-    skipped fixpoint runs on a fresh oracle, and none of them pays.
+    fixpoint runs on a fresh oracle, and none of the skipped ones pays.
     """
     n = profile.n
     slack = n * n * EPS
     memo = profile.oracle()
-    skipped = 0
+    ran = 0
     for part in Partition3.all_partitions(n):
         if not part.b:
             continue  # no fixpoint runs
         r_c = mech.testers_revenue(memo, part)
         r_b = revenue_given_free(profile, part.b, part.a).value
-        if r_c and not (r_c > 0 and r_b < r_c - slack * (1 + r_c)):
-            continue
         fresh = profile.oracle()
         survivors, share = mech._cost_share_survivors(fresh, r_c, part.b, part.a)
+        if r_c and not (r_c > 0 and r_b < r_c - slack * (1 + r_c)):
+            ran += fresh.queries
+            continue
         assert share * survivors.bit_count() == 0, part
         assert not r_c or survivors == 0, part  # B cannot afford r(C)
-        skipped += fresh.queries
-    return skipped
+    return ran
 
 
 @pytest.mark.parametrize("n", [5, 6, 7, 8])
 @pytest.mark.parametrize("model", GEN_MODELS)
 def test_exact_expectation_is_the_sum_of_untabulated_runs(model, n):
     """Bit for bit: same enumeration order, same float sum.  The queries are
-    the untabulated runs' less the fixpoints of the partitions that cannot pay."""
+    the revenue table's, one per member of each sweep step, plus those of the
+    fixpoints of the partitions that can pay."""
     profile = gen_instance(model, n, seed=n, graph="er")
     plain = profile.oracle()
     total = 0.0
@@ -113,21 +118,59 @@ def test_exact_expectation_is_the_sum_of_untabulated_runs(model, n):
         total += main_mechanism(plain, partition=part).revenue
     tabulated = profile.oracle()
     assert main_mechanism_exact_expectation(tabulated) == total / 3 ** n
-    assert tabulated.queries == plain.queries - _skipped_fixpoint_queries(profile)
+    assert tabulated.queries == n * 3 ** (n - 1) + _fixpoint_queries(profile)
 
 
 @pytest.mark.parametrize("model", ["table", "mixed", "graph_concave"])
 def test_quarter_bound_matches_untabulated_checks(model):
-    profile = gen_instance(model, 7, seed=3, graph="pa")
+    n = 7
+    profile = gen_instance(model, n, seed=3, graph="pa")
     plain = profile.oracle()
     optimum = benchmark_bruteforce(plain, 3)
     statuses = [quarter_bound_check(plain, part, optimum).status
-                for part in Partition3.all_partitions(7)]
+                for part in Partition3.all_partitions(n)]
     tabulated = profile.oracle()
     checked, skipped, failures = quarter_bound_exhaustive(tabulated)
-    assert (checked, skipped, failures) == (len(statuses), statuses.count("skip"), [])
-    assert "fail" not in statuses
-    assert tabulated.queries == plain.queries
+    assert (checked, skipped, failures) == (len(statuses), 0, [])
+    assert "fail" not in statuses and "skip" not in statuses
+    assert tabulated.queries == n * 3 ** (n - 1)
+
+
+def _table_cases():
+    cases = {model: gen_instance(model, 5, seed=5, graph="er") for model in GEN_MODELS}
+    cases["signed_zero"] = digest_profiles()["signed_zero"]
+    cases["negative_bid"] = flat_bids_profile([-5e-10, 1.0, 2.0])
+    return cases
+
+
+@pytest.mark.parametrize("name", list(_table_cases()))
+def test_revenue_table_holds_each_sweep_value(name):
+    """Every entry, ``-0.0`` and negative values included, is the sweep's own
+    value on a fresh oracle, and the fill computes each sweep step once."""
+    profile = _table_cases()[name]
+    n = profile.n
+    oracle = profile.oracle()
+    table = mech.revenue_table(oracle)
+    assert len(table) == 3 ** n and oracle.queries == n * 3 ** (n - 1)
+    tern = oracle.tern
+    for pool, free in _disjoint_pairs(n):
+        want = mech._greedy_sweep(profile.oracle(), pool, free, 1)[0]
+        assert repr(table[tern[pool] + 2 * tern[free]]) == repr(want), (pool, free)
+    assert mech.revenue_table(oracle) is table and oracle.queries == n * 3 ** (n - 1)
+
+
+@pytest.mark.parametrize("name", list(_table_cases()))
+def test_single_runs_on_a_tabulated_oracle_match_fresh_runs(name):
+    """The step memo changes no outcome of a run that reuses the oracle."""
+    profile = _table_cases()[name]
+    memo = profile.oracle()
+    mech.revenue_table(memo)
+    for part in Partition3.all_partitions(profile.n):
+        got = main_mechanism(memo, partition=part)
+        want = main_mechanism(profile.oracle(), partition=part)
+        assert got.winners == want.winners, part
+        assert repr(sorted(got.payments.items())) == repr(sorted(want.payments.items())), part
+        assert repr(got.revenue) == repr(want.revenue), part
 
 
 def test_column_holds_every_value():
