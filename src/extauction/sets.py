@@ -76,13 +76,3 @@ def ternary_codes(n: int) -> list[int]:
 
 def contains(mask: int, i: int) -> bool:
     return (mask >> i) & 1 == 1
-
-
-def submasks(mask: int) -> Iterator[int]:
-    """All submasks of ``mask``, including 0 and ``mask`` itself."""
-    sub = mask
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & mask

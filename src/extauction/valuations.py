@@ -10,10 +10,16 @@ Every model enforces the domain conditions by construction:
      for ``i`` in both sets), or the L-relaxed variant thereof.
 
 Profiles are immutable once built and safe to share; the only mutable state
-(the query counter, the ``r(C)`` memos and any value tables) lives on a
+(the query counter, the ``r(C)`` memos and any ``2^n`` value columns) lives on a
 per-run :class:`Oracle`.  The exhaustive paths (n <= 12) read each agent's
 values from one table (:meth:`ValuationProfile.column`) instead of calling
 the model once per lookup.
+
+Every parametric model reads the winner set only through
+``k = |S & N(i) \\ {i}|``.  Unless a weight is a table, binding such an agent
+fills one tuple of its ``|N(i) \\ {i}| + 1`` values, each the model's own float
+expression at ``k``, and a value query is one lookup in it: the same floats,
+``-0.0`` included, with no shape or weight call per query.
 """
 
 from __future__ import annotations
@@ -78,8 +84,29 @@ class DegreeWeight:
         bit = 1 << i
         return lambda s: base + scale * f((s & nb).bit_count()) if s & bit else 0.0
 
+    def of_degree(self) -> Callable[[int], float]:
+        """``k -> w(k)``, the weight on a set holding ``k`` of the agent's neighbours."""
+        f = SHAPES[self.shape]
+        base, scale = self.base, self.scale
+        return lambda k: base + scale * f(k)
+
 
 Weight = Union[TableModel, DegreeWeight]
+
+
+def _bind_by_degree(
+    i: int, neighbor_mask: int, g_of: Callable[[int], float]
+) -> Callable[[int], float]:
+    """Agent ``i``'s value function when ``v_i(S) = g_of(|S & N(i) \\ {i}|)`` for ``i`` in ``S``.
+
+    ``g_of`` is called here once per ``k = 0 .. |N(i) \\ {i}|``, and the bound
+    function reads that table: one lookup per value query, not one call of
+    ``g_of`` per query.
+    """
+    nb = neighbor_mask & ~(1 << i)
+    bit = 1 << i
+    g = tuple([g_of(k) for k in range(nb.bit_count() + 1)])
+    return lambda s: g[(s & nb).bit_count()] if s & bit else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -95,6 +122,9 @@ class AdditiveModel:
 
     def bind(self, i, neighbor_mask):
         t = self.t
+        if isinstance(self.weight, DegreeWeight):
+            w = self.weight.of_degree()
+            return _bind_by_degree(i, neighbor_mask, lambda k: t + w(k))
         wf = self.weight.bind(i, neighbor_mask)
         bit = 1 << i
         return lambda s: t + wf(s) if s & bit else 0.0
@@ -109,6 +139,9 @@ class ScalarModel:
 
     def bind(self, i, neighbor_mask):
         t = self.t
+        if isinstance(self.weight, DegreeWeight):
+            w = self.weight.of_degree()
+            return _bind_by_degree(i, neighbor_mask, lambda k: t * w(k))
         wf = self.weight.bind(i, neighbor_mask)
         bit = 1 << i
         return lambda s: t * wf(s) if s & bit else 0.0
@@ -124,6 +157,9 @@ class LinearModel:
 
     def bind(self, i, neighbor_mask):
         t = self.t
+        if isinstance(self.weight, DegreeWeight) and isinstance(self.offset, DegreeWeight):
+            w, o = self.weight.of_degree(), self.offset.of_degree()
+            return _bind_by_degree(i, neighbor_mask, lambda k: t * w(k) + o(k))
         wf = self.weight.bind(i, neighbor_mask)
         of = self.offset.bind(i, neighbor_mask)
         bit = 1 << i
@@ -148,9 +184,7 @@ class GraphConcaveModel:
     def bind(self, i, neighbor_mask):
         t, beta = self.t, self.beta
         f = SHAPES[self.shape]
-        nb = neighbor_mask & ~(1 << i)
-        bit = 1 << i
-        return lambda s: t * (1.0 + beta * f((s & nb).bit_count())) if s & bit else 0.0
+        return _bind_by_degree(i, neighbor_mask, lambda k: t * (1.0 + beta * f(k)))
 
 
 Model = Union[TableModel, AdditiveModel, ScalarModel, LinearModel, GraphConcaveModel]
@@ -166,10 +200,13 @@ class ValuationProfile:
     graph-concave models); absent, the complete graph is assumed.
 
     ``column(i)`` is agent ``i``'s value table over all ``2^n`` masks, for the
-    exhaustive paths only (n <= 12).  A profile keeps no tables: whoever
+    exhaustive paths only (n <= 12).  A profile keeps no such table: whoever
     builds one holds it (an :class:`Oracle` after ``tabulate()``, the
-    checker for one agent's scan), so a profile that is only validated costs
-    no memory beyond its models.
+    checker for one agent's scan).  What it does keep is each parametric
+    agent's per-degree table, ``v_i`` at every ``k = 0 .. |N(i) \\ {i}|``:
+    ``sum_i (|N(i) \\ {i}| + 1)`` floats at most, ``n^2`` on the complete
+    graph (16,384 at n = 128).  Agents with a table model or a table weight
+    keep their closures instead.
 
     A profile is not checked when built.  On one that fails
     :func:`check_conditions`, the output of the benchmarks and mechanisms is

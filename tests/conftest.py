@@ -1,3 +1,5 @@
+from typing import Iterator
+
 import pytest
 
 from extauction import (
@@ -6,6 +8,16 @@ from extauction import (
     TableModel,
     ValuationProfile,
 )
+
+
+def submasks(mask: int) -> Iterator[int]:
+    """All submasks of ``mask``, including 0 and ``mask`` itself, in descending order."""
+    sub = mask
+    while True:
+        yield sub
+        if sub == 0:
+            return
+        sub = (sub - 1) & mask
 
 
 def flat_bids_profile(bids):

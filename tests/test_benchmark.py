@@ -15,9 +15,9 @@ from extauction import (
     revenue_given_free,
 )
 from extauction.experiments import gen_instance, two_agent_gap_instance
-from extauction.sets import iter_members, submasks
+from extauction.sets import iter_members
 
-from conftest import flat_bids_profile, size_scalar_profile
+from conftest import flat_bids_profile, size_scalar_profile, submasks
 
 
 def test_bruteforce_flat_bids(three_flat):

@@ -24,7 +24,9 @@ import sys
 from extauction import DegreeWeight, ScalarModel, ValuationProfile
 from extauction.experiments import additive_bound_suite, gen_instance
 from extauction.mechanisms import Partition3, cost_share, main_mechanism, rsop
-from extauction.sets import full_mask, submasks
+from extauction.sets import full_mask
+
+from conftest import submasks
 
 N = 5
 TARGETS = (0.0, -0.0, 1.0, 50.0)

@@ -17,11 +17,11 @@ from extauction import (
 )
 from extauction.benchmark import benchmark_sweep
 from extauction.experiments import GEN_MODELS, gen_instance
-from extauction.sets import mask_of, members, submasks
+from extauction.sets import mask_of, members
 from extauction.truthfulness import misreport_plan
 from extauction.valuations import EPS, EXHAUSTIVE_MAX_N, Violation
 
-from conftest import flat_bids_profile, size_scalar_profile, square_table_profile
+from conftest import flat_bids_profile, size_scalar_profile, square_table_profile, submasks
 
 
 def test_additive_value():
