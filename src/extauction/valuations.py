@@ -19,7 +19,10 @@ Every parametric model reads the winner set only through
 ``k = |S & N(i) \\ {i}|``.  Unless a weight is a table, binding such an agent
 fills one tuple of its ``|N(i) \\ {i}| + 1`` values, each the model's own float
 expression at ``k``, and a value query is one lookup in it: the same floats,
-``-0.0`` included, with no shape or weight call per query.
+``-0.0`` included, with no shape or weight call per query.  The exhaustive
+checker decides such an agent from that tuple in O(d^2) comparisons, ``d``
+its neighbour count, and scans its ``2^n`` column only when one of them fails
+(:func:`_degree_table_holds`).
 """
 
 from __future__ import annotations
@@ -84,29 +87,49 @@ class DegreeWeight:
         bit = 1 << i
         return lambda s: base + scale * f((s & nb).bit_count()) if s & bit else 0.0
 
-    def of_degree(self) -> Callable[[int], float]:
-        """``k -> w(k)``, the weight on a set holding ``k`` of the agent's neighbours."""
+    def on(self, ks: range) -> list[float]:
+        """``w(k)`` for each ``k`` of ``ks``, the weight on a set holding ``k`` of
+        the agent's neighbours."""
         f = SHAPES[self.shape]
         base, scale = self.base, self.scale
-        return lambda k: base + scale * f(k)
+        return [base + scale * f(k) for k in ks]
 
 
 Weight = Union[TableModel, DegreeWeight]
 
 
 def _bind_by_degree(
-    i: int, neighbor_mask: int, g_of: Callable[[int], float]
+    i: int, neighbor_mask: int, fill: Callable[[range], Sequence[float]]
 ) -> Callable[[int], float]:
-    """Agent ``i``'s value function when ``v_i(S) = g_of(|S & N(i) \\ {i}|)`` for ``i`` in ``S``.
+    """Agent ``i``'s value function when ``v_i(S) = g[|S & N(i) \\ {i}|]`` for ``i`` in ``S``.
 
-    ``g_of`` is called here once per ``k = 0 .. |N(i) \\ {i}|``, and the bound
-    function reads that table: one lookup per value query, not one call of
-    ``g_of`` per query.
+    ``fill`` is called here once, on ``ks = range(|N(i) \\ {i}| + 1)``, and
+    returns ``g``: one float per ``k`` of ``ks``, each the model's own
+    expression at ``k``.  A value query is one lookup in ``g``, and the
+    checker reads the same tuple (:func:`_degree_table`).
     """
     nb = neighbor_mask & ~(1 << i)
     bit = 1 << i
-    g = tuple([g_of(k) for k in range(nb.bit_count() + 1)])
+    g = tuple(fill(range(nb.bit_count() + 1)))
+    if len(g) != nb.bit_count() + 1:
+        raise ValueError(f"agent {i} has {nb.bit_count()} neighbours but {len(g)} degree values")
     return lambda s: g[(s & nb).bit_count()] if s & bit else 0.0
+
+
+_DEGREE_CODE = _bind_by_degree(0, 0, lambda ks: [0.0]).__code__
+_G_CELL = _DEGREE_CODE.co_freevars.index("g")
+
+
+def _degree_table(fn: Callable[[int], float]) -> tuple[float, ...] | None:
+    """The tuple ``fn`` reads if :func:`_bind_by_degree` made it, else ``None``
+    (a wrapper has other code, so it has none).
+
+    Read from ``fn``'s closure, so that binding and ``replace`` pay nothing
+    for it.
+    """
+    if getattr(fn, "__code__", None) is not _DEGREE_CODE:
+        return None
+    return fn.__closure__[_G_CELL].cell_contents
 
 
 # ---------------------------------------------------------------------------
@@ -123,8 +146,8 @@ class AdditiveModel:
     def bind(self, i, neighbor_mask):
         t = self.t
         if isinstance(self.weight, DegreeWeight):
-            w = self.weight.of_degree()
-            return _bind_by_degree(i, neighbor_mask, lambda k: t + w(k))
+            w = self.weight.on
+            return _bind_by_degree(i, neighbor_mask, lambda ks: [t + x for x in w(ks)])
         wf = self.weight.bind(i, neighbor_mask)
         bit = 1 << i
         return lambda s: t + wf(s) if s & bit else 0.0
@@ -140,8 +163,8 @@ class ScalarModel:
     def bind(self, i, neighbor_mask):
         t = self.t
         if isinstance(self.weight, DegreeWeight):
-            w = self.weight.of_degree()
-            return _bind_by_degree(i, neighbor_mask, lambda k: t * w(k))
+            w = self.weight.on
+            return _bind_by_degree(i, neighbor_mask, lambda ks: [t * x for x in w(ks)])
         wf = self.weight.bind(i, neighbor_mask)
         bit = 1 << i
         return lambda s: t * wf(s) if s & bit else 0.0
@@ -158,8 +181,9 @@ class LinearModel:
     def bind(self, i, neighbor_mask):
         t = self.t
         if isinstance(self.weight, DegreeWeight) and isinstance(self.offset, DegreeWeight):
-            w, o = self.weight.of_degree(), self.offset.of_degree()
-            return _bind_by_degree(i, neighbor_mask, lambda k: t * w(k) + o(k))
+            w, o = self.weight.on, self.offset.on
+            return _bind_by_degree(
+                i, neighbor_mask, lambda ks: [t * x + y for x, y in zip(w(ks), o(ks))])
         wf = self.weight.bind(i, neighbor_mask)
         of = self.offset.bind(i, neighbor_mask)
         bit = 1 << i
@@ -184,7 +208,8 @@ class GraphConcaveModel:
     def bind(self, i, neighbor_mask):
         t, beta = self.t, self.beta
         f = SHAPES[self.shape]
-        return _bind_by_degree(i, neighbor_mask, lambda k: t * (1.0 + beta * f(k)))
+        return _bind_by_degree(
+            i, neighbor_mask, lambda ks: [t * (1.0 + beta * f(k)) for k in ks])
 
 
 Model = Union[TableModel, AdditiveModel, ScalarModel, LinearModel, GraphConcaveModel]
@@ -417,6 +442,31 @@ def _resolve_mode(n: int, mode: str) -> str:
     return mode
 
 
+def _degree_table_holds(g: tuple[float, ...]) -> bool:
+    """Whether no witness of the exhaustive scan fails on an agent bound to degree table ``g``.
+
+    On sets holding ``i`` the agent's value is ``g[k]``, ``k`` its neighbours
+    in the set, and each test below is the scan's own comparison on those
+    floats, so ``True`` means the scan would yield nothing for this agent:
+    ``nonzero_outside`` never fails (the value off the agent's sets is a
+    literal ``0.0``); ``negative``/``nonfinite`` fail on ``g[k]``;
+    ``monotonicity`` steps to ``g[k + 1]`` (a step to a non-neighbour compares
+    ``x > x + EPS``, False for every float); a reduced subadditivity pair,
+    ``i`` plus one of two disjoint sets holding ``a`` and ``b`` neighbours,
+    compares ``g[a + b]`` with ``g[a] + g[b]``.  Entries no mask reaches are tested
+    too, which can only send the agent to the scan.  O(d^2) for ``d + 1``
+    entries.
+    """
+    d = len(g) - 1
+    for a, x in enumerate(g):
+        if x < -EPS or not x < math.inf or (a < d and x > g[a + 1] + EPS):
+            return False
+        for b in range(d - a + 1):
+            if g[a + b] > x + g[b] + EPS:
+                return False
+    return True
+
+
 def _violations(profile: ValuationProfile, mode: str, samples: int, seed: int):
     """Every violation of conditions 1-3, lazily, in scan order (``mode`` already resolved).
 
@@ -428,6 +478,9 @@ def _violations(profile: ValuationProfile, mode: str, samples: int, seed: int):
     if mode == "exhaustive":
         nmasks = 1 << n
         for i in range(n):
+            g = _degree_table(profile._fns[i])
+            if g is not None and _degree_table_holds(g):
+                continue
             v = profile.column(i)
             bit = 1 << i
             for s in range(nmasks):
@@ -510,6 +563,16 @@ def check_conditions(
     ``mode="exhaustive"`` covers every (i, S, R) triple and is rejected for
     n > 12; ``mode="sampled"`` draws ``samples`` seeded random triples.
     ``"auto"`` picks exhaustive when n allows it.
+
+    In exhaustive mode an agent bound to a per-degree table ``g`` is first
+    tested on ``g`` alone, with the scan's own comparisons: ``g[k] < -EPS``,
+    ``not g[k] < inf``, ``g[k] > g[k + 1] + EPS`` and
+    ``g[a + b] > g[a] + g[b] + EPS`` (``nonzero_outside`` cannot fail, the
+    value off its sets being a literal ``0.0``).  If none holds the agent has
+    no violation and is not scanned; otherwise it is scanned in full, so the
+    result is the same either way.  Sampled mode does not use these tests:
+    its draws pair overlapping sets and grow a set by many agents at once,
+    where the ``EPS`` tolerances add up, so one-step tests do not decide them.
     """
     mode = _resolve_mode(profile.n, mode)
     return list(islice(_violations(profile, mode, samples, seed), max(max_violations, 0)))

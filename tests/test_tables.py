@@ -2,7 +2,8 @@
 
 The exact ``3^n`` expectation, the exhaustive quarter bound and the
 exhaustive condition checker read ``ValuationProfile.column(i)``, the
-``2^n`` values of agent ``i``, instead of calling the model once per lookup.
+``2^n`` values of agent ``i``, instead of calling the model once per lookup;
+the checker reads none for an agent it can pass from its per-degree table.
 The two ``3^n`` enumerations also read ``r(pool | free)`` from one revenue
 table, filled by sweeps on a tabulated oracle that computes, and counts,
 each sweep step ``(T, free)`` once: ``n * 3^(n-1)`` queries in all.  These
@@ -24,8 +25,10 @@ import sys
 import pytest
 
 from extauction import (
+    AdditiveModel,
     DegreeWeight,
     GraphConcaveModel,
+    LinearModel,
     Partition3,
     ScalarModel,
     TableModel,
@@ -234,15 +237,39 @@ def value_calls(monkeypatch):
     return count
 
 
+def _has_degree_table(model) -> bool:
+    """Whether the model binds to a per-degree table: every weight it reads is a degree weight."""
+    if isinstance(model, GraphConcaveModel):
+        return True
+    if isinstance(model, LinearModel):
+        return isinstance(model.weight, DegreeWeight) and isinstance(model.offset, DegreeWeight)
+    return isinstance(model, (AdditiveModel, ScalarModel)) and isinstance(model.weight, DegreeWeight)
+
+
 def test_checker_evaluates_each_value_once(value_calls):
+    """Each agent without a degree table is scanned from one column; a valid
+    degree agent is checked from its table and evaluates nothing."""
     n = 9
     profile = gen_instance("mixed", n, seed=4, graph="er")
     fresh = ValuationProfile(profile.models, graph=profile.graph)
+    scanned = sum(not _has_degree_table(m) for m in profile.models)
+    assert 0 < scanned < n
     value_calls[0] = 0
     assert check_conditions(fresh) == []
-    assert value_calls[0] == n * 2 ** n
+    assert value_calls[0] == scanned * 2 ** n
     assert estimate_L(fresh) == 1.0
-    assert value_calls[0] == 2 * n * 2 ** n
+    assert value_calls[0] == 2 * scanned * 2 ** n
+
+
+@pytest.mark.parametrize("family", ["graph_concave", "linear"])
+def test_an_all_degree_profile_is_checked_with_no_value_call(family, value_calls):
+    n = EXHAUSTIVE_MAX_N
+    profile = gen_instance(family, n, seed=1, graph="er")
+    assert all(map(_has_degree_table, profile.models))
+    value_calls[0] = 0
+    assert check_conditions(profile, mode="exhaustive") == []
+    assert estimate_L(profile) == 1.0
+    assert value_calls[0] == 0
 
 
 def test_exact_expectation_evaluates_each_value_once():
