@@ -14,11 +14,12 @@ agents in ``free`` already hold the good.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable
 
 from .sets import iter_members, members  # noqa: F401  (iter_members stays bound for perfbench's tracer)
-from .valuations import EPS, Oracle, as_oracle
+from .valuations import EPS, DegreeView, Oracle, as_oracle
 
 BRUTEFORCE_MAX_N = 20
 
@@ -103,6 +104,13 @@ def maximal_feasible_set(profile, c: float, pool: int, free: int) -> int:
     return deletion_fixpoint(as_oracle(profile), pool, free, lambda size: c)
 
 
+#: pools of more members than this sweep incrementally when they can (:func:`_greedy_sweep`)
+INCREMENTAL_SWEEP_ABOVE = 12
+#: the least mask with more members, so that one int comparison turns away the
+#: narrow pools of the 3^n paths, which make most sweep calls
+_LEAST_LARGE_POOL = (1 << INCREMENTAL_SWEEP_ABOVE + 1) - 1
+
+
 def _greedy_sweep(oracle: Oracle, pool: int, free: int, k: int) -> tuple[float, float, int]:
     """Argmin-deletion sweep from ``pool``; exact for monotone bids.
 
@@ -112,8 +120,29 @@ def _greedy_sweep(oracle: Oracle, pool: int, free: int, k: int) -> tuple[float, 
     deleted agent lies in ``S*`` and bids at least the optimal price on the
     larger set, so the recorded value dominates the optimum; every record
     is itself feasible, hence the maximum over the trajectory is exact.
-    Uses at most ``|pool| * (|pool| + 1) / 2`` value queries.
+
+    Each step counts ``|T|`` logical queries, ``|pool| * (|pool| + 1) / 2``
+    in all, whichever of two paths computes it.  A pool of more than
+    ``INCREMENTAL_SWEEP_ABOVE`` (12) members, disjoint from ``free``, all
+    bound to per-degree tables, on an oracle that uses the profile's own
+    evaluators, takes :func:`_degree_sweep`, which after each deletion
+    recomputes only the deleted agent's in-neighbours.  Any other sweep
+    asks :meth:`~extauction.valuations.Oracle.argmin` at every step: pools
+    with a table agent, wrapped evaluators, and every tabulated oracle (n <=
+    12, whose evaluators are its columns).  Both paths give the same
+    result, bit for bit.  The gate is the pool size, where the median time
+    per sweep crossed on a sparse and on the complete graph: 13 members swept
+    1.5-1.9x faster incrementally on sparse graphs and 1.03-1.2x faster on
+    complete ones at n = 16, 24 and 128, while 10 members on a complete graph
+    (n = 16, 24) and 4-8 members at n = 10 swept 1.1-2.3x slower.
     """
+    if pool >= _LEAST_LARGE_POOL and pool.bit_count() > INCREMENTAL_SWEEP_ABOVE \
+            and not pool & free:
+        profile = oracle.profile
+        if oracle._fns is profile._fns:
+            view = profile._degree_view()
+            if not pool & ~view.mask:
+                return _degree_sweep(oracle, view, pool, free, k)
     best = ZERO
     t = pool
     while t:
@@ -124,6 +153,53 @@ def _greedy_sweep(oracle: Oracle, pool: int, free: int, k: int) -> tuple[float, 
             if _better(cand, best):
                 best = cand
         t &= ~(1 << arg)
+    return best
+
+
+def _degree_sweep(oracle: Oracle, view: DegreeView, pool: int, free: int, k: int
+                  ) -> tuple[float, float, int]:
+    """:func:`_greedy_sweep` on a pool whose members all have degree tables in ``view``.
+
+    Keeps the live members' ids, neighbour counts in ``free | T``, tables and
+    values in lists in ascending id order.  ``min`` then ``index`` finds the
+    member ``Oracle.argmin`` would: both scans keep the first value and
+    replace it only by a strictly smaller one, so a leading NaN stays, and the
+    first value equal to the minimum is where the scan stopped.  Deleting
+    ``a`` lowers the count of its in-neighbours only, each by one.
+    """
+    tables, nbs, in_nbs = view.tables, view.nbs, view.in_nbs
+    union = free | pool
+    # read from the bits: a tuple from ``members`` per sweep raised peak RSS
+    ids = [i for i, b in enumerate(bin(pool)[:1:-1]) if b == "1"]
+    counts = [(union & nbs[i]).bit_count() for i in ids]
+    gs = [tables[i] for i in ids]
+    vals = [g[c] for g, c in zip(gs, counts)]
+    size = len(ids)
+    oracle.queries += size * (size + 1) // 2
+    best = ZERO
+    t = pool
+    while size:
+        low = min(vals)
+        j = vals.index(low)
+        arg = ids[j]
+        if size >= k:
+            cand = (size * low, low, t)
+            if _better(cand, best):
+                best = cand
+        t &= ~(1 << arg)
+        size -= 1
+        del ids[j], counts[j], gs[j], vals[j]
+        hit = t & in_nbs[arg]
+        if hit == t:
+            counts = [c - 1 for c in counts]
+            vals = [g[c] for g, c in zip(gs, counts)]
+        else:
+            while hit:
+                bit = hit & -hit
+                hit ^= bit
+                j = bisect_left(ids, bit.bit_length() - 1)
+                c = counts[j] = counts[j] - 1
+                vals[j] = gs[j][c]
     return best
 
 

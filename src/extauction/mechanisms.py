@@ -22,7 +22,7 @@ from .benchmark import (
     maximal_feasible_set,
 )
 from .sets import iter_members, mask_of, members
-from .valuations import EPS, AdditiveModel, Oracle, ValuationProfile, as_oracle
+from .valuations import EPS, EXHAUSTIVE_MAX_N, AdditiveModel, Oracle, ValuationProfile, as_oracle
 
 #: documented best known competitive bound for RSOP, used as the default
 #: mixing parameter of the additive-market mixture mechanism.
@@ -167,8 +167,11 @@ def revenue_table(oracle: Oracle) -> array:
     oracle, which it tabulates: every sweep step ``(T, free)`` is computed
     once (:meth:`~extauction.valuations.Oracle.argmin`), so a fresh oracle
     spends exactly ``n * 3^(n-1)`` queries here, one per ``i`` in ``T`` over
-    all disjoint ``(T, free)``.  For the ``3^n`` enumerations (n <= 10).
+    all disjoint ``(T, free)``.  For the ``3^n`` enumerations (n <= 10);
+    refused for n > 12, past which an oracle does not tabulate.
     """
+    if oracle.n > EXHAUSTIVE_MAX_N:
+        raise ValueError(f"revenue tables are capped at n <= {EXHAUSTIVE_MAX_N}")
     table = oracle.revenue_table
     if table is None:
         oracle.tabulate()

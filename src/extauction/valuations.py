@@ -11,7 +11,9 @@ Every model enforces the domain conditions by construction:
 
 Profiles are immutable once built and safe to share; the only mutable state
 (the query counter, the ``r(C)`` memos and any ``2^n`` value columns) lives on a
-per-run :class:`Oracle`.  The exhaustive paths (n <= 12) read each agent's
+per-run :class:`Oracle`.  A profile only caches, on its first sweep of a large
+pool, a view of its own tables (:meth:`ValuationProfile._degree_view`), the
+same whichever run builds it.  The exhaustive paths (n <= 12) read each agent's
 values from one table (:meth:`ValuationProfile.column`) instead of calling
 the model once per lookup.
 
@@ -32,7 +34,7 @@ import random
 from array import array
 from dataclasses import dataclass
 from itertools import islice
-from typing import Callable, Mapping, Sequence, Union
+from typing import Callable, Mapping, NamedTuple, Sequence, Union
 
 from .sets import full_mask, iter_members, mask_of, members, ternary_codes
 
@@ -218,6 +220,22 @@ TABLE_MODEL_MAX_N = 10
 EXHAUSTIVE_MAX_N = 12
 
 
+class DegreeView(NamedTuple):
+    """A profile's per-degree tables with the masks that index them.
+
+    ``tables[i]`` is agent ``i``'s :func:`_degree_table` (``None`` for an
+    agent without one) and ``mask`` the agents that have one; ``nbs[i]`` is
+    ``N(i) \\ {i}``, so ``v_i(S) = tables[i][|S & nbs[i]|]`` for ``i`` in ``S``, and
+    ``in_nbs[j]`` holds every ``i`` with ``j`` in ``nbs[i]``: the agents whose
+    count drops when ``j`` leaves a set.
+    """
+
+    mask: int
+    tables: tuple[tuple[float, ...] | None, ...]
+    nbs: tuple[int, ...]
+    in_nbs: tuple[int, ...]
+
+
 class ValuationProfile:
     """Immutable collection of per-agent valuation models.
 
@@ -231,7 +249,10 @@ class ValuationProfile:
     agent's per-degree table, ``v_i`` at every ``k = 0 .. |N(i) \\ {i}|``:
     ``sum_i (|N(i) \\ {i}| + 1)`` floats at most, ``n^2`` on the complete
     graph (16,384 at n = 128).  Agents with a table model or a table weight
-    keep their closures instead.
+    keep their closures instead.  The first sweep of a large pool reads those
+    tables, with each agent's neighbour and in-neighbour masks, into a
+    :class:`DegreeView` that the profile then keeps (:meth:`_degree_view`);
+    building a profile computes none of it.
 
     A profile is not checked when built.  On one that fails
     :func:`check_conditions`, the output of the benchmarks and mechanisms is
@@ -254,6 +275,7 @@ class ValuationProfile:
             self.neighbor_masks = tuple(mask_of(nb) for nb in self.graph)
         self._fns = tuple(self._bind(enumerate(self.models)))
         self.declared_L = declared_L
+        self._sweep_view: DegreeView | None = None
 
     def _bind(self, agents) -> list[Callable[[int], float]]:
         """Agent ``i``'s value function for each ``(i, model)`` of ``agents``.
@@ -294,7 +316,34 @@ class ValuationProfile:
         new.__dict__.update(self.__dict__)
         new.models = (*self.models[:i], model, *self.models[i + 1:])
         new._fns = (*self._fns[:i], fn, *self._fns[i + 1:])
+        view = self._sweep_view
+        if view is not None:
+            g = _degree_table(fn)
+            bit = 1 << i
+            new._sweep_view = view._replace(
+                mask=view.mask | bit if g is not None else view.mask & ~bit,
+                tables=(*view.tables[:i], g, *view.tables[i + 1:]))
         return new
+
+    def _degree_view(self) -> DegreeView:
+        """The per-degree tables and neighbour masks behind the incremental sweep.
+
+        Built on the first call and kept, so a profile that never sweeps a
+        large pool pays nothing for it; :meth:`replace` splices agent ``i``'s
+        table into a view already built.  The masks come from the neighbour
+        lists as given, so an asymmetric hand-built graph is read as it is.
+        """
+        view = self._sweep_view
+        if view is None:
+            tables = tuple(map(_degree_table, self._fns))
+            nbs = tuple(m & ~(1 << i) for i, m in enumerate(self.neighbor_masks))
+            in_nbs = [0] * self.n
+            for i, nb in enumerate(nbs):
+                for j in iter_members(nb):
+                    in_nbs[j] |= 1 << i
+            mask = mask_of(i for i, g in enumerate(tables) if g is not None)
+            view = self._sweep_view = DegreeView(mask, tables, nbs, tuple(in_nbs))
+        return view
 
     def __repr__(self):
         kinds = ",".join(type(m).__name__ for m in self.models)
@@ -314,9 +363,16 @@ class Oracle:
     (:meth:`argmin`), so each step is computed and counted once; values stay
     the same.  ``tern`` is then :func:`~extauction.sets.ternary_codes` of n,
     and ``revenue_table``, once :func:`~extauction.mechanisms.revenue_table`
-    fills it, holds ``r(pool | free)`` for every disjoint pair.  A single run
-    on an oracle that is not tabulated counts every lookup, as before, and
-    keeps within its ``10 n^2`` budget.
+    fills it, holds ``r(pool | free)`` for every disjoint pair.
+
+    ``queries`` counts logical queries: ``|T|`` per sweep step on ``T`` and
+    per deletion round, one per other lookup.  On an oracle that is not
+    tabulated, a sweep of more than 12 degree-table members reads the
+    profile's tables directly (:func:`~extauction.benchmark._greedy_sweep`)
+    and adds the same ``|T|`` per step without calling an evaluator, so a
+    single run keeps within its ``10 n^2`` budget whichever path it takes.
+    An oracle whose evaluators are not the profile's (a wrapped one, say)
+    always steps through :meth:`argmin`, one evaluator call per query.
     """
 
     __slots__ = ("profile", "queries", "revenues", "_fns", "tern", "revenue_table", "_lows", "_args")

@@ -198,6 +198,15 @@ def test_column_is_refused_past_the_exhaustive_range():
     profile = ValuationProfile([GraphConcaveModel(1.0) for _ in range(EXHAUSTIVE_MAX_N + 1)])
     with pytest.raises(ValueError, match="n <= 12"):
         profile.column(0)
+
+
+def test_revenue_table_is_refused_past_the_exhaustive_range():
+    """Past n = 12 an oracle does not tabulate, so there is no table to fill."""
+    profile = ValuationProfile([GraphConcaveModel(1.0) for _ in range(EXHAUSTIVE_MAX_N + 1)])
+    oracle = profile.oracle()
+    with pytest.raises(ValueError, match="revenue tables are capped at n <= 12"):
+        mech.revenue_table(oracle)
+    assert oracle.queries == 0 and oracle.revenue_table is None
     oracle = profile.oracle()
     oracle.tabulate()  # a no-op there: the oracle keeps evaluating the models
     assert oracle.value(0, profile.full) == profile.value(0, profile.full)
