@@ -16,6 +16,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import compress, count, repeat
+from operator import lt
 from typing import Callable
 
 from .sets import iter_members, members  # noqa: F401  (iter_members stays bound for perfbench's tracer)
@@ -81,9 +83,50 @@ def benchmark_bruteforce(profile, k: int) -> BenchmarkResult:
     return BenchmarkResult(best[0], best[1], best[2], k)
 
 
+#: pools of more members than this sweep, and run deletion rounds, on neighbour
+#: counts when they can (:func:`_greedy_sweep`, :func:`deletion_fixpoint`)
+INCREMENTAL_SWEEP_ABOVE = 12
+#: the least mask with more members, so that one int comparison turns away the
+#: narrow pools of the 3^n paths, which make most sweep calls
+_LEAST_LARGE_POOL = (1 << INCREMENTAL_SWEEP_ABOVE + 1) - 1
+#: byte translation of binary digits to 0/1 flags for :func:`itertools.compress`
+_DIGIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _ids(mask: int) -> list[int]:
+    """The members of ``mask``, ascending, read from its binary digits in one C-level pass."""
+    return list(compress(count(), bin(mask)[:1:-1].encode().translate(_DIGIT_FLAGS)))
+
+
+def _large_pool_view(oracle: Oracle, pool: int, free: int) -> DegreeView | None:
+    """The profile's :class:`~extauction.valuations.DegreeView` if ``pool`` may be
+    swept and deleted from on neighbour counts, else ``None``."""
+    if pool.bit_count() > INCREMENTAL_SWEEP_ABOVE and not pool & free:
+        profile = oracle.profile
+        if oracle._fns is profile._fns:
+            view = profile._degree_view()
+            if not pool & ~view.mask:
+                return view
+    return None
+
+
 def deletion_fixpoint(oracle: Oracle, pool: int, free: int, bar: Callable[[int], float]) -> int:
     """From ``T = pool``, drop in each round every member bidding ``b_i(free | T)``
-    below ``bar(|T|)``; returns the first ``T`` that loses nobody (possibly empty)."""
+    below ``bar(|T|)``; returns the first ``T`` that loses nobody (possibly empty).
+
+    Each round, the last one that drops nobody included, counts ``|T|``
+    queries and calls ``bar`` once.  A pool that passes the gate of
+    :func:`_greedy_sweep` (more than ``INCREMENTAL_SWEEP_ABOVE`` members,
+    disjoint from ``free``, all bound to per-degree tables, on an oracle that
+    uses the profile's own evaluators) runs its rounds on values read from
+    the profile's per-degree tables (:func:`_degree_rounds`); any other asks
+    :meth:`~extauction.valuations.Oracle.below` each round.  Both give the
+    same set and the same count.
+    """
+    if pool >= _LEAST_LARGE_POOL:
+        view = _large_pool_view(oracle, pool, free)
+        if view is not None:
+            return _degree_rounds(oracle, view, pool, free, bar)
     t = pool
     while t:
         drop = oracle.below(t, free | t, bar(t.bit_count()) - EPS)
@@ -104,11 +147,47 @@ def maximal_feasible_set(profile, c: float, pool: int, free: int) -> int:
     return deletion_fixpoint(as_oracle(profile), pool, free, lambda size: c)
 
 
-#: pools of more members than this sweep incrementally when they can (:func:`_greedy_sweep`)
-INCREMENTAL_SWEEP_ABOVE = 12
-#: the least mask with more members, so that one int comparison turns away the
-#: narrow pools of the 3^n paths, which make most sweep calls
-_LEAST_LARGE_POOL = (1 << INCREMENTAL_SWEEP_ABOVE + 1) - 1
+def _degree_rounds(oracle: Oracle, view: DegreeView, pool: int, free: int,
+                   bar: Callable[[int], float]) -> int:
+    """:func:`deletion_fixpoint` on a pool whose members all have degree tables in ``view``.
+
+    Keeps one value per member of ``pool``, ``g[|(free | T) & N(i)|]``, in
+    ascending id order.  A round compares ``value < bar(|T|) - EPS`` per
+    member in one C-level ``map``, the float ``Oracle.below`` compares (so a
+    NaN bid or bar drops nobody either way), and adds ``|T|`` queries.  A
+    dropped member's value becomes NaN, which is below no bar, so it stays
+    out.  Dropping ``D`` changes the value only of the survivors in the
+    in-neighbourhood of ``D``.  When those are at most a third of ``T`` each
+    is read again from its table; otherwise (a dense graph) every
+    survivor's is, in one comprehension over the ids of ``T``.
+    """
+    tables, nbs, in_nbs = view.tables, view.nbs, view.in_nbs
+    t = hit = pool
+    size = pool.bit_count()
+    while size:
+        union = free | t
+        if 3 * hit.bit_count() > size:
+            ids = _ids(t)
+            vals = [tables[i][(union & nbs[i]).bit_count()] for i in ids]
+        else:
+            while hit:
+                bit = hit & -hit
+                hit ^= bit
+                i = bit.bit_length() - 1
+                vals[bisect_left(ids, i)] = tables[i][(union & nbs[i]).bit_count()]
+        oracle.queries += size
+        low = list(map(lt, vals, repeat(bar(size) - EPS)))
+        if True not in low:
+            break
+        hit = 0
+        for j in compress(count(), low):
+            i = ids[j]
+            t ^= 1 << i
+            hit |= in_nbs[i]
+            vals[j] = math.nan
+        hit &= t
+        size = t.bit_count()
+    return t
 
 
 def _greedy_sweep(oracle: Oracle, pool: int, free: int, k: int) -> tuple[float, float, int]:
@@ -120,6 +199,12 @@ def _greedy_sweep(oracle: Oracle, pool: int, free: int, k: int) -> tuple[float, 
     deleted agent lies in ``S*`` and bids at least the optimal price on the
     larger set, so the recorded value dominates the optimum; every record
     is itself feasible, hence the maximum over the trajectory is exact.
+
+    The record is kept as :func:`_better` keeps it.  ``T`` shrinks at every
+    step, so a later candidate never wins a tie; that leaves two cases.
+    While nothing is recorded, a candidate is taken unless ``val < -EPS``.
+    After that it is taken only if ``val > best + EPS``.  Both cases agree
+    with ``_better`` on NaN and ``-0.0`` as well.
 
     Each step counts ``|T|`` logical queries, ``|pool| * (|pool| + 1) / 2``
     in all, whichever of two paths computes it.  A pool of more than
@@ -136,22 +221,22 @@ def _greedy_sweep(oracle: Oracle, pool: int, free: int, k: int) -> tuple[float, 
     complete ones at n = 16, 24 and 128, while 10 members on a complete graph
     (n = 16, 24) and 4-8 members at n = 10 swept 1.1-2.3x slower.
     """
-    if pool >= _LEAST_LARGE_POOL and pool.bit_count() > INCREMENTAL_SWEEP_ABOVE \
-            and not pool & free:
-        profile = oracle.profile
-        if oracle._fns is profile._fns:
-            view = profile._degree_view()
-            if not pool & ~view.mask:
-                return _degree_sweep(oracle, view, pool, free, k)
+    if pool >= _LEAST_LARGE_POOL:
+        view = _large_pool_view(oracle, pool, free)
+        if view is not None:
+            return _degree_sweep(oracle, view, pool, free, k)
     best = ZERO
     t = pool
     while t:
         low, arg = oracle.argmin(t, free | t)
         size = t.bit_count()
         if size >= k:
-            cand = (size * low, low, t)
-            if _better(cand, best):
-                best = cand
+            val = size * low
+            if best is ZERO:
+                if not val < -EPS:
+                    best = (val, low, t)
+            elif val > best[0] + EPS:
+                best = (val, low, t)
         t &= ~(1 << arg)
     return best
 
@@ -165,12 +250,14 @@ def _degree_sweep(oracle: Oracle, view: DegreeView, pool: int, free: int, k: int
     member ``Oracle.argmin`` would: both scans keep the first value and
     replace it only by a strictly smaller one, so a leading NaN stays, and the
     first value equal to the minimum is where the scan stopped.  Deleting
-    ``a`` lowers the count of its in-neighbours only, each by one.
+    ``a`` lowers the count of its in-neighbours only, each by one; when they
+    are all of ``T`` (the complete graph) every value is read again in one
+    comprehension.  The record is kept as in :func:`_greedy_sweep`, and the
+    ``|pool| * (|pool| + 1) / 2`` queries are counted up front.
     """
     tables, nbs, in_nbs = view.tables, view.nbs, view.in_nbs
     union = free | pool
-    # read from the bits: a tuple from ``members`` per sweep raised peak RSS
-    ids = [i for i, b in enumerate(bin(pool)[:1:-1]) if b == "1"]
+    ids = _ids(pool)
     counts = [(union & nbs[i]).bit_count() for i in ids]
     gs = [tables[i] for i in ids]
     vals = [g[c] for g, c in zip(gs, counts)]
@@ -183,9 +270,12 @@ def _degree_sweep(oracle: Oracle, view: DegreeView, pool: int, free: int, k: int
         j = vals.index(low)
         arg = ids[j]
         if size >= k:
-            cand = (size * low, low, t)
-            if _better(cand, best):
-                best = cand
+            val = size * low
+            if best is ZERO:
+                if not val < -EPS:
+                    best = (val, low, t)
+            elif val > best[0] + EPS:
+                best = (val, low, t)
         t &= ~(1 << arg)
         size -= 1
         del ids[j], counts[j], gs[j], vals[j]

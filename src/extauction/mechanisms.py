@@ -64,11 +64,35 @@ class Partition3(NamedTuple):
 
     @classmethod
     def sample(cls, n: int, rng: random.Random) -> "Partition3":
-        """Uniform i.i.d. label per agent, drawn in agent order."""
-        masks = [0, 0, 0]
-        for i in range(n):
-            masks[rng.randrange(3)] |= 1 << i
-        return cls(*masks)
+        """Uniform i.i.d. label per agent, drawn in agent order.
+
+        Agent ``i`` gets label ``rng.randrange(3)``, and ``rng`` is left as
+        ``n`` such calls leave it, bit for bit.  On a :class:`random.Random`
+        that call is ``getrandbits(2)``, redrawn while it reads 3, and
+        ``getrandbits(2)`` is the top two bits of the generator's next 32-bit
+        word.  So the labels are drawn as words, in bulk: ``getrandbits(32 * m)``
+        holds the next ``m`` words, the first in the lowest bits.  Each round
+        draws one word per agent still unlabelled, the least ``randrange``
+        could use, and a word whose top bits read 3 labels nobody.  Any
+        other generator, a subclass included, is asked ``randrange(3)`` per
+        agent.
+        """
+        if type(rng) is not random.Random:
+            masks = [0, 0, 0]
+            for i in range(n):
+                masks[rng.randrange(3)] |= 1 << i
+            return cls(*masks)
+        labels = b""
+        need = n
+        while need:
+            words = rng.getrandbits(32 * need).to_bytes(4 * need, "little")
+            drawn = words[3::4].translate(_LABEL_OF_TOP_BYTE, _TOP_BYTE_3)
+            labels += drawn
+            need -= len(drawn)
+        digits = labels[::-1]  # agent 0's label last, as the lowest binary digit
+        a = int(digits.translate(_A_DIGITS) or b"0", 2)
+        b = int(digits.translate(_B_DIGITS) or b"0", 2)
+        return cls(a, b, ((1 << n) - 1) ^ a ^ b)
 
     @classmethod
     def all_partitions(cls, n: int):
@@ -86,6 +110,15 @@ class Partition3(NamedTuple):
         for a, b, c in _labelings(0, half):
             for la, lb, lc in low:
                 yield new(cls, (a | la, b | lb, c | lc))
+
+
+#: a word's top byte as the ASCII label its top two bits make, and the top
+#: bytes whose bits read 3 (``0xC0`` and up), which ``randrange(3)`` redraws
+_LABEL_OF_TOP_BYTE = bytes(ord("0") + (byte >> 6) for byte in range(256))
+_TOP_BYTE_3 = bytes(range(0xC0, 0x100))
+#: a label string as the binary digits of the A mask, and of the B mask
+_A_DIGITS = bytes.maketrans(b"012", b"100")
+_B_DIGITS = bytes.maketrans(b"012", b"010")
 
 
 def _labelings(lo: int, hi: int) -> list[tuple[int, int, int]]:

@@ -11,11 +11,12 @@ Every model enforces the domain conditions by construction:
 
 Profiles are immutable once built and safe to share; the only mutable state
 (the query counter, the ``r(C)`` memos and any ``2^n`` value columns) lives on a
-per-run :class:`Oracle`.  A profile only caches, on its first sweep of a large
-pool, a view of its own tables (:meth:`ValuationProfile._degree_view`), the
-same whichever run builds it.  The exhaustive paths (n <= 12) read each agent's
-values from one table (:meth:`ValuationProfile.column`) instead of calling
-the model once per lookup.
+per-run :class:`Oracle`.  A profile only caches, on its first sweep or
+deletion round of a large pool, a view of its own tables
+(:meth:`ValuationProfile._degree_view`), the same whichever run builds it.
+The exhaustive paths (n <= 12) read each agent's values from one table
+(:meth:`ValuationProfile.column`) instead of calling the model once per
+lookup.
 
 Every parametric model reads the winner set only through
 ``k = |S & N(i) \\ {i}|``.  Unless a weight is a table, binding such an agent
@@ -249,8 +250,8 @@ class ValuationProfile:
     agent's per-degree table, ``v_i`` at every ``k = 0 .. |N(i) \\ {i}|``:
     ``sum_i (|N(i) \\ {i}| + 1)`` floats at most, ``n^2`` on the complete
     graph (16,384 at n = 128).  Agents with a table model or a table weight
-    keep their closures instead.  The first sweep of a large pool reads those
-    tables, with each agent's neighbour and in-neighbour masks, into a
+    keep their closures instead.  The first sweep or deletion round of a
+    large pool reads those tables, with each agent's neighbour and in-neighbour masks, into a
     :class:`DegreeView` that the profile then keeps (:meth:`_degree_view`);
     building a profile computes none of it.
 
@@ -326,10 +327,11 @@ class ValuationProfile:
         return new
 
     def _degree_view(self) -> DegreeView:
-        """The per-degree tables and neighbour masks behind the incremental sweep.
+        """The per-degree tables and neighbour masks behind the incremental
+        sweep and deletion rounds.
 
-        Built on the first call and kept, so a profile that never sweeps a
-        large pool pays nothing for it; :meth:`replace` splices agent ``i``'s
+        Built on the first call and kept, so a profile that never sweeps or
+        deletes from a large pool pays nothing for it; :meth:`replace` splices agent ``i``'s
         table into a view already built.  The masks come from the neighbour
         lists as given, so an asymmetric hand-built graph is read as it is.
         """
@@ -367,12 +369,15 @@ class Oracle:
 
     ``queries`` counts logical queries: ``|T|`` per sweep step on ``T`` and
     per deletion round, one per other lookup.  On an oracle that is not
-    tabulated, a sweep of more than 12 degree-table members reads the
-    profile's tables directly (:func:`~extauction.benchmark._greedy_sweep`)
-    and adds the same ``|T|`` per step without calling an evaluator, so a
-    single run keeps within its ``10 n^2`` budget whichever path it takes.
-    An oracle whose evaluators are not the profile's (a wrapped one, say)
-    always steps through :meth:`argmin`, one evaluator call per query.
+    tabulated, a pool of more than 12 degree-table members, disjoint from
+    the free set, is swept (:func:`~extauction.benchmark._greedy_sweep`) and
+    deleted from (:func:`~extauction.benchmark.deletion_fixpoint`) on
+    neighbour counts read from the profile's tables.  Those paths add the
+    same ``|T|`` per step and per round, the last round that drops nobody
+    included, without calling an evaluator, so a single run keeps within
+    its ``10 n^2`` budget whichever path it takes.  An oracle whose
+    evaluators are not the profile's (a wrapped one, say) always steps
+    through :meth:`argmin` and :meth:`below`, one evaluator call per query.
     """
 
     __slots__ = ("profile", "queries", "revenues", "_fns", "tern", "revenue_table", "_lows", "_args")

@@ -10,7 +10,12 @@ or drops an empty-set branch shows up here even where ``==`` would not.
 * ``cost_share`` on every disjoint ``(x, y)`` of the same profiles at four
   targets, ``-0.0`` and the all-drop case included;
 * ``rsop`` on every coin vector of a few 4-bid vectors;
-* the rows and summary of ``additive_bound_suite``.
+* the rows and summary of ``additive_bound_suite``;
+* ``main_mechanism`` at seeds 0-39 and ``fixed_price_mechanism`` at the
+  ``F^(1)`` price on graph-concave, additive and linear profiles at n = 48 and
+  128 on an ER (p = 4/n), a preferential-attachment and the complete graph:
+  seeded label draws and pools of more than 12 members, which the n = 5 pins
+  never reach.
 
 A change meant to alter these outputs re-records the constants with
 ``PYTHONPATH=src python tests/test_outcome_digests.py`` and says why in
@@ -21,9 +26,15 @@ import hashlib
 import itertools
 import sys
 
-from extauction import DegreeWeight, ScalarModel, ValuationProfile
+from extauction import DegreeWeight, ScalarModel, ValuationProfile, benchmark_sweep
 from extauction.experiments import additive_bound_suite, gen_instance
-from extauction.mechanisms import Partition3, cost_share, main_mechanism, rsop
+from extauction.mechanisms import (
+    Partition3,
+    cost_share,
+    fixed_price_mechanism,
+    main_mechanism,
+    rsop,
+)
 from extauction.sets import full_mask
 
 from conftest import submasks
@@ -39,6 +50,10 @@ RECORDED = {
     "rsop": "7c02a2f8cbd6ccfc73a0482e1579d12f6731899f01d8cfcd2569349ae4253c76",
     "additive_bound": "4f491408389c5bf5598894461c6e05e3c87f4e3783592f11f91b28086ef23d3a",
 }
+
+#: recorded on the code before the label draw and the deletion rounds were inlined
+RECORDED_LARGE = "eef511a958d962840e3ba89147227751aca13c17ca842b12af67b584034c780d"
+LARGE_SEEDS = range(40)
 
 
 def _profiles():
@@ -94,6 +109,25 @@ def digests() -> dict[str, str]:
     }
 
 
+def _large_profiles():
+    for model in ("graph_concave", "additive", "linear"):
+        for n in (48, 128):
+            for graph in ("er", "pa", None):
+                yield (f"{model} n={n} {graph}",
+                       gen_instance(model, n, seed=n, graph=graph, graph_p=4 / n))
+
+
+def large_digest() -> str:
+    """One sha256 over the seeded runs and the ``F^(1)``-price sale of every large profile."""
+    h = hashlib.sha256()
+    for name, profile in _large_profiles():
+        for seed in LARGE_SEEDS:
+            h.update(_outcome_line(f"{name} {seed}", main_mechanism(profile, seed)).encode())
+        price = benchmark_sweep(profile, 1).price
+        h.update(_outcome_line(f"{name} {price!r}", fixed_price_mechanism(profile, price)).encode())
+    return h.hexdigest()
+
+
 def test_outcomes_match_the_recorded_digests():
     assert digests() == RECORDED
 
@@ -107,6 +141,11 @@ def test_the_pins_cover_signed_zero_and_all_drop_outcomes():
     assert dropped.winners == 0 and dropped.payments == {} and repr(dropped.revenue) == "0.0"
 
 
+def test_large_outcomes_match_the_recorded_digest():
+    assert large_digest() == RECORDED_LARGE
+
+
 if __name__ == "__main__":
     for key, value in digests().items():
         sys.stdout.write(f"{key}: {value}\n")
+    sys.stdout.write(f"large: {large_digest()}\n")
