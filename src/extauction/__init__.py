@@ -10,7 +10,6 @@ from .benchmark import (
     benchmark_sweep,
     classical_best_price,
     maximal_feasible_set,
-    revenue_given_free,
 )
 from .mechanisms import (
     DEFAULT_ALPHA,

@@ -5,10 +5,6 @@ set of at least ``k`` agents, where each winner must value the winning set at
 least the price.  Two routes compute it: a ``2^n`` subset scan and an
 ``O(n^2)``-query argmin-deletion sweep; both are exact for monotone bids, and
 their agreement is asserted by the test suite.
-
-Also provided is the pool-given-free-set revenue used by the tripartition
-mechanism: the best uniform-price revenue extractable from ``pool`` when the
-agents in ``free`` already hold the good.
 """
 
 from __future__ import annotations
@@ -16,8 +12,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import compress, count, repeat
-from operator import lt
+from itertools import compress, count
 from typing import Callable
 
 from .sets import iter_members, members  # noqa: F401  (iter_members stays bound for perfbench's tracer)
@@ -118,10 +113,10 @@ def deletion_fixpoint(oracle: Oracle, pool: int, free: int, bar: Callable[[int],
     queries and calls ``bar`` once.  A pool that passes the gate of
     :func:`_greedy_sweep` (more than ``INCREMENTAL_SWEEP_ABOVE`` members,
     disjoint from ``free``, all bound to per-degree tables, on an oracle that
-    uses the profile's own evaluators) runs its rounds on values read from
-    the profile's per-degree tables (:func:`_degree_rounds`); any other asks
-    :meth:`~extauction.valuations.Oracle.below` each round.  Both give the
-    same set and the same count.
+    uses the profile's own evaluators) runs the same rounds with each value
+    read from the member's per-degree table (:func:`_degree_rounds`); any
+    other asks :meth:`~extauction.valuations.Oracle.below` each round.  Both
+    give the same set and the same count.
     """
     if pool >= _LEAST_LARGE_POOL:
         view = _large_pool_view(oracle, pool, free)
@@ -151,42 +146,26 @@ def _degree_rounds(oracle: Oracle, view: DegreeView, pool: int, free: int,
                    bar: Callable[[int], float]) -> int:
     """:func:`deletion_fixpoint` on a pool whose members all have degree tables in ``view``.
 
-    Keeps one value per member of ``pool``, ``g[|(free | T) & N(i)|]``, in
-    ascending id order.  A round compares ``value < bar(|T|) - EPS`` per
-    member in one C-level ``map``, the float ``Oracle.below`` compares (so a
-    NaN bid or bar drops nobody either way), and adds ``|T|`` queries.  A
-    dropped member's value becomes NaN, which is below no bar, so it stays
-    out.  Dropping ``D`` changes the value only of the survivors in the
-    in-neighbourhood of ``D``.  When those are at most a third of ``T`` each
-    is read again from its table; otherwise (a dense graph) every
-    survivor's is, in one comprehension over the ids of ``T``.
+    Each round is :meth:`~extauction.valuations.Oracle.below` with every
+    value read from its member's table, ``g[|(free | T) & N(i)|]``: it adds
+    ``|T|`` queries, calls ``bar`` once and drops the members whose value is
+    below ``bar(|T|) - EPS``, compared as floats (so a NaN bid or bar drops
+    nobody).
     """
-    tables, nbs, in_nbs = view.tables, view.nbs, view.in_nbs
-    t = hit = pool
-    size = pool.bit_count()
-    while size:
+    tables, nbs = view.tables, view.nbs
+    t = pool
+    while t:
+        ids = _ids(t)
         union = free | t
-        if 3 * hit.bit_count() > size:
-            ids = _ids(t)
-            vals = [tables[i][(union & nbs[i]).bit_count()] for i in ids]
-        else:
-            while hit:
-                bit = hit & -hit
-                hit ^= bit
-                i = bit.bit_length() - 1
-                vals[bisect_left(ids, i)] = tables[i][(union & nbs[i]).bit_count()]
-        oracle.queries += size
-        low = list(map(lt, vals, repeat(bar(size) - EPS)))
-        if True not in low:
+        oracle.queries += len(ids)
+        low = bar(len(ids)) - EPS
+        drop = 0
+        for i in ids:
+            if tables[i][(union & nbs[i]).bit_count()] < low:
+                drop |= 1 << i
+        if not drop:
             break
-        hit = 0
-        for j in compress(count(), low):
-            i = ids[j]
-            t ^= 1 << i
-            hit |= in_nbs[i]
-            vals[j] = math.nan
-        hit &= t
-        size = t.bit_count()
+        t &= ~drop
     return t
 
 
@@ -291,19 +270,6 @@ def _degree_sweep(oracle: Oracle, view: DegreeView, pool: int, free: int, k: int
                 c = counts[j] = counts[j] - 1
                 vals[j] = gs[j][c]
     return best
-
-
-def revenue_given_free(profile, pool: int, free: int) -> BenchmarkResult:
-    """Best uniform-price revenue from ``pool`` given ``free`` holds the good.
-
-    Equals ``max_c c * |maximal_feasible_set(c, pool, free)|``, computed
-    exactly by the argmin-deletion sweep (no price grid).
-    """
-    if pool & free:
-        raise ValueError("pool and free sets must be disjoint")
-    oracle = as_oracle(profile)
-    val, price, winners = _greedy_sweep(oracle, pool, free, 1)
-    return BenchmarkResult(val, price, winners, 1)
 
 
 def benchmark_sweep(profile, k: int) -> BenchmarkResult:

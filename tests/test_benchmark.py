@@ -12,8 +12,8 @@ from extauction import (
     benchmark_sweep,
     classical_best_price,
     maximal_feasible_set,
-    revenue_given_free,
 )
+from extauction import benchmark as bm
 from extauction.experiments import gen_instance, two_agent_gap_instance
 from extauction.sets import iter_members
 
@@ -67,30 +67,27 @@ def test_maximality_against_bruteforce():
                 assert t & ~best == 0, f"feasible {t:b} escapes fixpoint at price {c}"
 
 
-def test_revenue_given_free_single_agent_pool():
-    profile = size_scalar_profile(3)
-    res = revenue_given_free(profile, 0b100, 0b011)
-    assert res.value == pytest.approx(3.0)
-    assert res.price == pytest.approx(3.0)
+def test_sweep_given_free_single_agent_pool():
+    val, price, _ = bm._greedy_sweep(size_scalar_profile(3).oracle(), 0b100, 0b011, 1)
+    assert val == pytest.approx(3.0)
+    assert price == pytest.approx(3.0)
 
 
-def test_revenue_given_free_empty_pool():
-    res = revenue_given_free(size_scalar_profile(3), 0, 0b111)
-    assert res.value == 0.0 and res.winners == 0
+def test_sweep_given_free_empty_pool():
+    val, _, winners = bm._greedy_sweep(size_scalar_profile(3).oracle(), 0, 0b111, 1)
+    assert val == 0.0 and winners == 0
 
 
-def test_revenue_given_free_prefers_single_high_bidder():
-    profile = flat_bids_profile([10.0, 1.0])
-    res = revenue_given_free(profile, 0b11, 0)
-    assert res.value == pytest.approx(10.0)
-    assert res.winners == 0b01
+def test_sweep_given_free_prefers_single_high_bidder():
+    val, _, winners = bm._greedy_sweep(flat_bids_profile([10.0, 1.0]).oracle(), 0b11, 0, 1)
+    assert val == pytest.approx(10.0)
+    assert winners == 0b01
 
 
-def test_revenue_given_free_equals_f1_on_full_pool():
+def test_sweep_given_free_equals_f1_on_full_pool():
     for seed in range(5):
         profile = gen_instance("mixed", 5, seed=seed)
-        full = profile.full
-        assert revenue_given_free(profile, full, 0).value == pytest.approx(
+        assert bm._greedy_sweep(profile.oracle(), profile.full, 0, 1)[0] == pytest.approx(
             benchmark_bruteforce(profile, 1).value
         )
 
@@ -182,9 +179,8 @@ def test_bruteforce_rejects_large_n():
     "call, message",
     [
         (lambda p: benchmark_bruteforce(p, 0), r"^k must be >= 1$"),
-        (lambda p: revenue_given_free(p, 0b011, 0b010), r"^pool and free sets must be disjoint$"),
     ],
-    ids=["bruteforce-k0", "revenue-given-free-overlap"],
+    ids=["bruteforce-k0"],
 )
 def test_benchmarks_reject_bad_arguments(call, message):
     with pytest.raises(ValueError, match=message):

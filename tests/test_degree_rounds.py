@@ -2,7 +2,7 @@
 
 ``deletion_fixpoint`` runs the rounds of a pool of more than
 ``INCREMENTAL_SWEEP_ABOVE`` degree-table members on each member's neighbour
-count, lowered as members drop.  Giving the oracle a copy of the profile's
+count, read again every round.  Giving the oracle a copy of the profile's
 evaluator tuple forces the generic, one-``below``-per-round path on the same
 values, so every test here compares the two by the survivors, by
 ``oracle.queries`` and by the sizes ``bar`` was called with.

@@ -20,7 +20,7 @@ from extauction import (
     rsop,
 )
 from extauction import mechanisms as mech
-from extauction.benchmark import revenue_given_free
+from extauction import benchmark as bm
 from extauction.experiments import gen_instance, two_agent_gap_instance
 from extauction.sets import mask_of, members
 
@@ -259,7 +259,7 @@ def test_exact_expectation_runs_near_ties_that_pay(monkeypatch, bids, expected):
     n = profile.n
     part = Partition3(0, profile.full - 1, 1)
     r_c = mech.testers_revenue(profile.oracle(), part)
-    assert revenue_given_free(profile, part.b, part.a).value < r_c
+    assert bm._greedy_sweep(profile.oracle(), part.b, part.a, 1)[0] < r_c
     outcome = main_mechanism(profile, partition=part)
     assert outcome.winners == part.b and outcome.revenue > 0
     value, ran = _expectation_runs(monkeypatch, profile)

@@ -39,7 +39,8 @@ from extauction import (
     main_mechanism_exact_expectation,
 )
 from extauction import mechanisms as mech
-from extauction.benchmark import benchmark_bruteforce, revenue_given_free
+from extauction import benchmark as bm
+from extauction.benchmark import benchmark_bruteforce
 from extauction.experiments import (
     GEN_MODELS,
     gen_instance,
@@ -97,7 +98,7 @@ def _fixpoint_queries(profile):
         if not part.b:
             continue  # no fixpoint runs
         r_c = mech.testers_revenue(memo, part)
-        r_b = revenue_given_free(profile, part.b, part.a).value
+        r_b = bm._greedy_sweep(profile.oracle(), part.b, part.a, 1)[0]
         fresh = profile.oracle()
         survivors, share = mech._cost_share_survivors(fresh, r_c, part.b, part.a)
         if r_c and not (r_c > 0 and r_b < r_c - slack * (1 + r_c)):
