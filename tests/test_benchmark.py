@@ -179,8 +179,9 @@ def test_bruteforce_rejects_large_n():
     "call, message",
     [
         (lambda p: benchmark_bruteforce(p, 0), r"^k must be >= 1$"),
+        (lambda p: benchmark_sweep(p, 0), r"^k must be >= 1$"),
     ],
-    ids=["bruteforce-k0"],
+    ids=["bruteforce-k0", "sweep-k0"],
 )
 def test_benchmarks_reject_bad_arguments(call, message):
     with pytest.raises(ValueError, match=message):
