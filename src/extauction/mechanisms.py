@@ -4,7 +4,10 @@ RSOP, and the two-branch mixture for additive valuations.
 All randomness flows through :class:`random.Random` seeded explicitly, so a
 fixed ``(instance, seed)`` pair reproduces an identical outcome bit for bit.
 Runs are pure given ``(profile, seed)`` and may execute in parallel; each run
-counts its own value queries on a private oracle.
+counts its own value queries on a private oracle.  The one state shared
+between runs is :func:`main_mechanism`'s one-entry memo of its last seeded
+tripartition, an immutable tuple rebound in one step: a run on another
+thread can at worst find it replaced and draw its partition again.
 """
 
 from __future__ import annotations
@@ -243,11 +246,44 @@ def main_mechanism(profile, rng=0, partition: Partition3 | None = None) -> Outco
     B; A wins for free, C never wins.  The partition depends only on the
     random source, never on bids, so for every fixed partition the run is a
     deterministic truthful mechanism.
+
+    ``rng`` is a seed or a :class:`random.Random`; ``partition``, when given,
+    replaces the draw.  A caller's generator is advanced exactly as
+    :meth:`Partition3.sample` advances it.  An ``int`` seed draws
+    ``Partition3.sample(n, random.Random(seed))``, and the last such draw is
+    kept in a one-entry memo keyed by ``(n, seed)``: replaying one seed over
+    many profiles of one size, as a deviation test does for the truthful run
+    and every misreport, draws once.  Any other seed (a bool, a str,
+    ``None``) builds its generator each run.
     """
     oracle = as_oracle(profile)
     if partition is None:
-        partition = Partition3.sample(oracle.n, as_rng(rng))
+        if type(rng) is int:
+            partition = _seeded_partition(oracle.n, rng)
+        else:
+            partition = Partition3.sample(oracle.n, as_rng(rng))
     return _run_partitioned(oracle, partition, testers_revenue(oracle, partition))
+
+
+#: the last seeded draw, ``((n, seed), partition)``; see :func:`_seeded_partition`
+_replay: tuple = (None, None)
+
+
+def _seeded_partition(n: int, seed: int) -> Partition3:
+    """``Partition3.sample(n, random.Random(seed))``, read back while ``(n, seed)`` repeats.
+
+    One entry only, so consecutive runs on one seed (a deviation test's
+    truthful run and its misreports) share one draw, and nothing outlives
+    the next seed.  The entry is read once into a local and rebound whole,
+    so a run on another thread can replace it but never hand this one a
+    partition of another key.
+    """
+    global _replay
+    key = (n, seed)
+    last = _replay
+    if last[0] != key:
+        last = _replay = (key, Partition3.sample(n, random.Random(seed)))
+    return last[1]
 
 
 def main_mechanism_exact_expectation(profile) -> float:
@@ -314,7 +350,8 @@ def rsop(bids, rng=0, coins=None) -> Outcome:
     Each bidder is coin-flipped into one of two halves; each half is offered
     the other half's optimal uniform price.  An empty half prices the other
     at infinity (sells nothing).  ``coins`` may be supplied explicitly for
-    deterministic replay; otherwise they come from the seeded generator.
+    deterministic replay, one int (or bool) 0 or 1 per bidder, else
+    ``ValueError``; otherwise they come from the seeded generator.
     """
     bids = list(bids)
     n = len(bids)
@@ -323,7 +360,7 @@ def rsop(bids, rng=0, coins=None) -> Outcome:
         coins = [r.randrange(2) for _ in range(n)]
     elif len(coins) != n:
         raise ValueError("need one coin per bidder")
-    elif not set(coins) <= {0, 1}:
+    elif not all(isinstance(c, int) and c in (0, 1) for c in coins):  # bools are ints
         raise ValueError("coins must be 0 or 1")
     prices = [classical_best_price([b for b, c in zip(bids, coins) if c == side])[1]
               for side in (0, 1)]

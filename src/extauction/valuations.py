@@ -274,19 +274,12 @@ class ValuationProfile:
             self.neighbor_masks = tuple(self.full for _ in range(self.n))
         else:
             self.neighbor_masks = tuple(mask_of(nb) for nb in self.graph)
-        self._fns = tuple(self._bind(enumerate(self.models)))
+        if self.n > TABLE_MODEL_MAX_N and any(isinstance(m, TableModel) for m in self.models):
+            raise ValueError(f"table models are capped at n <= {TABLE_MODEL_MAX_N}")
+        self._fns = tuple(
+            [m.bind(i, nb) for i, (m, nb) in enumerate(zip(self.models, self.neighbor_masks))])
         self.declared_L = declared_L
         self._sweep_view: DegreeView | None = None
-
-    def _bind(self, agents) -> list[Callable[[int], float]]:
-        """Agent ``i``'s value function for each ``(i, model)`` of ``agents``.
-
-        Table models are refused past n = 10 before anything is bound.
-        """
-        agents = list(agents)
-        if self.n > TABLE_MODEL_MAX_N and any(isinstance(m, TableModel) for _, m in agents):
-            raise ValueError(f"table models are capped at n <= {TABLE_MODEL_MAX_N}")
-        return [m.bind(i, self.neighbor_masks[i]) for i, m in agents]
 
     def value(self, i: int, s: int) -> float:
         """Pure, uncounted ``v_i(S)``; ``s`` is a bitmask."""
@@ -306,12 +299,15 @@ class ValuationProfile:
     def replace(self, i: int, model: Model) -> "ValuationProfile":
         """New profile where agent ``i`` reports ``model`` instead.
 
-        Only agent ``i`` is bound anew.  The graph, the neighbour masks and
+        Only agent ``i`` is bound anew, and a table model is refused past
+        n = 10 as in the constructor.  The graph, the neighbour masks and
         the other agents' value functions are shared with this profile, which
         is safe because profiles are immutable and bound functions are pure.
         """
         i = range(self.n)[i]
-        (fn,) = self._bind([(i, model)])
+        if self.n > TABLE_MODEL_MAX_N and isinstance(model, TableModel):
+            raise ValueError(f"table models are capped at n <= {TABLE_MODEL_MAX_N}")
+        fn = model.bind(i, self.neighbor_masks[i])
         cls = type(self)
         new = cls.__new__(cls)
         new.__dict__.update(self.__dict__)

@@ -7,6 +7,7 @@ is built once per session.
 
 import json
 import math
+import random
 import time
 from fractions import Fraction
 
@@ -23,6 +24,7 @@ from extauction.experiments import (
     standard_suite,
 )
 from extauction.mechanisms import (
+    Partition3,
     fixed_price_mechanism,
     main_mechanism,
     main_mechanism_exact_expectation,
@@ -232,7 +234,8 @@ def test_criterion_9_determinism_and_budget(suite):
         for trial in range(3):
             seed = derive_seed("c9", idx, trial)
             a = main_mechanism(profile, seed)
-            b = main_mechanism(profile, seed)
+            # a cold draw: a second seeded run would read back the first's partition
+            b = main_mechanism(profile, partition=Partition3.sample(n, random.Random(seed)))
             assert json.dumps(a.to_json(), sort_keys=True) == json.dumps(
                 b.to_json(), sort_keys=True
             )

@@ -1,5 +1,8 @@
 import itertools
 import json
+import random
+import sys
+import threading
 
 import pytest
 
@@ -23,6 +26,7 @@ from extauction import mechanisms as mech
 from extauction import benchmark as bm
 from extauction.experiments import gen_instance, two_agent_gap_instance
 from extauction.sets import mask_of, members
+from extauction.truthfulness import deviation_test, misreport_plan
 
 from conftest import flat_bids_profile, size_scalar_profile
 
@@ -132,13 +136,92 @@ def test_main_mechanism_never_sells_to_testers():
             assert out.payment(i) == 0.0
 
 
+def _cold(profile, seed):
+    """``main_mechanism`` on a partition drawn afresh, bypassing the replay memo."""
+    return main_mechanism(profile, partition=Partition3.sample(profile.n, random.Random(seed)))
+
+
 def test_main_mechanism_seeded_is_deterministic():
     profile = gen_instance("graph_concave", 7, seed=5, graph="er")
     a = main_mechanism(profile, 123)
-    b = main_mechanism(profile, 123)
+    b = _cold(profile, 123)
     assert json.dumps(a.to_json(), sort_keys=True) == json.dumps(b.to_json(), sort_keys=True)
     c = main_mechanism(profile, 124)
     assert json.dumps(a.to_json(), sort_keys=True) != json.dumps(c.to_json(), sort_keys=True) or a.revenue == c.revenue
+
+
+def test_seeded_replay_matches_a_cold_draw():
+    small = gen_instance("graph_concave", 7, seed=5, graph="er")
+    large = gen_instance("mixed", 9, seed=2)
+    # interleaved seeds, then one seed at two sizes, then the same seed again
+    for profile, seed in [(small, 1), (small, 2), (small, 1), (large, 2), (small, 2),
+                          (large, 2), (large, 2**63 + 5), (small, -3)]:
+        assert repr(vars(main_mechanism(profile, seed))) == repr(vars(_cold(profile, seed)))
+        assert mech._replay[0] == (profile.n, seed)  # one entry: the last seed only
+
+
+def test_a_shared_generator_draws_afresh_each_run():
+    profile = gen_instance("mixed", 8, seed=3)
+    mine, ref = random.Random(9), random.Random(9)
+    first, second = main_mechanism(profile, mine), main_mechanism(profile, mine)
+    for out in (first, second):
+        part = Partition3.sample(profile.n, ref)
+        assert repr(vars(out)) == repr(vars(main_mechanism(profile, partition=part)))
+    assert mine.getstate() == ref.getstate()
+
+
+@pytest.mark.parametrize("seed", [True, None, "seven"])
+def test_seeds_that_are_not_ints_skip_the_memo(seed):
+    profile = gen_instance("mixed", 6, seed=1)
+    before = mech._replay
+    out = main_mechanism(profile, seed)
+    assert mech._replay is before
+    if seed is not None:  # None seeds from the OS
+        assert repr(vars(out)) == repr(vars(_cold(profile, seed)))
+
+
+def test_threads_sharing_the_memo_each_get_their_own_seed():
+    profiles = [gen_instance("mixed", 6, seed=1), gen_instance("mixed", 7, seed=1)]
+    jobs = [(profiles[k % 2], seed) for k, seed in enumerate([3, 3, 4, 5, 5, 6, 7, 7] * 4)]
+    want = [repr(vars(_cold(p, seed))) for p, seed in jobs]
+    wrong = []
+
+    def work(offset):
+        for k in range(len(jobs)):
+            k = (k + offset) % len(jobs)
+            if repr(vars(main_mechanism(*jobs[k]))) != want[k]:
+                wrong.append(jobs[k][1])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(3 * t,)) for t in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+
+
+def test_deviation_test_draws_one_partition_per_seed(monkeypatch):
+    draws = []
+    sample = Partition3.sample.__func__
+
+    def counting(cls, n, rng):
+        draws.append(n)
+        return sample(cls, n, rng)
+
+    monkeypatch.setattr(Partition3, "sample", classmethod(counting))
+    monkeypatch.setattr(mech, "_replay", (None, None))
+    profile = gen_instance("mixed", 8, seed=4)
+    plan = misreport_plan(profile, 12, seed=2)
+    seeds = [5, 6, 5]
+    assert len(plan) >= 12
+    deviation_test(main_mechanism, profile, plan, seeds=seeds)
+    assert draws == [8] * len(seeds)
 
 
 def test_main_mechanism_query_budget():
@@ -307,10 +390,14 @@ def test_rsop_unequal_bids():
 
 
 @pytest.mark.parametrize("coins, message", [([0], "one coin per bidder"), ([0, 2], "0 or 1"),
-                                            ([0, -1], "0 or 1")])
+                                            ([0, -1], "0 or 1"), ([0.0, 1.0], "0 or 1")])
 def test_rsop_rejects_bad_coins(coins, message):
     with pytest.raises(ValueError, match=message):
         rsop([10.0, 1.0], coins=coins)
+
+
+def test_rsop_takes_bool_coins():
+    assert rsop([10.0, 1.0], coins=[False, True]).to_json() == rsop([10.0, 1.0], coins=[0, 1]).to_json()
 
 
 def test_rsop_seeded_deterministic():
