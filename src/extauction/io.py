@@ -7,6 +7,10 @@ instances, by seeded sampling.  Every number must be a finite JSON number,
 not a string or a boolean.  ``declared_L``, the relaxation factor a file may
 declare, must be a finite number >= 1; it is saved with the instance but not
 checked against the valuations.
+Table set keys are read by lookup when canonical (ids ascending,
+comma-joined, every id below ``n``) and by the parser otherwise, to the same
+set; saving writes canonical keys, and only the entries that the agent's
+value function can read (sets of the ``n`` agents that contain it).
 Report emission is deterministic: stable column order, floats at 12
 significant digits, identical inputs give byte-identical files.
 """
@@ -20,7 +24,7 @@ from dataclasses import MISSING, fields
 from pathlib import Path
 
 from .experiments import ExperimentReport
-from .sets import mask_of, members
+from .sets import MEMBER_TABLE_SIZE, mask_of, members
 from .valuations import (
     EXHAUSTIVE_MAX_N,
     SHAPES,
@@ -81,8 +85,34 @@ def require_keys(obj: dict, allowed: set[str], required: set[str], where: str):
         raise InstanceError(f"{where}: missing fields {sorted(missing)}")
 
 
+#: ``(keys, masks)``: ``keys[m]`` is the canonical set key of ``m`` (its ids ascending,
+#: comma-joined) for every mask below ``len(keys)``, a power of 2, and ``masks`` maps each
+#: key back to its mask.  Grown on demand by :func:`_canonical_keys`; rebound whole.
+_CANON: tuple = ([""], {"": 0})
+
+
+def _canonical_keys(n: int) -> tuple:
+    """The key table, grown to cover every mask of ``n`` agents (up to
+    ``MEMBER_TABLE_SIZE`` masks).  The table doubles as ``sets._member_table`` does,
+    built in locals and rebound in one step, so a concurrent reader sees either the
+    old table or the grown one, never a half-grown one."""
+    global _CANON
+    canon = _CANON
+    size = min(1 << n, MEMBER_TABLE_SIZE)
+    if len(canon[0]) < size:
+        keys = list(canon[0])
+        while len(keys) < size:
+            bit = str(len(keys).bit_length() - 1)  # masks with this bit set come next
+            keys += [f"{k},{bit}" if k else bit for k in keys]
+        canon = _CANON = (keys, {k: m for m, k in enumerate(keys)})
+    return canon
+
+
 def _set_key(mask: int) -> str:
-    return ",".join(str(i) for i in members(mask))
+    keys = _CANON[0]
+    if 0 <= mask < len(keys):
+        return keys[mask]
+    return ",".join(map(str, members(mask)))
 
 
 def _parse_set_key(key: str, n: int, where: str) -> int:
@@ -116,8 +146,10 @@ def _float(x, where: str) -> float:
     return v + 0.0
 
 
-def _to_json(obj, tag: str) -> dict:
-    """Entry of a model (tag ``model``) or a weight (tag ``kind``), every field written."""
+def _to_json(obj, tag: str, agent: int, n: int) -> dict:
+    """Entry of agent ``agent``'s model (tag ``model``) or weight (tag ``kind``) in an
+    ``n``-agent profile, every field written.  A table keeps only the entries its
+    value function can read: sets of ``n`` agents that contain ``agent``."""
     name = _NAMES[tag].get(type(obj))
     if name is None:
         raise InstanceError(f"unserializable {tag} entry {obj!r}")
@@ -125,9 +157,15 @@ def _to_json(obj, tag: str) -> dict:
     for field, annotation in _SCHEMAS[tag][name][1]:
         value = getattr(obj, field)
         if annotation == "Weight":
-            value = _to_json(value, "kind")
+            value = _to_json(value, "kind", agent, n)
         elif annotation == "Mapping[int, float]":
-            value = {_set_key(m): v for m, v in sorted(value.items())}
+            _canonical_keys(n)  # so _set_key reads every key of n agents from the table
+            full = 1 << n
+            value = {
+                _set_key(m): v
+                for m, v in sorted(value.items())
+                if 0 <= m < full and (m >> agent) & 1
+            }
         doc[field] = value
     return doc
 
@@ -164,9 +202,12 @@ def _field(annotation: str, value, n: int, where: str, agent: int | None):
         return value
     if not isinstance(value, dict):  # Mapping[int, float]
         raise InstanceError(f"{where}: a table must be an object of set keys to numbers")
+    lookup = _canonical_keys(n)[1].get
     table = {}
     for k, v in value.items():
-        mask = _parse_set_key(k, n, where)
+        mask = lookup(k)
+        if not mask or mask >> n:  # not a canonical key of n agents: the parser decides
+            mask = _parse_set_key(k, n, where)
         if mask in table:
             raise InstanceError(f"{where}: table key {k!r} names the set {_set_key(mask)!r} again")
         if agent is not None and not (mask >> agent) & 1:
@@ -179,7 +220,7 @@ def _instance_doc(profile: ValuationProfile) -> dict:
     doc = {
         "schema": SCHEMA_VERSION,
         "n": profile.n,
-        "agents": [_to_json(m, "model") for m in profile.models],
+        "agents": [_to_json(m, "model", i, profile.n) for i, m in enumerate(profile.models)],
     }
     if profile.graph is not None:
         doc["graph"] = [list(nb) for nb in profile.graph]
@@ -239,11 +280,17 @@ def load_instance(path, validate: bool = True) -> ValuationProfile:
             raise InstanceError(f"{path}: graph must be a list of neighbor lists")
         if len(graph) != n:
             raise InstanceError(f"{path}: adjacency list length != n")
+        adjacent = []  # one set per list, for O(1) symmetry tests
+        for nb in graph:
+            try:
+                adjacent.append(set(nb))
+            except TypeError:  # an unhashable entry (a list or an object): scan the list
+                adjacent.append(nb)
         for i, nb in enumerate(graph):
             for j in nb:
                 if type(j) is not int or j < 0 or j >= n or j == i:
                     raise InstanceError(f"{path}: bad neighbor {j!r} of agent {i}")
-                if i not in graph[j]:
+                if i not in adjacent[j]:
                     raise InstanceError(f"{path}: graph must be symmetric ({i}-{j})")
     declared_L = doc.get("declared_L")
     if declared_L is not None:
