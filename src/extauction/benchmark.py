@@ -109,22 +109,23 @@ def deletion_fixpoint(oracle: Oracle, pool: int, free: int, bar: Callable[[int],
     """From ``T = pool``, drop in each round every member bidding ``b_i(free | T)``
     below ``bar(|T|)``; returns the first ``T`` that loses nobody (possibly empty).
 
-    Each round, the last one that drops nobody included, counts ``|T|``
-    queries and calls ``bar`` once.  A pool that passes the gate of
+    Each round, the last one that drops nobody included, calls ``bar`` once
+    and counts ``|T|`` queries.  A pool that passes the gate of
     :func:`_greedy_sweep` (more than ``INCREMENTAL_SWEEP_ABOVE`` members,
     disjoint from ``free``, all bound to per-degree tables, on an oracle that
-    uses the profile's own evaluators) runs the same rounds with each value
-    read from the member's per-degree table (:func:`_degree_rounds`); any
-    other asks :meth:`~extauction.valuations.Oracle.below` each round.  Both
-    give the same set and the same count.
+    uses the profile's own evaluators) reads each value from the member's
+    per-degree table (:func:`_degree_below`); any other asks
+    :meth:`~extauction.valuations.Oracle.below`.  Both give the same set and
+    the same count.
     """
+    below = oracle.below
     if pool >= _LEAST_LARGE_POOL:
         view = _large_pool_view(oracle, pool, free)
         if view is not None:
-            return _degree_rounds(oracle, view, pool, free, bar)
+            below = _degree_below(oracle, view)
     t = pool
     while t:
-        drop = oracle.below(t, free | t, bar(t.bit_count()) - EPS)
+        drop = below(t, free | t, bar(t.bit_count()) - EPS)
         if not drop:
             break
         t &= ~drop
@@ -142,31 +143,24 @@ def maximal_feasible_set(profile, c: float, pool: int, free: int) -> int:
     return deletion_fixpoint(as_oracle(profile), pool, free, lambda size: c)
 
 
-def _degree_rounds(oracle: Oracle, view: DegreeView, pool: int, free: int,
-                   bar: Callable[[int], float]) -> int:
-    """:func:`deletion_fixpoint` on a pool whose members all have degree tables in ``view``.
+def _degree_below(oracle: Oracle, view: DegreeView) -> Callable[[int, int, float], int]:
+    """:meth:`~extauction.valuations.Oracle.below` for members with degree tables in ``view``.
 
-    Each round is :meth:`~extauction.valuations.Oracle.below` with every
-    value read from its member's table, ``g[|(free | T) & N(i)|]``: it adds
-    ``|T|`` queries, calls ``bar`` once and drops the members whose value is
-    below ``bar(|T|) - EPS``, compared as floats (so a NaN bid or bar drops
-    nobody).
+    Reads ``v_i(union)`` as ``tables[i][|union & N(i)|]``, counts ``|t|``
+    queries and compares as floats, so a NaN value or bar drops nobody.
     """
     tables, nbs = view.tables, view.nbs
-    t = pool
-    while t:
+
+    def below(t: int, union: int, low: float) -> int:
         ids = _ids(t)
-        union = free | t
         oracle.queries += len(ids)
-        low = bar(len(ids)) - EPS
         drop = 0
         for i in ids:
             if tables[i][(union & nbs[i]).bit_count()] < low:
                 drop |= 1 << i
-        if not drop:
-            break
-        t &= ~drop
-    return t
+        return drop
+
+    return below
 
 
 def _greedy_sweep(oracle: Oracle, pool: int, free: int, k: int) -> tuple[float, float, int]:

@@ -236,8 +236,8 @@ def chernoff_tail_check(m: int) -> Fraction:
     if m < 1:
         raise ValueError("m must be >= 1")
     tail = binomial_low_tail(m, m // 9)
-    if m >= 17:
-        assert tail < Fraction(1, 9), f"tail bound failed at m={m}: {tail}"
+    if m >= 17 and not tail < Fraction(1, 9):  # raised, not asserted: ``python -O`` keeps it
+        raise AssertionError(f"tail bound failed at m={m}: {tail}")
     return tail
 
 
@@ -258,7 +258,9 @@ class PartitionStats:
 def partition_stats(optimum: BenchmarkResult, partition: Partition3) -> PartitionStats:
     ks = [(optimum.winners & g).bit_count() for g in (partition.a, partition.b, partition.c)]
     stats = PartitionStats(optimum.winners.bit_count(), *ks)
-    assert stats.k1 + stats.k2 + stats.k3 == stats.m
+    held = stats.k1 + stats.k2 + stats.k3
+    if held != stats.m:  # raised, not asserted: ``python -O`` keeps it
+        raise AssertionError(f"the groups hold {held} of the {stats.m} benchmark winners")
     return stats
 
 

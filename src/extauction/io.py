@@ -10,13 +10,16 @@ checked against the valuations.
 Table set keys are read by lookup when canonical (ids ascending,
 comma-joined, every id below ``n``) and by the parser otherwise, to the same
 set; saving writes canonical keys, and only the entries that the agent's
-value function can read (sets of the ``n`` agents that contain it).
+value function can read (sets of the ``n`` agents that contain it).  The
+lookup tables are built once per size, by a :func:`functools.cache`, and
+never changed after, so threads loading at once share them safely.
 Report emission is deterministic: stable column order, floats at 12
 significant digits, identical inputs give byte-identical files.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -85,31 +88,21 @@ def require_keys(obj: dict, allowed: set[str], required: set[str], where: str):
         raise InstanceError(f"{where}: missing fields {sorted(missing)}")
 
 
-#: ``(keys, masks)``: ``keys[m]`` is the canonical set key of ``m`` (its ids ascending,
-#: comma-joined) for every mask below ``len(keys)``, a power of 2, and ``masks`` maps each
-#: key back to its mask.  Grown on demand by :func:`_canonical_keys`; rebound whole.
-_CANON: tuple = ([""], {"": 0})
+@functools.cache
+def _canonical_keys(size: int) -> tuple[list[str], dict[str, int]]:
+    """``(keys, masks)``: ``keys[m]`` is the canonical set key of ``m`` (its ids
+    ascending, comma-joined) for every mask below ``size``, a power of 2, and
+    ``masks`` maps each key back to its mask.  Built by doubling, as
+    ``sets._member_table`` is; callers ask for ``min(2^n, MEMBER_TABLE_SIZE)``
+    masks, so at most 13 tables are kept."""
+    keys = [""]
+    while len(keys) < size:
+        bit = str(len(keys).bit_length() - 1)  # masks with this bit set come next
+        keys += [f"{k},{bit}" if k else bit for k in keys]
+    return keys, {k: m for m, k in enumerate(keys)}
 
 
-def _canonical_keys(n: int) -> tuple:
-    """The key table, grown to cover every mask of ``n`` agents (up to
-    ``MEMBER_TABLE_SIZE`` masks).  The table doubles as ``sets._member_table`` does,
-    built in locals and rebound in one step, so a concurrent reader sees either the
-    old table or the grown one, never a half-grown one."""
-    global _CANON
-    canon = _CANON
-    size = min(1 << n, MEMBER_TABLE_SIZE)
-    if len(canon[0]) < size:
-        keys = list(canon[0])
-        while len(keys) < size:
-            bit = str(len(keys).bit_length() - 1)  # masks with this bit set come next
-            keys += [f"{k},{bit}" if k else bit for k in keys]
-        canon = _CANON = (keys, {k: m for m, k in enumerate(keys)})
-    return canon
-
-
-def _set_key(mask: int) -> str:
-    keys = _CANON[0]
+def _set_key(mask: int, keys: list[str]) -> str:
     if 0 <= mask < len(keys):
         return keys[mask]
     return ",".join(map(str, members(mask)))
@@ -159,10 +152,10 @@ def _to_json(obj, tag: str, agent: int, n: int) -> dict:
         if annotation == "Weight":
             value = _to_json(value, "kind", agent, n)
         elif annotation == "Mapping[int, float]":
-            _canonical_keys(n)  # so _set_key reads every key of n agents from the table
+            keys = _canonical_keys(min(1 << n, MEMBER_TABLE_SIZE))[0]
             full = 1 << n
             value = {
-                _set_key(m): v
+                _set_key(m, keys): v
                 for m, v in sorted(value.items())
                 if 0 <= m < full and (m >> agent) & 1
             }
@@ -202,14 +195,16 @@ def _field(annotation: str, value, n: int, where: str, agent: int | None):
         return value
     if not isinstance(value, dict):  # Mapping[int, float]
         raise InstanceError(f"{where}: a table must be an object of set keys to numbers")
-    lookup = _canonical_keys(n)[1].get
+    keys, masks = _canonical_keys(min(1 << n, MEMBER_TABLE_SIZE))
+    lookup = masks.get
     table = {}
     for k, v in value.items():
         mask = lookup(k)
-        if not mask or mask >> n:  # not a canonical key of n agents: the parser decides
+        if not mask:  # not a canonical key of n agents: the parser decides
             mask = _parse_set_key(k, n, where)
         if mask in table:
-            raise InstanceError(f"{where}: table key {k!r} names the set {_set_key(mask)!r} again")
+            raise InstanceError(
+                f"{where}: table key {k!r} names the set {_set_key(mask, keys)!r} again")
         if agent is not None and not (mask >> agent) & 1:
             raise InstanceError(f"{where}: table key {k!r} does not contain agent {agent}")
         table[mask] = _float(v, where)
@@ -262,7 +257,7 @@ def load_instance(path, validate: bool = True) -> ValuationProfile:
         {"schema", "n", "agents"},
         str(path),
     )
-    if doc["schema"] != SCHEMA_VERSION:
+    if type(doc["schema"]) is not int or doc["schema"] != SCHEMA_VERSION:  # not true or 1.0
         raise InstanceError(
             f"{path}: schema version {doc['schema']!r} unsupported (want {SCHEMA_VERSION})"
         )

@@ -5,13 +5,15 @@ All randomness flows through :class:`random.Random` seeded explicitly, so a
 fixed ``(instance, seed)`` pair reproduces an identical outcome bit for bit.
 Runs are pure given ``(profile, seed)`` and may execute in parallel; each run
 counts its own value queries on a private oracle.  The one state shared
-between runs is :func:`main_mechanism`'s one-entry memo of its last seeded
-tripartition, an immutable tuple rebound in one step: a run on another
-thread can at worst find it replaced and draw its partition again.
+between runs is :func:`main_mechanism`'s one-entry
+:func:`functools.lru_cache` of its last seeded tripartition, an immutable
+value, so a run on another thread can at worst find it replaced and draw
+its partition again.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from array import array
@@ -265,25 +267,15 @@ def main_mechanism(profile, rng=0, partition: Partition3 | None = None) -> Outco
     return _run_partitioned(oracle, partition, testers_revenue(oracle, partition))
 
 
-#: the last seeded draw, ``((n, seed), partition)``; see :func:`_seeded_partition`
-_replay: tuple = (None, None)
-
-
+@functools.lru_cache(maxsize=1)
 def _seeded_partition(n: int, seed: int) -> Partition3:
     """``Partition3.sample(n, random.Random(seed))``, read back while ``(n, seed)`` repeats.
 
     One entry only, so consecutive runs on one seed (a deviation test's
     truthful run and its misreports) share one draw, and nothing outlives
-    the next seed.  The entry is read once into a local and rebound whole,
-    so a run on another thread can replace it but never hand this one a
-    partition of another key.
+    the next seed.
     """
-    global _replay
-    key = (n, seed)
-    last = _replay
-    if last[0] != key:
-        last = _replay = (key, Partition3.sample(n, random.Random(seed)))
-    return last[1]
+    return Partition3.sample(n, random.Random(seed))
 
 
 def main_mechanism_exact_expectation(profile) -> float:

@@ -47,17 +47,22 @@ def _scan(mask: int) -> Iterator[int]:
 
 
 def members(mask: int) -> tuple[int, ...]:
-    """Agent ids in the mask, ascending."""
+    """Agent ids in the mask, ascending; a negative mask is a ``ValueError``."""
     if 0 <= mask < MEMBER_TABLE_SIZE:
         return _MEMBERS[mask]
+    if mask < 0:
+        raise ValueError(f"negative mask {mask}")
     return tuple(_scan(mask))
 
 
 def iter_members(mask: int) -> Iterator[int]:
     """Agent ids in the mask, ascending: a shared tuple's iterator below
-    ``MEMBER_TABLE_SIZE``, a bit scan (no tuple built) above."""
+    ``MEMBER_TABLE_SIZE``, a bit scan (no tuple built) above; a negative
+    mask is a ``ValueError``."""
     if 0 <= mask < MEMBER_TABLE_SIZE:
         return iter(_MEMBERS[mask])
+    if mask < 0:
+        raise ValueError(f"negative mask {mask}")
     return _scan(mask)
 
 

@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
 from typing import Iterator
 
 import pytest
 
+import extauction
 from extauction import (
     DegreeWeight,
     ScalarModel,
@@ -48,3 +53,12 @@ def square_table_profile(n, t=1.0):
 @pytest.fixture
 def three_flat():
     return flat_bids_profile([5.0, 3.0, 3.0])
+
+
+def run_python(code: str, *flags: str, timeout: float = 60) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter (with ``flags``, such as ``-O``) that
+    imports this checkout's ``extauction``."""
+    src = str(Path(extauction.__file__).parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *flags, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=timeout)

@@ -76,11 +76,26 @@ def _rounds_both(profile, pool, free, bar):
 
 @pytest.fixture
 def count_rounds(monkeypatch):
-    """The pools whose rounds ran on neighbour counts."""
-    calls = []
-    inner = bm._degree_rounds
-    monkeypatch.setattr(bm, "_degree_rounds", lambda *a: calls.append(a[2]) or inner(*a))
-    return calls
+    """The pools whose rounds ran on neighbour counts: the first ``t`` that each
+    table-reading ``below``, built once per fixpoint, is asked about."""
+    pools = []
+    build = bm._degree_below
+
+    def recording(oracle, view):
+        below = build(oracle, view)
+        first = True
+
+        def rounds(t, union, low):
+            nonlocal first
+            if first:
+                pools.append(t)
+                first = False
+            return below(t, union, low)
+
+        return rounds
+
+    monkeypatch.setattr(bm, "_degree_below", recording)
+    return pools
 
 
 def _eligible(profile, pool, free):

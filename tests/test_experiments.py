@@ -5,10 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from extauction import Partition3, benchmark_bruteforce, check_conditions
+from extauction import BenchmarkResult, Partition3, benchmark_bruteforce, check_conditions
 from extauction import experiments
 from extauction import mechanisms as mech
 from extauction.experiments import (
+    PartitionStats,
     binomial_low_tail,
     chernoff_tail_check,
     derive_seed,
@@ -18,6 +19,7 @@ from extauction.experiments import (
     mechanism2_bound_check,
     monte_carlo_expectation,
     partition_min_expectation,
+    partition_stats,
     quarter_bound_check,
     quarter_bound_exhaustive,
     ratio_campaign,
@@ -35,7 +37,7 @@ from extauction.valuations import (
     ValuationProfile,
 )
 
-from conftest import size_scalar_profile
+from conftest import run_python, size_scalar_profile
 
 
 # --- instance generation -----------------------------------------------------
@@ -122,6 +124,42 @@ def test_chernoff_tail_values():
 def test_chernoff_tail_bound_through_200():
     for m in range(17, 201):
         assert chernoff_tail_check(m) < Fraction(1, 9)
+
+
+def test_chernoff_tail_check_raises_on_a_failing_tail(monkeypatch):
+    monkeypatch.setattr(experiments, "binomial_low_tail", lambda m, cutoff: Fraction(1, 2))
+    assert chernoff_tail_check(16) == Fraction(1, 2)  # below m = 17 nothing is claimed
+    with pytest.raises(AssertionError, match="tail bound failed at m=17: 1/2$"):
+        chernoff_tail_check(17)
+
+
+def test_partition_stats_raises_when_the_groups_miss_a_winner():
+    optimum = BenchmarkResult(3.0, 1.0, 0b111, 3)
+    assert partition_stats(optimum, Partition3(0b001, 0b010, 0b100)) == PartitionStats(3, 1, 1, 1)
+    with pytest.raises(AssertionError, match="the groups hold 2 of the 3 benchmark winners$"):
+        partition_stats(optimum, Partition3(0b001, 0b010, 0))
+
+
+#: run under ``python -O``, which strips ``assert`` statements
+OPTIMIZED_CHECKS = """
+from fractions import Fraction
+from extauction import Partition3, experiments
+from extauction.benchmark import BenchmarkResult
+experiments.binomial_low_tail = lambda m, cutoff: Fraction(1, 2)
+for check in (lambda: experiments.chernoff_tail_check(17),
+              lambda: experiments.partition_stats(BenchmarkResult(3.0, 1.0, 7, 3),
+                                                  Partition3(1, 2, 0))):
+    try:
+        check()
+    except AssertionError:
+        continue
+    raise SystemExit("a failing check returned under -O")
+"""
+
+
+def test_checks_raise_under_python_O():
+    done = run_python(OPTIMIZED_CHECKS, "-O")
+    assert (done.returncode, done.stderr) == (0, "")
 
 
 def test_binomial_low_tail_sums_to_one():

@@ -83,6 +83,19 @@ def test_load_rejects_wrong_schema(tmp_path):
         load_instance(_write(tmp_path, doc))
 
 
+@pytest.mark.parametrize("schema", [True, 1.0, "1"], ids=["bool", "float", "string"])
+def test_load_wants_the_int_schema_version(tmp_path, capsys, schema):
+    doc = _valid_doc()
+    doc["schema"] = schema
+    path = _write(tmp_path, doc)
+    message = f"schema version {schema!r} unsupported (want 1)"
+    with pytest.raises(InstanceError, match=re.escape(message) + "$"):
+        load_instance(path)
+    assert main(["check", "--instance", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+
+
 def test_load_rejects_bad_set_key(tmp_path):
     doc = _valid_doc()
     doc["agents"][1]["values"] = {"0,7": 1.0}

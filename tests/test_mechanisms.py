@@ -153,11 +153,19 @@ def test_main_mechanism_seeded_is_deterministic():
 def test_seeded_replay_matches_a_cold_draw():
     small = gen_instance("graph_concave", 7, seed=5, graph="er")
     large = gen_instance("mixed", 9, seed=2)
+    info = mech._seeded_partition.cache_info
+    mech._seeded_partition.cache_clear()
+    last = None
     # interleaved seeds, then one seed at two sizes, then the same seed again
     for profile, seed in [(small, 1), (small, 2), (small, 1), (large, 2), (small, 2),
                           (large, 2), (large, 2**63 + 5), (small, -3)]:
+        before = info()
         assert repr(vars(main_mechanism(profile, seed))) == repr(vars(_cold(profile, seed)))
-        assert mech._replay[0] == (profile.n, seed)  # one entry: the last seed only
+        drawn = (profile.n, seed) != last  # one entry: the last seed only
+        after = info()
+        assert (after.hits - before.hits, after.misses - before.misses, after.currsize) == (
+            int(not drawn), int(drawn), 1)
+        last = (profile.n, seed)
 
 
 def test_a_shared_generator_draws_afresh_each_run():
@@ -173,9 +181,9 @@ def test_a_shared_generator_draws_afresh_each_run():
 @pytest.mark.parametrize("seed", [True, None, "seven"])
 def test_seeds_that_are_not_ints_skip_the_memo(seed):
     profile = gen_instance("mixed", 6, seed=1)
-    before = mech._replay
+    before = mech._seeded_partition.cache_info()
     out = main_mechanism(profile, seed)
-    assert mech._replay is before
+    assert mech._seeded_partition.cache_info() == before
     if seed is not None:  # None seeds from the OS
         assert repr(vars(out)) == repr(vars(_cold(profile, seed)))
 
@@ -215,7 +223,7 @@ def test_deviation_test_draws_one_partition_per_seed(monkeypatch):
         return sample(cls, n, rng)
 
     monkeypatch.setattr(Partition3, "sample", classmethod(counting))
-    monkeypatch.setattr(mech, "_replay", (None, None))
+    mech._seeded_partition.cache_clear()
     profile = gen_instance("mixed", 8, seed=4)
     plan = misreport_plan(profile, 12, seed=2)
     seeds = [5, 6, 5]

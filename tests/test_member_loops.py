@@ -25,6 +25,8 @@ from extauction.experiments import GEN_MODELS, gen_instance
 from extauction.mechanisms import cost_share
 from extauction.sets import MEMBER_TABLE_SIZE, iter_members, members
 
+from conftest import run_python
+
 
 def _bit_scan(mask):
     return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
@@ -109,3 +111,26 @@ def test_queries_equal_evaluator_calls_on_wide_masks():
     profile = gen_instance("graph_concave", n, seed=1, graph="er")
     for name, run in _runs(n, exhaustive=False).items():
         _assert_counts(profile, name, run)
+
+
+#: the member readers on negative masks, run in a child process whose address space is
+#: capped, so a scan that never ends fails on memory or time instead of stalling the suite
+NEGATIVE_MASKS = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+import extauction
+from extauction import sets
+for read in (sets.members, sets.iter_members, extauction.members):
+    for mask in (-1, -5):
+        try:
+            read(mask)
+        except ValueError as e:
+            assert str(e) == f"negative mask {mask}", e
+        else:
+            raise SystemExit(f"{read.__name__}({mask}) returned")
+"""
+
+
+def test_negative_masks_are_refused():
+    done = run_python(NEGATIVE_MASKS)
+    assert (done.returncode, done.stderr) == (0, "")

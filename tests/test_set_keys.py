@@ -26,9 +26,17 @@ TABLE = "Mapping[int, float]"
 
 
 @pytest.fixture
-def fresh_keys(monkeypatch):
-    """Start from the empty key table, as a new process does."""
-    monkeypatch.setattr(eio, "_CANON", ([""], {"": 0}))
+def fresh_keys():
+    """Start with no key table built, as a new process does."""
+    eio._canonical_keys.cache_clear()
+
+
+def _built(*sizes):
+    """Whether exactly the key tables of these sizes are built (reading them builds none)."""
+    info = eio._canonical_keys.cache_info
+    misses = info().misses
+    lengths = [len(eio._canonical_keys(size)[0]) for size in sizes]
+    return (lengths, info().currsize, info().misses) == (list(sizes), len(sizes), misses)
 
 
 def _write(tmp_path, doc, name="inst.json"):
@@ -42,9 +50,9 @@ def _additive_table(values):
 
 
 def test_canonical_table_matches_the_parser():
-    keys, masks = eio._canonical_keys(12)
-    assert len(keys) == MEMBER_TABLE_SIZE and len(masks) == MEMBER_TABLE_SIZE
     for n in range(1, 13):
+        keys, masks = eio._canonical_keys(1 << n)
+        assert len(keys) == 1 << n and len(masks) == 1 << n
         spelled = {",".join(str(i) for i in range(n) if (m >> i) & 1): m for m in range(1, 1 << n)}
         for key, m in spelled.items():
             assert keys[m] == key and masks[key] == m
@@ -68,24 +76,25 @@ def test_canonical_keys_skip_the_parser(tmp_path, monkeypatch, fresh_keys):
 def test_table_grows_only_for_tables(tmp_path, fresh_keys):
     doc = {"schema": 1, "n": 9, "agents": [{"model": "graph_concave", "t": 1.0}] * 9}
     load_instance(_write(tmp_path, doc))
-    assert len(eio._CANON[0]) == 1
+    assert _built()
     save_instance(gen_instance("graph_concave", 9, seed=1), tmp_path / "g.json")
-    assert len(eio._CANON[0]) == 1
+    assert _built()
     save_instance(gen_instance("table", 5, seed=1), tmp_path / "t.json")
-    assert len(eio._CANON[0]) == 32
+    assert _built(32)
     load_instance(tmp_path / "t.json")
-    assert len(eio._CANON[0]) == 32
+    assert _built(32)
     doc["agents"][0] = _additive_table({"0": 1.0})
     load_instance(_write(tmp_path, doc), validate=False)
-    assert len(eio._CANON[0]) == 512
+    assert _built(32, 512)
     doc = {"schema": 1, "n": 13, "agents": [_additive_table({"0": 1.0})] * 13}
     load_instance(_write(tmp_path, doc), validate=False)
-    assert len(eio._CANON[0]) == MEMBER_TABLE_SIZE
+    assert _built(32, 512, MEMBER_TABLE_SIZE)
 
 
 @pytest.mark.parametrize("n, key", [(2, "0,7"), (11, "11"), (3, "1,3")])
 def test_canonical_key_past_n_is_out_of_range(tmp_path, n, key):
-    eio._canonical_keys(12)  # the key is in the table, for a larger n
+    assert key in eio._canonical_keys(MEMBER_TABLE_SIZE)[1]  # a canonical key, of a larger n
+    assert key not in eio._canonical_keys(1 << n)[1]
     doc = {"schema": 1, "n": n, "agents": [_additive_table({key: 1.0})] * n}
     with pytest.raises(InstanceError, match=f"set key {key!r} out of range for n={n}$"):
         load_instance(_write(tmp_path, doc))
@@ -149,9 +158,9 @@ def test_threads_loading_at_once_each_get_the_serial_profile(tmp_path, fresh_key
             if load_instance(paths[k], validate=False).models != want[k]:
                 wrong.append(k)
 
-    def shrink():  # keep the loaders regrowing the table
+    def shrink():  # keep the loaders rebuilding the tables
         while not stop.is_set():
-            eio._CANON = ([""], {"": 0})
+            eio._canonical_keys.cache_clear()
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
