@@ -326,15 +326,21 @@ def deviation_test(
     ``mechanism(profile, seed)`` must be deterministic given the seed; the
     same seed is replayed for truth and for every misreport, which is what
     universal truthfulness promises to survive.
+
+    Each misreport is bound once per call (``profile.replace``), before the
+    first mechanism call, and the same reported profile is replayed under
+    every seed; so an error from ``replace`` surfaces before the mechanism
+    runs at all.  Per seed the mechanism sees the truthful profile, then the
+    misreports in plan order, and ``seeds`` is read once.
     """
+    reports = [profile.replace(d.agent, d.model) for d in plan]
     out = []
     for seed in seeds:
         truth = mechanism(profile, seed)
         u_truth = {
             i: profile.value(i, truth.winners) - truth.payment(i) for i in range(profile.n)
         }
-        for dev in plan:
-            reported = profile.replace(dev.agent, dev.model)
+        for dev, reported in zip(plan, reports):
             o = mechanism(reported, seed)
             u = profile.value(dev.agent, o.winners) - o.payment(dev.agent)
             gain = u - u_truth[dev.agent]

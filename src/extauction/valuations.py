@@ -58,14 +58,20 @@ class TableModel:
     """Explicit per-set table, serving as a valuation or as a weight.
 
     Keys are masks of sets containing the agent; unlisted sets are worth 0.
+    The model keeps its own ``dict`` copy of ``values``, made once at
+    construction, so editing the mapping passed in changes neither the model
+    nor a profile built from it; ``bind`` copies nothing and reads that dict.
     """
 
     values: Mapping[int, float]
 
+    def __post_init__(self):
+        object.__setattr__(self, "values", dict(self.values))
+
     def bind(self, i: int, neighbor_mask: int) -> Callable[[int], float]:
-        tbl = dict(self.values)
+        get = self.values.get
         bit = 1 << i
-        return lambda s: tbl.get(s, 0.0) if s & bit else 0.0
+        return lambda s: get(s, 0.0) if s & bit else 0.0
 
 
 #: a table weight is the same per-set table

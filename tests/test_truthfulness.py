@@ -9,6 +9,7 @@ from extauction.sets import contains
 from extauction.truthfulness import (
     BreakpointPartition,
     CharacterizationError,
+    Deviation,
     SingleParamRule,
     broken_first_price_mechanism,
     check_bid_independent_monotone,
@@ -314,10 +315,7 @@ def test_fixture_weights_are_the_degree_weight_bindings():
 
 def test_truthful_report_is_never_a_violation():
     profile = size_scalar_profile(3)
-    plan = [d for d in misreport_plan(profile, 30, seed=1)]
     # replaying the exact truth as a "misreport" must show zero gain
-    from extauction.truthfulness import Deviation
-
     plan = [Deviation(i, profile.models[i], "truth") for i in range(3)]
     assert deviation_test(main_mechanism, profile, plan, seeds=range(5)) == []
 
@@ -369,6 +367,59 @@ def test_broken_mechanism_is_flagged():
     plan = misreport_plan(profile, 50, seed=0)
     violations = deviation_test(broken_first_price_mechanism, profile, plan)
     assert violations, "negative control: first-price fixed allocation must fail"
+
+
+def _recording(mechanism, calls):
+    """``mechanism``, appending each call's ``(seed, profile)`` to ``calls``."""
+    def recorded(p, s):
+        calls.append((s, p))
+        return mechanism(p, s)
+    return recorded
+
+
+def test_each_misreport_is_bound_once_per_call(monkeypatch):
+    profile = gen_instance("mixed", 5, seed=4)
+    plan = misreport_plan(profile, 30, seed=2)
+    binds = []
+    replace = ValuationProfile.replace
+
+    def counted(self, i, model):
+        binds.append(i)
+        return replace(self, i, model)
+
+    monkeypatch.setattr(ValuationProfile, "replace", counted)
+    calls = []
+    deviation_test(_recording(main_mechanism, calls), profile, plan, seeds=(0, 1, 2))
+    assert binds == [d.agent for d in plan]
+    assert [s for s, _ in calls] == [s for s in (0, 1, 2) for _ in range(len(plan) + 1)]
+    runs = [calls[k * (len(plan) + 1):(k + 1) * (len(plan) + 1)] for k in range(3)]
+    for run in runs:
+        assert run[0][1] is profile
+        assert all(p is q for (_, p), (_, q) in zip(run[1:], runs[0][1:]))
+    assert len({id(p) for _, p in runs[0][1:]}) == len(plan)
+
+
+def test_deviation_test_reads_its_seeds_once():
+    profile = size_scalar_profile(3)
+    plan = misreport_plan(profile, 20, seed=0)
+    sequences = []
+    for seeds in ((0, 1), iter((0, 1))):
+        calls = []
+        violations = deviation_test(
+            _recording(broken_first_price_mechanism, calls), profile, plan, seeds=seeds)
+        sequences.append((violations, [(s, p.models) for s, p in calls]))
+    assert sequences[0][0]
+    assert len(sequences[0][1]) == 2 * (len(plan) + 1)
+    assert sequences[1] == sequences[0]
+
+
+def test_a_replace_error_surfaces_before_the_mechanism_runs():
+    profile = size_scalar_profile(11)
+    plan = [Deviation(3, TableModel({1 << 3: 1.0}), "table past the cap")]
+    calls = []
+    with pytest.raises(ValueError, match="table models are capped"):
+        deviation_test(_recording(main_mechanism, calls), profile, plan)
+    assert calls == []
 
 
 def _replay_record(profile, mechanism):

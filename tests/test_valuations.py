@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import pytest
@@ -17,6 +18,7 @@ from extauction import (
 )
 from extauction.benchmark import benchmark_sweep
 from extauction.experiments import GEN_MODELS, gen_instance
+from extauction.io import load_instance, save_instance
 from extauction.sets import mask_of, members
 from extauction.truthfulness import misreport_plan
 from extauction.valuations import EPS, EXHAUSTIVE_MAX_N, Violation
@@ -231,6 +233,42 @@ def test_replace_keeps_the_table_cap():
     with pytest.raises(ValueError, match="table models are capped at n <= 10"):
         profile.replace(3, TableModel({1 << 3: 1.0}))
     assert _snapshot(profile) == before
+
+
+def test_table_model_owns_its_mapping(tmp_path):
+    """Editing the dict a ``TableModel`` was built from changes neither the model,
+    nor a profile built from it, nor what ``save_instance`` writes."""
+    values = {0b01: 2.0, 0b11: 3.0}
+    model = TableModel(values)
+    profile = ValuationProfile([model, ScalarModel(1.0, DegreeWeight())])
+    save_instance(profile, tmp_path / "before.json")
+    values[0b01] = 5.0
+    values[0b11] = 7.0
+    save_instance(profile, tmp_path / "after.json")
+    assert model.values == {0b01: 2.0, 0b11: 3.0}
+    assert (profile.value(0, 0b01), profile.value(0, 0b11)) == (2.0, 3.0)
+    assert (tmp_path / "after.json").read_bytes() == (tmp_path / "before.json").read_bytes()
+    assert load_instance(tmp_path / "after.json").models[0].values == {0b01: 2.0, 0b11: 3.0}
+
+
+def test_binding_a_table_copies_nothing():
+    """200 binds of one 512-key table allocate less than one copy of its dict."""
+    model = TableModel({s: 1.0 + s.bit_count() for s in range(1 << 10) if s & 1})
+    assert len(model.values) == 512
+    tracemalloc.start()
+    try:
+        copy = dict(model.values)
+        one_copy = tracemalloc.get_traced_memory()[0]
+        del copy
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        for _ in range(200):
+            fn = model.bind(0, (1 << 10) - 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fn(0b11) == 3.0
+    assert peak - start < one_copy
 
 
 def test_empty_profile_rejected():
