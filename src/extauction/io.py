@@ -4,15 +4,14 @@ Instance files are JSON with a versioned schema (``"schema": 1``); unknown
 fields are rejected so fixtures stay honest.  Loading validates the domain
 conditions exhaustively for n <= 12; :func:`require_valid` also checks larger
 instances, by seeded sampling.  Every number must be a finite JSON number,
-not a string or a boolean.  ``declared_L``, the relaxation factor a file may
-declare, must be a finite number >= 1; it is saved with the instance but not
-checked against the valuations.
-Table set keys are read by lookup when canonical (ids ascending,
-comma-joined, every id below ``n``) and by the parser otherwise, to the same
-set; saving writes canonical keys, and only the entries that the agent's
-value function can read (sets of the ``n`` agents that contain it).  The
-lookup tables are built once per size, by a :func:`functools.cache`, and
-never changed after, so threads loading at once share them safely.
+not a string or a boolean.  The profile's constructor checks the structure
+(neighbour ids, table keys, ``declared_L`` finite and >= 1), so a profile the
+library builds saves to a file this module reads; ``declared_L`` is not
+checked against the valuations.  Table set keys are read by lookup when
+canonical (ids ascending, comma-joined, every id below ``n``) and by the
+parser otherwise, to the same set; saving writes canonical keys.  The lookup
+tables are built once per size, by a :func:`functools.cache`, and never
+changed after, so threads loading at once share them safely.
 Report emission is deterministic: stable column order, floats at 12
 significant digits, identical inputs give byte-identical files.
 """
@@ -139,10 +138,8 @@ def _float(x, where: str) -> float:
     return v + 0.0
 
 
-def _to_json(obj, tag: str, agent: int, n: int) -> dict:
-    """Entry of agent ``agent``'s model (tag ``model``) or weight (tag ``kind``) in an
-    ``n``-agent profile, every field written.  A table keeps only the entries its
-    value function can read: sets of ``n`` agents that contain ``agent``."""
+def _to_json(obj, tag: str, n: int) -> dict:
+    """Entry of a model (tag ``model``) or weight (tag ``kind``), every field written."""
     name = _NAMES[tag].get(type(obj))
     if name is None:
         raise InstanceError(f"unserializable {tag} entry {obj!r}")
@@ -150,22 +147,17 @@ def _to_json(obj, tag: str, agent: int, n: int) -> dict:
     for field, annotation in _SCHEMAS[tag][name][1]:
         value = getattr(obj, field)
         if annotation == "Weight":
-            value = _to_json(value, "kind", agent, n)
+            value = _to_json(value, "kind", n)
         elif annotation == "Mapping[int, float]":
             keys = _canonical_keys(min(1 << n, MEMBER_TABLE_SIZE))[0]
-            full = 1 << n
-            value = {
-                _set_key(m, keys): v
-                for m, v in sorted(value.items())
-                if 0 <= m < full and (m >> agent) & 1
-            }
+            value = {_set_key(m, keys): v for m, v in sorted(value.items())}
         doc[field] = value
     return doc
 
 
-def _from_json(obj, tag: str, n: int, where: str, agent: int | None = None):
+def _from_json(obj, tag: str, n: int, where: str):
     """Model (tag ``model``) or weight (tag ``kind``) from its entry; absent optional
-    fields take the class defaults, and an agent entry's table keys must contain ``agent``."""
+    fields take the class defaults."""
     if not isinstance(obj, dict) or tag not in obj:
         noun = "agent entry" if tag == "model" else "weight"
         raise InstanceError(f"{where}: {noun} must be an object with a {tag!r}")
@@ -178,11 +170,11 @@ def _from_json(obj, tag: str, n: int, where: str, agent: int | None = None):
     kwargs = {}
     for field, annotation in spec:
         if field in obj:
-            kwargs[field] = _field(annotation, obj[field], n, where, agent)
+            kwargs[field] = _field(annotation, obj[field], n, where)
     return cls(**kwargs)
 
 
-def _field(annotation: str, value, n: int, where: str, agent: int | None):
+def _field(annotation: str, value, n: int, where: str):
     """One field of an entry, read by its annotation (source text: the valuations
     module postpones annotation evaluation)."""
     if annotation == "float":
@@ -205,8 +197,6 @@ def _field(annotation: str, value, n: int, where: str, agent: int | None):
         if mask in table:
             raise InstanceError(
                 f"{where}: table key {k!r} names the set {_set_key(mask, keys)!r} again")
-        if agent is not None and not (mask >> agent) & 1:
-            raise InstanceError(f"{where}: table key {k!r} does not contain agent {agent}")
         table[mask] = _float(v, where)
     return table
 
@@ -215,7 +205,7 @@ def _instance_doc(profile: ValuationProfile) -> dict:
     doc = {
         "schema": SCHEMA_VERSION,
         "n": profile.n,
-        "agents": [_to_json(m, "model", i, profile.n) for i, m in enumerate(profile.models)],
+        "agents": [_to_json(m, "model", profile.n) for m in profile.models],
     }
     if profile.graph is not None:
         doc["graph"] = [list(nb) for nb in profile.graph]
@@ -231,7 +221,10 @@ def instance_digest(profile: ValuationProfile) -> str:
 
 
 def save_instance(profile: ValuationProfile, path) -> None:
-    Path(path).write_text(json.dumps(_instance_doc(profile), indent=2, sort_keys=True) + "\n")
+    """Write ``profile`` as strict JSON: a NaN or infinite number raises
+    ``ValueError`` before the file is opened, as the loader would refuse it."""
+    text = json.dumps(_instance_doc(profile), indent=2, sort_keys=True, allow_nan=False)
+    Path(path).write_text(text + "\n")
 
 
 def load_instance(path, validate: bool = True) -> ValuationProfile:
@@ -273,29 +266,13 @@ def load_instance(path, validate: bool = True) -> ValuationProfile:
     if graph is not None:
         if not isinstance(graph, list) or not all(isinstance(nb, list) for nb in graph):
             raise InstanceError(f"{path}: graph must be a list of neighbor lists")
-        if len(graph) != n:
-            raise InstanceError(f"{path}: adjacency list length != n")
-        adjacent = []  # one set per list, for O(1) symmetry tests
-        for nb in graph:
-            try:
-                adjacent.append(set(nb))
-            except TypeError:  # an unhashable entry (a list or an object): scan the list
-                adjacent.append(nb)
-        for i, nb in enumerate(graph):
-            for j in nb:
-                if type(j) is not int or j < 0 or j >= n or j == i:
-                    raise InstanceError(f"{path}: bad neighbor {j!r} of agent {i}")
-                if i not in adjacent[j]:
-                    raise InstanceError(f"{path}: graph must be symmetric ({i}-{j})")
     declared_L = doc.get("declared_L")
     if declared_L is not None:
         declared_L = _float(declared_L, f"{path}: declared_L")
-        if declared_L < 1:
-            raise InstanceError(f"{path}: declared_L must be >= 1, got {declared_L!r}")
-    models = [_from_json(a, "model", n, f"agents[{i}]", i) for i, a in enumerate(agents)]
+    models = [_from_json(a, "model", n, f"agents[{i}]") for i, a in enumerate(agents)]
     try:
         profile = ValuationProfile(models, graph=graph, declared_L=declared_L)
-    except ValueError as e:  # the table-model size cap
+    except ValueError as e:  # the structure: neighbours, table keys, declared_L
         raise InstanceError(f"{path}: {e}") from None
     if validate and n <= EXHAUSTIVE_MAX_N:
         require_valid(profile, path)

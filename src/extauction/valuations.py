@@ -201,7 +201,7 @@ class LinearModel:
 
 @dataclass(frozen=True)
 class GraphConcaveModel:
-    """Concave social-influence valuation on an undirected agent graph.
+    """Concave social-influence valuation on the agent graph, ``N(i)`` the list of ``i``.
 
     ``v_i(S) = t * (1 + beta * f(|N(i) & S \\ {i}|))`` for ``i`` in ``S``,
     with ``f`` concave increasing and ``f(0) = 0`` (default square root).
@@ -225,6 +225,24 @@ Model = Union[TableModel, AdditiveModel, ScalarModel, LinearModel, GraphConcaveM
 
 TABLE_MODEL_MAX_N = 10
 EXHAUSTIVE_MAX_N = 12
+
+
+def _check_agent(i: int, n: int, model: Model, neighbors) -> None:
+    """Raise ``ValueError`` unless agent ``i`` of ``n`` fits a file: ``neighbors`` are
+    ``int`` ids in ``range(n)`` (``i`` may be one), a table model needs n <= 10, and each
+    key of a table model, weight or offset is a mask below ``2^n`` holding ``i``."""
+    for j in neighbors:
+        if type(j) is not int or not 0 <= j < n:  # a bool is not an id
+            raise ValueError(f"bad neighbor {j!r} of agent {i}")
+    if isinstance(model, TableModel) and n > TABLE_MODEL_MAX_N:
+        raise ValueError(f"table models are capped at n <= {TABLE_MODEL_MAX_N}")
+    full, bit = 1 << n, 1 << i
+    for table in (model, getattr(model, "weight", None), getattr(model, "offset", None)):
+        if isinstance(table, TableModel):
+            for k in table.values:
+                if not (0 <= k < full and k & bit):
+                    raise ValueError(f"agent {i}: table key {k!r} is not a mask below 2^{n} "
+                                     f"that holds agent {i}")
 
 
 class DegreeView(NamedTuple):
@@ -261,7 +279,9 @@ class ValuationProfile:
     :class:`DegreeView` that the profile then keeps (:meth:`_degree_view`);
     building a profile computes none of it.
 
-    A profile is not checked when built.  On one that fails
+    Its structure is checked when built, so that it saves to a file the loader
+    reads (:func:`_check_agent`; ``declared_L`` finite and >= 1 if given), and a
+    graph may be directed; the valuation conditions are not.  On one that fails
     :func:`check_conditions`, the output of the benchmarks and mechanisms is
     unspecified.  The loader, the CLI and ``gen_instance`` run that check;
     code that builds a profile by hand runs it first.
@@ -275,13 +295,15 @@ class ValuationProfile:
         self.full = full_mask(self.n)
         if graph is not None and len(graph) != self.n:
             raise ValueError("adjacency list length does not match agent count")
+        for i, m in enumerate(self.models):
+            _check_agent(i, self.n, m, () if graph is None else graph[i])
+        if declared_L is not None and not 1 <= declared_L < math.inf:  # NaN too
+            raise ValueError(f"declared_L must be a finite number >= 1, got {declared_L!r}")
         self.graph = None if graph is None else tuple(tuple(sorted(nb)) for nb in graph)
         if self.graph is None:
             self.neighbor_masks = tuple(self.full for _ in range(self.n))
         else:
             self.neighbor_masks = tuple(mask_of(nb) for nb in self.graph)
-        if self.n > TABLE_MODEL_MAX_N and any(isinstance(m, TableModel) for m in self.models):
-            raise ValueError(f"table models are capped at n <= {TABLE_MODEL_MAX_N}")
         self._fns = tuple(
             [m.bind(i, nb) for i, (m, nb) in enumerate(zip(self.models, self.neighbor_masks))])
         self.declared_L = declared_L
@@ -305,14 +327,13 @@ class ValuationProfile:
     def replace(self, i: int, model: Model) -> "ValuationProfile":
         """New profile where agent ``i`` reports ``model`` instead.
 
-        Only agent ``i`` is bound anew, and a table model is refused past
-        n = 10 as in the constructor.  The graph, the neighbour masks and
+        Only agent ``i`` is bound anew, once ``model`` passes :func:`_check_agent`
+        as in the constructor.  The graph, the neighbour masks and
         the other agents' value functions are shared with this profile, which
         is safe because profiles are immutable and bound functions are pure.
         """
         i = range(self.n)[i]
-        if self.n > TABLE_MODEL_MAX_N and isinstance(model, TableModel):
-            raise ValueError(f"table models are capped at n <= {TABLE_MODEL_MAX_N}")
+        _check_agent(i, self.n, model, ())
         fn = model.bind(i, self.neighbor_masks[i])
         cls = type(self)
         new = cls.__new__(cls)
@@ -335,7 +356,7 @@ class ValuationProfile:
         Built on the first call and kept, so a profile that never sweeps or
         deletes from a large pool pays nothing for it; :meth:`replace` splices agent ``i``'s
         table into a view already built.  The masks come from the neighbour
-        lists as given, so an asymmetric hand-built graph is read as it is.
+        lists as given, so a directed graph, or a list naming its agent, is read as it is.
         """
         view = self._sweep_view
         if view is None:

@@ -7,9 +7,12 @@ import re
 import pytest
 
 from extauction import (
+    AdditiveModel,
     DegreeWeight,
     GraphConcaveModel,
+    LinearModel,
     ScalarModel,
+    TableModel,
     TableWeight,
     ValuationProfile,
     check_conditions,
@@ -110,7 +113,8 @@ def test_load_rejects_bad_set_key(tmp_path):
         (lambda doc: _agent_table(doc, {" ": 1.0}), "empty set key"),
         (lambda doc: _agent_table(doc, {"0,x": 1.0}), "bad set key"),
         (lambda doc: _agent_table(doc, {"0,,1": 1.0}), "bad set key"),
-        (lambda doc: doc.update(graph=[[1], [0], []]), "adjacency list length != n"),
+        (lambda doc: doc.update(graph=[[1], [0], []]),
+         "adjacency list length does not match agent count"),
         (lambda doc: doc["agents"][0].update(t=10**400), "numbers must be finite"),
         *[
             (lambda doc, k=k: _agent_table(doc, {"1": 2.0, k: 5.0, "0,1": 3.0}),
@@ -137,18 +141,67 @@ def test_load_names_the_guard_it_fails(tmp_path, capsys, change, message):
     assert captured.out == "" and captured.err.startswith("error: ") and message in captured.err
 
 
-def test_load_rejects_table_key_without_agent(tmp_path):
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (lambda doc: _agent_table(doc, {"0": 1.0, "0,1": 3.0}),
+         "agent 1: table key 1 is not a mask below 2^2 that holds agent 1"),
+        (lambda doc: _weight_table(doc, {"1": 1.0, "0,1": 2.0}),
+         "agent 0: table key 2 is not a mask below 2^2 that holds agent 0"),
+    ],
+    ids=["agent-table", "weight-table"],
+)
+def test_load_rejects_table_key_without_agent(tmp_path, capsys, change, message):
+    """A weight table is held to its agent's sets as an agent table is."""
     doc = _valid_doc()
-    doc["agents"][1]["values"] = {"0": 1.0}
-    with pytest.raises(InstanceError, match="does not contain agent"):
-        load_instance(_write(tmp_path, doc))
+    change(doc)
+    path = _write(tmp_path, doc)
+    with pytest.raises(InstanceError, match=re.escape(message) + "$"):
+        load_instance(path)
+    assert main(["check", "--instance", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
 
 
-def test_load_rejects_asymmetric_graph(tmp_path):
-    doc = _valid_doc()
-    doc["graph"] = [[1], []]
-    with pytest.raises(InstanceError, match="symmetric"):
-        load_instance(_write(tmp_path, doc))
+@pytest.mark.parametrize("graph", [[[1], []], [[0, 1], [1]], [[], [1, 0, 1]]],
+                         ids=["one-way", "self-loops", "self-loop-and-repeat"])
+def test_directed_graph_loads(tmp_path, graph):
+    """A graph need not be symmetric and may list an agent itself: each agent
+    reads its own list, less itself, as the library does."""
+    doc = {**_valid_doc(), "graph": graph}
+    doc["agents"][0]["weight"]["scale"] = 1.0
+    profile = load_instance(_write(tmp_path, doc))
+    assert profile.graph == tuple(tuple(sorted(nb)) for nb in graph)
+    nb0 = 1 in graph[0]
+    assert profile.value(0, 0b11) == 1.5 + 1.0 + nb0 and profile.value(0, 0b01) == 2.5
+
+
+def test_directed_graph_with_self_loops_round_trips(tmp_path):
+    graph = [[0, 1, 3], [2], [2, 0], [], [4, 0, 1, 2, 3]]
+    models = [GraphConcaveModel(2.0), ScalarModel(1.5, DegreeWeight(1.0, 0.5, "sqrt")),
+              LinearModel(1.0, DegreeWeight(), DegreeWeight(0.5, 0.25)),
+              TableModel({s: float(s.bit_count()) for s in range(32) if s & 0b1000}),
+              AdditiveModel(1.0, DegreeWeight(0.0, 2.0, "sqrt"))]
+    profile = ValuationProfile(models, graph=graph)
+    path = tmp_path / "directed.json"
+    save_instance(profile, path)
+    loaded = load_instance(path)
+    assert loaded.graph == profile.graph and loaded.models == profile.models
+    assert [loaded.column(i) for i in range(5)] == [profile.column(i) for i in range(5)]
+
+
+@pytest.mark.parametrize(
+    "model",
+    [ScalarModel(math.nan, DegreeWeight()), ScalarModel(1.0, DegreeWeight(math.inf)),
+     AdditiveModel(1.0, TableWeight({1: -math.inf}))],
+    ids=["nan-t", "inf-base", "inf-table-value"],
+)
+def test_save_refuses_numbers_the_loader_refuses(tmp_path, model):
+    """Saving writes strict JSON: a NaN or infinite field raises before any file exists."""
+    path = tmp_path / "p.json"
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        save_instance(ValuationProfile([model]), path)
+    assert not path.exists()
 
 
 def test_load_missing_file():

@@ -1,9 +1,11 @@
-"""Fuzzed contracts (loader, CLI) and metamorphic guarantees (relabel, scale).
+"""Fuzzed contracts (loader, CLI, save-load round trip) and metamorphic guarantees
+(relabel, scale).
 
 Hypothesis runs derandomized, so every tier-1 run tries the same examples.
 """
 
 import contextlib
+import functools
 import io
 import json
 import math
@@ -13,6 +15,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from extauction import (
+    AdditiveModel,
+    DegreeWeight,
+    GraphConcaveModel,
+    LinearModel,
+    ScalarModel,
     TableModel,
     ValuationProfile,
     benchmark_bruteforce,
@@ -23,6 +30,7 @@ from extauction.cli import main
 from extauction.experiments import gen_instance, quarter_bound_exhaustive
 from extauction.io import InstanceError, load_instance, save_instance
 from extauction.mechanisms import main_mechanism_exact_expectation
+from extauction.valuations import SHAPES
 
 FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=150)
 
@@ -91,6 +99,82 @@ def test_fuzz_loader_on_raw_bytes(fuzz_dir, content):
     path = fuzz_dir / "raw.json"
     path.write_bytes(content)
     _loads_or_rejects(path)
+
+
+# --- the structural gate: a profile the library builds is a file the loader reads ---
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_SHAPE = st.sampled_from(sorted(SHAPES))
+
+
+def _table(n, i):
+    """Tables of agent ``i``: keys mostly masks holding ``i``, now and then one that is
+    negative, past n or without ``i``, so most refused tables have one bad key."""
+    held = [s for s in range(1 << n) if s >> i & 1]
+    bad = [-1, 0, 1 << n | 1 << i, (1 << n) - 1 - (1 << i)]
+    keys = st.sampled_from(held * (24 // len(held)) + bad)
+    return st.dictionaries(keys, _FINITE, max_size=4).map(TableModel)
+
+
+@functools.cache  # built once per (n, i): building a strategy costs more than drawing
+def _model(n, i):
+    weight = st.builds(DegreeWeight, _FINITE, _FINITE, _SHAPE) | _table(n, i)
+    return st.one_of(
+        _table(n, i),
+        st.builds(AdditiveModel, _FINITE, weight),
+        st.builds(ScalarModel, _FINITE, weight),
+        st.builds(LinearModel, _FINITE, weight, weight),
+        st.builds(GraphConcaveModel, _FINITE, _FINITE, _SHAPE),
+    )
+
+
+@st.composite
+def _profile_inputs(draw):
+    """``(models, graph, declared_L)``: graphs directed, with self-loops, and now and
+    then an id past n, a negative one or a bool."""
+    n = draw(st.integers(1, 5))
+    models = [draw(_model(n, i)) for i in range(n)]
+    return models, draw(_graph(n)), draw(st.none() | st.floats(-1.0, 4.0))
+
+
+@functools.cache
+def _graph(n):
+    ids = st.sampled_from([*range(n)] * (24 // n) + [-1, n, False, True])
+    return st.none() | st.lists(st.lists(ids, max_size=n + 1), min_size=n, max_size=n)
+
+
+def _well_formed(models, graph, declared_L):
+    """The structure a file can hold, stated over the inputs."""
+    n = len(models)
+    tables = [(i, t) for i, m in enumerate(models)
+              for t in (m, getattr(m, "weight", None), getattr(m, "offset", None))
+              if isinstance(t, TableModel)]
+    return (graph is None or all(type(j) is int and 0 <= j < n for nb in graph for j in nb)) \
+        and all(0 <= k < 1 << n and k >> i & 1 for i, t in tables for k in t.values) \
+        and (declared_L is None or declared_L >= 1)
+
+
+@FUZZ
+@given(inputs=_profile_inputs())
+def test_a_profile_the_library_builds_is_a_file_the_loader_reads(fuzz_dir, inputs):
+    """Every profile the constructor accepts saves and reloads with the same models,
+    graph, ``declared_L`` and values; every input it refuses raises ``ValueError`` at
+    build."""
+    models, graph, declared_L = inputs
+    if not _well_formed(models, graph, declared_L):
+        with pytest.raises(ValueError):
+            ValuationProfile(models, graph=graph, declared_L=declared_L)
+        return
+    profile = ValuationProfile(models, graph=graph, declared_L=declared_L)
+    path = fuzz_dir / "built.json"
+    save_instance(profile, path)
+    loaded = load_instance(path, validate=False)
+    assert (loaded.models, loaded.graph, loaded.declared_L) == \
+        (profile.models, profile.graph, profile.declared_L)
+    for i in range(profile.n):
+        for s in range(1 << profile.n):
+            a, b = profile.value(i, s), loaded.value(i, s)
+            assert a == b or (a != a and b != b), (i, s)  # NaN only where NaN
 
 
 # --- CLI fuzzing -----------------------------------------------------------------

@@ -1,5 +1,5 @@
 """Table set keys: canonical keys read by lookup, every other key by the parser,
-with the same result; saving writes only the entries a value query can read."""
+with the same result; a profile holds only the entries a value query can read."""
 
 import json
 import re
@@ -12,7 +12,10 @@ from extauction import (
     AdditiveModel,
     DegreeWeight,
     GraphConcaveModel,
+    LinearModel,
+    ScalarModel,
     TableModel,
+    TableWeight,
     ValuationProfile,
     check_conditions,
 )
@@ -58,7 +61,7 @@ def test_canonical_table_matches_the_parser():
             assert keys[m] == key and masks[key] == m
             assert eio._parse_set_key(key, n, "t") == m
         values = {key: float(m) for key, m in spelled.items()}
-        assert eio._field(TABLE, values, n, "t", None) == {m: float(m) for m in spelled.values()}
+        assert eio._field(TABLE, values, n, "t") == {m: float(m) for m in spelled.values()}
 
 
 def test_canonical_keys_skip_the_parser(tmp_path, monkeypatch, fresh_keys):
@@ -86,7 +89,7 @@ def test_table_grows_only_for_tables(tmp_path, fresh_keys):
     doc["agents"][0] = _additive_table({"0": 1.0})
     load_instance(_write(tmp_path, doc), validate=False)
     assert _built(32, 512)
-    doc = {"schema": 1, "n": 13, "agents": [_additive_table({"0": 1.0})] * 13}
+    doc = {"schema": 1, "n": 13, "agents": [_additive_table({str(i): 1.0}) for i in range(13)]}
     load_instance(_write(tmp_path, doc), validate=False)
     assert _built(32, 512, MEMBER_TABLE_SIZE)
 
@@ -181,42 +184,40 @@ def test_threads_loading_at_once_each_get_the_serial_profile(tmp_path, fresh_key
 
 
 @pytest.mark.parametrize(
-    "models, kept",
+    "models, message",
     [
-        # agent 0's key '1' lacks it, agent 1's key '0' lacks it
-        ([TableModel({1: 2.0, 3: 2.0, 2: 7.0}), TableModel({2: 1.0, 3: 1.0})],
-         [{"0": 2.0, "0,1": 2.0}, {"1": 1.0, "0,1": 1.0}]),
+        # agent 1's key '0' lacks it
+        ([TableModel({1: 2.0, 3: 2.0}), TableModel({2: 1.0, 3: 1.0, 1: 7.0})],
+         "agent 1: table key 1 is not a mask below 2^2 that holds agent 1"),
         # the empty set, which no agent is in
-        ([AdditiveModel(1.0, TableModel({1: 1.0, 0: 5.0}))], [{"0": 1.0}]),
-        # sets past n and a negative mask, which no value query names
-        ([TableModel({1: 1.0, 3: 1.0, 5: 9.0, 8: 9.0, -1: 9.0}),
-          AdditiveModel(1.0, TableModel({2: 1.0, 3: 1.0, 4: 9.0}))],
-         [{"0": 1.0, "0,1": 1.0}, {"1": 1.0, "0,1": 1.0}]),
+        ([AdditiveModel(1.0, TableModel({1: 1.0, 0: 5.0}))],
+         "agent 0: table key 0 is not a mask below 2^1 that holds agent 0"),
+        # a set past n, which no value query names
+        ([TableModel({1: 1.0, 3: 1.0}), AdditiveModel(1.0, TableModel({2: 1.0, 3: 1.0, 6: 9.0}))],
+         "agent 1: table key 6 is not a mask below 2^2 that holds agent 1"),
+        # a negative mask
+        ([TableModel({1: 1.0, -1: 2.0})],
+         "agent 0: table key -1 is not a mask below 2^1 that holds agent 0"),
+        # a weight and an offset are held to their agent's sets too
+        ([ScalarModel(1.0, TableWeight({1: 1.0, 3: 2.0})),
+          LinearModel(1.0, TableWeight({2: 1.0}), TableWeight({3: 0.5, 1: 0.5}))],
+         "agent 1: table key 1 is not a mask below 2^2 that holds agent 1"),
     ],
-    ids=["key-without-agent", "empty-key", "keys-past-n"],
+    ids=["key-without-agent", "empty-key", "key-past-n", "negative-key", "offset-key"],
 )
-def test_save_writes_only_readable_entries(tmp_path, capsys, models, kept):
-    profile = ValuationProfile(models)
-    assert check_conditions(profile) == []
-    path = tmp_path / "p.json"
-    save_instance(profile, path)
-    doc = json.loads(path.read_text())
-    tables = [a["values"] if a["model"] == "table" else a["weight"]["values"] for a in doc["agents"]]
-    assert tables == kept
-    loaded = load_instance(path)
-    full = 1 << profile.n
-    assert all(loaded.value(i, s) == profile.value(i, s)
-               for i in range(profile.n) for s in range(full))
-    assert main(["check", "--instance", str(path)]) == 0
-    assert json.loads(capsys.readouterr().out)["valid"] is True
+def test_unreadable_table_entries_are_refused_at_build(models, message):
+    """A key no value query can read would be dropped by, or break, a saved file,
+    so the profile refuses it."""
+    with pytest.raises(ValueError, match=re.escape(message) + "$"):
+        ValuationProfile(models)
 
 
 @pytest.mark.parametrize(
     "graph, message",
     [
-        ([[1], [[0]]], "graph must be symmetric (0-1)"),
+        ([[1], [[0]]], "bad neighbor [0] of agent 1"),
         ([[1], [0.0]], "bad neighbor 0.0 of agent 1"),
-        ([[1], [{"a": 0}]], "graph must be symmetric (0-1)"),
+        ([[1], [{"a": 0}]], "bad neighbor {'a': 0} of agent 1"),
         ([[1], [False]], "bad neighbor False of agent 1"),
     ],
     ids=["unhashable-list", "float-id", "unhashable-object", "bool-id"],

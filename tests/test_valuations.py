@@ -235,6 +235,17 @@ def test_replace_keeps_the_table_cap():
     assert _snapshot(profile) == before
 
 
+def test_replace_checks_table_keys():
+    """A misreported table is held to the keys a file can name, as at build."""
+    profile = gen_instance("table", 4, seed=1)
+    before = _snapshot(profile)
+    bad = TableModel({**profile.models[2].values, 0b0001: 1.0})
+    with pytest.raises(ValueError,
+                       match=r"^agent 2: table key 1 is not a mask below 2\^4 that holds agent 2$"):
+        profile.replace(2, bad)
+    assert _snapshot(profile) == before
+
+
 def test_table_model_owns_its_mapping(tmp_path):
     """Editing the dict a ``TableModel`` was built from changes neither the model,
     nor a profile built from it, nor what ``save_instance`` writes."""
@@ -287,8 +298,17 @@ def test_table_cap():
         (lambda: ValuationProfile(size_scalar_profile(3).models, graph=[[1], [0]]),
          r"^adjacency list length does not match agent count$"),
         (lambda: check_conditions(size_scalar_profile(3), mode="bogus"), r"^unknown mode 'bogus'$"),
+        # the complete graph on 14 agents, agent 0 also naming agent 40
+        (lambda: ValuationProfile([GraphConcaveModel(1.0)] * 14,
+                                  graph=[[j for j in range(14) if j != i] + [40] * (i == 0)
+                                         for i in range(14)]),
+         r"^bad neighbor 40 of agent 0$"),
+        *[(lambda bad=bad: ValuationProfile(size_scalar_profile(3).models, declared_L=bad),
+           rf"^declared_L must be a finite number >= 1, got {bad!r}$")
+          for bad in (0.5, math.inf, math.nan)],
     ],
-    ids=["graph-length", "check-mode"],
+    ids=["graph-length", "check-mode", "neighbor-past-n", "declared_L-below-1", "declared_L-inf",
+         "declared_L-nan"],
 )
 def test_profile_and_checker_reject_bad_arguments(call, message):
     with pytest.raises(ValueError, match=message):
