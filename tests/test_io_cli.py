@@ -172,8 +172,8 @@ def test_directed_graph_loads(tmp_path, graph):
     doc["agents"][0]["weight"]["scale"] = 1.0
     profile = load_instance(_write(tmp_path, doc))
     assert profile.graph == tuple(tuple(sorted(nb)) for nb in graph)
-    nb0 = 1 in graph[0]
-    assert profile.value(0, 0b11) == 1.5 + 1.0 + nb0 and profile.value(0, 0b01) == 2.5
+    k = int(1 in graph[0])  # agent 1 counts for agent 0 only if agent 0 lists it; sqrt(k) = k
+    assert profile.value(0, 0b11) == 2.5 + k and profile.value(0, 0b01) == 2.5
 
 
 def test_directed_graph_with_self_loops_round_trips(tmp_path):
