@@ -151,6 +151,9 @@ def _to_json(obj, tag: str, n: int) -> dict:
         elif annotation == "Mapping[int, float]":
             keys = _canonical_keys(min(1 << n, MEMBER_TABLE_SIZE))[0]
             value = {_set_key(m, keys): v for m, v in sorted(value.items())}
+            for v in value.values():
+                if not is_number(v):  # a bool too, which JSON would write as true
+                    raise ValueError(f"table value {v!r} is not a number")
         doc[field] = value
     return doc
 
@@ -221,8 +224,9 @@ def instance_digest(profile: ValuationProfile) -> str:
 
 
 def save_instance(profile: ValuationProfile, path) -> None:
-    """Write ``profile`` as strict JSON: a NaN or infinite number raises
-    ``ValueError`` before the file is opened, as the loader would refuse it."""
+    """Write ``profile`` as strict JSON: a NaN or infinite number, or a table value
+    that is not an ``int`` or ``float``, raises ``ValueError`` before the file is
+    opened, as the loader would refuse it."""
     text = json.dumps(_instance_doc(profile), indent=2, sort_keys=True, allow_nan=False)
     Path(path).write_text(text + "\n")
 
@@ -269,7 +273,7 @@ def load_instance(path, validate: bool = True) -> ValuationProfile:
     declared_L = doc.get("declared_L")
     if declared_L is not None:
         declared_L = _float(declared_L, f"{path}: declared_L")
-    models = [_from_json(a, "model", n, f"agents[{i}]") for i, a in enumerate(agents)]
+    models = [_from_json(a, "model", n, f"{path}: agents[{i}]") for i, a in enumerate(agents)]
     try:
         profile = ValuationProfile(models, graph=graph, declared_L=declared_L)
     except ValueError as e:  # the structure: neighbours, table keys, declared_L

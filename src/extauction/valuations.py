@@ -11,9 +11,9 @@ Every model enforces the domain conditions by construction:
 
 Profiles are immutable once built and safe to share; the only mutable state
 (the query counter, the ``r(C)`` memos and any ``2^n`` value columns) lives on a
-per-run :class:`Oracle`.  A profile only caches, on its first sweep or
-deletion round of a large pool, a view of its own tables
-(:meth:`ValuationProfile._degree_view`), the same whichever run builds it.
+per-run :class:`Oracle`.  A profile only caches, on its first sweep or deletion round
+of a large pool, a view of its own tables (:meth:`ValuationProfile._degree_view`), the
+same whichever run builds it, with masks kept for the last graph (:func:`_graph_masks`).
 The exhaustive paths (n <= 12) read each agent's values from one table
 (:meth:`ValuationProfile.column`) instead of calling the model once per
 lookup.
@@ -30,6 +30,7 @@ its neighbour count, and scans its ``2^n`` column only when one of them fails
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from array import array
@@ -229,20 +230,44 @@ EXHAUSTIVE_MAX_N = 12
 
 def _check_agent(i: int, n: int, model: Model, neighbors) -> None:
     """Raise ``ValueError`` unless agent ``i`` of ``n`` fits a file: ``neighbors`` are
-    ``int`` ids in ``range(n)`` (``i`` may be one), a table model needs n <= 10, and each
-    key of a table model, weight or offset is a mask below ``2^n`` holding ``i``."""
+    ``int`` ids in ``range(n)`` (``i`` may be one), a table model needs n <= 10, each
+    key of a table model, weight or offset is a mask below ``2^n`` holding ``i``, and
+    ``t``, ``beta``, ``base`` and ``scale`` are ``int`` or ``float``, not ``bool``."""
     for j in neighbors:
         if type(j) is not int or not 0 <= j < n:  # a bool is not an id
             raise ValueError(f"bad neighbor {j!r} of agent {i}")
     if isinstance(model, TableModel) and n > TABLE_MODEL_MAX_N:
         raise ValueError(f"table models are capped at n <= {TABLE_MODEL_MAX_N}")
     full, bit = 1 << n, 1 << i
-    for table in (model, getattr(model, "weight", None), getattr(model, "offset", None)):
-        if isinstance(table, TableModel):
-            for k in table.values:
-                if not (0 <= k < full and k & bit):
-                    raise ValueError(f"agent {i}: table key {k!r} is not a mask below 2^{n} "
-                                     f"that holds agent {i}")
+    for part in (model, getattr(model, "weight", None), getattr(model, "offset", None)):
+        if isinstance(part, TableModel):
+            try:
+                for k in part.values:
+                    if not (0 <= k < full and k & bit):
+                        break
+                else:
+                    continue
+            except TypeError:  # a key the chain cannot compare or mask: a str, a float, None
+                pass
+            raise ValueError(f"agent {i}: table key {k!r} is not a mask below 2^{n} "
+                             f"that holds agent {i}")
+        elif part is not None:
+            for name in ("t", "beta", "base", "scale"):
+                x = getattr(part, name, 0.0)
+                if type(x) is not float and type(x) is not int:  # a bool is not a number
+                    raise ValueError(f"agent {i}: {name} must be a number, got {x!r}")
+
+
+@functools.lru_cache(maxsize=1)
+def _graph_masks(neighbor_masks: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """``(nbs, in_nbs)`` of a :class:`DegreeView` on ``neighbor_masks`` as given (directed, or
+    naming the agent), kept while the graph repeats, as it does across ``replace``."""
+    nbs = tuple(m & ~(1 << i) for i, m in enumerate(neighbor_masks))
+    in_nbs = [0] * len(nbs)
+    for i, nb in enumerate(nbs):
+        for j in iter_members(nb):
+            in_nbs[j] |= 1 << i
+    return nbs, tuple(in_nbs)
 
 
 class DegreeView(NamedTuple):
@@ -275,9 +300,9 @@ class ValuationProfile:
     ``sum_i (|N(i) \\ {i}| + 1)`` floats at most, ``n^2`` on the complete
     graph (16,384 at n = 128).  Agents with a table model or a table weight
     keep their closures instead.  The first sweep or deletion round of a
-    large pool reads those tables, with each agent's neighbour and in-neighbour masks, into a
-    :class:`DegreeView` that the profile then keeps (:meth:`_degree_view`);
-    building a profile computes none of it.
+    large pool reads those tables into a :class:`DegreeView` that the profile then keeps
+    (:meth:`_degree_view`), with the neighbour and in-neighbour masks computed once per
+    graph; building a profile computes none of it.
 
     Its structure is checked when built, so that it saves to a file the loader
     reads (:func:`_check_agent`; ``declared_L`` finite and >= 1 if given), and a
@@ -328,9 +353,9 @@ class ValuationProfile:
         """New profile where agent ``i`` reports ``model`` instead.
 
         Only agent ``i`` is bound anew, once ``model`` passes :func:`_check_agent`
-        as in the constructor.  The graph, the neighbour masks and
-        the other agents' value functions are shared with this profile, which
-        is safe because profiles are immutable and bound functions are pure.
+        as in the constructor; its degree view is built when first needed.  The graph,
+        the neighbour masks and the other agents' value functions are shared with this
+        profile, which is safe because profiles are immutable and bound functions are pure.
         """
         i = range(self.n)[i]
         _check_agent(i, self.n, model, ())
@@ -340,34 +365,20 @@ class ValuationProfile:
         new.__dict__.update(self.__dict__)
         new.models = (*self.models[:i], model, *self.models[i + 1:])
         new._fns = (*self._fns[:i], fn, *self._fns[i + 1:])
-        view = self._sweep_view
-        if view is not None:
-            g = _degree_table(fn)
-            bit = 1 << i
-            new._sweep_view = view._replace(
-                mask=view.mask | bit if g is not None else view.mask & ~bit,
-                tables=(*view.tables[:i], g, *view.tables[i + 1:]))
+        new._sweep_view = None
         return new
 
     def _degree_view(self) -> DegreeView:
-        """The per-degree tables and neighbour masks behind the incremental
-        sweep and deletion rounds.
-
-        Built on the first call and kept, so a profile that never sweeps or
-        deletes from a large pool pays nothing for it; :meth:`replace` splices agent ``i``'s
-        table into a view already built.  The masks come from the neighbour
-        lists as given, so a directed graph, or a list naming its agent, is read as it is.
+        """The per-degree tables and neighbour masks behind the incremental sweep and
+        deletion rounds, built on the first call and kept, so a profile that never sweeps
+        or deletes from a large pool pays nothing for it.  The tables are this profile's
+        own; the masks (:func:`_graph_masks`) are computed once per graph.
         """
         view = self._sweep_view
         if view is None:
             tables = tuple(map(_degree_table, self._fns))
-            nbs = tuple(m & ~(1 << i) for i, m in enumerate(self.neighbor_masks))
-            in_nbs = [0] * self.n
-            for i, nb in enumerate(nbs):
-                for j in iter_members(nb):
-                    in_nbs[j] |= 1 << i
             mask = mask_of(i for i, g in enumerate(tables) if g is not None)
-            view = self._sweep_view = DegreeView(mask, tables, nbs, tuple(in_nbs))
+            view = self._sweep_view = DegreeView(mask, tables, *_graph_masks(self.neighbor_masks))
         return view
 
     def __repr__(self):

@@ -23,6 +23,8 @@ from extauction import (
 )
 from extauction import benchmark as bm
 from extauction.experiments import gen_instance
+from extauction.mechanisms import main_mechanism
+from extauction.truthfulness import deviation_test, misreport_plan
 
 BIG = 1e308
 
@@ -167,16 +169,38 @@ def test_replace_keeps_the_degree_view_right(incremental_calls):
     table = AdditiveModel(original.t, TableWeight({s: 1.0 + s.bit_count() / 16
                                                    for s in range(1 << 4, 1 << 6) if s >> 4 & 1}))
     swapped = profile.replace(4, table)
-    assert not swapped._sweep_view.mask >> 4 & 1
     del incremental_calls[:]
     fresh = ValuationProfile(swapped.models, graph=profile.graph)
     assert sweeps(swapped) == sweeps(fresh)
     assert incremental_calls == []  # every pool holds agent 4
+    assert not swapped._sweep_view.mask >> 4 & 1
 
     back = swapped.replace(4, original)
-    assert back._sweep_view == profile._sweep_view
     assert sweeps(back) == sweeps(profile)
+    assert back._sweep_view == profile._sweep_view
     assert len(incremental_calls) == 2 * len(pools)
     moved = profile.replace(4, AdditiveModel(original.t + 3.0, original.weight))
     assert sweeps(moved) == sweeps(ValuationProfile(moved.models, graph=profile.graph))
     assert moved._sweep_view.tables[4] != profile._sweep_view.tables[4]
+
+
+def test_deviation_reports_share_the_graph_masks():
+    """A deviation test's reports read the truthful profile's neighbour masks, computed
+    once for the graph, and each runs as a freshly built profile does."""
+    profile = gen_instance("graph_concave", 32, seed=1)
+    plan = misreport_plan(profile, 32)[::10]  # 29 misreports, each of the 9 kinds on some agent
+    runs = []
+
+    def mechanism(p, seed):
+        out = main_mechanism(p, seed)
+        runs.append((p, seed, out))
+        return out
+
+    deviation_test(mechanism, profile, plan, seeds=(0, 1))
+    truth = profile._sweep_view
+    assert truth is not None  # the runs swept a pool of more than 12
+    assert len(runs) == 2 * (len(plan) + 1)
+    for p, _, _ in runs:
+        assert p._sweep_view.nbs is truth.nbs and p._sweep_view.in_nbs is truth.in_nbs
+    for p, seed, out in runs:
+        assert repr(main_mechanism(ValuationProfile(p.models), seed)) == repr(out)

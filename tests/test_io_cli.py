@@ -191,16 +191,20 @@ def test_directed_graph_with_self_loops_round_trips(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "model",
-    [ScalarModel(math.nan, DegreeWeight()), ScalarModel(1.0, DegreeWeight(math.inf)),
-     AdditiveModel(1.0, TableWeight({1: -math.inf}))],
-    ids=["nan-t", "inf-base", "inf-table-value"],
+    "model, message",
+    [(ScalarModel(math.nan, DegreeWeight()), "not JSON compliant"),
+     (ScalarModel(1.0, DegreeWeight(math.inf)), "not JSON compliant"),
+     (AdditiveModel(1.0, TableWeight({1: -math.inf})), "not JSON compliant"),
+     (TableModel({1: True}), "^table value True is not a number$"),
+     (ScalarModel(1.0, TableWeight({1: 2.0, 3: False})), "^table value False is not a number$")],
+    ids=["nan-t", "inf-base", "inf-table-value", "bool-table-value", "bool-weight-value"],
 )
-def test_save_refuses_numbers_the_loader_refuses(tmp_path, model):
-    """Saving writes strict JSON: a NaN or infinite field raises before any file exists."""
+def test_save_refuses_numbers_the_loader_refuses(tmp_path, model, message):
+    """Saving writes strict JSON of numbers: a NaN or infinite field, or a bool table
+    value, raises before any file exists."""
     path = tmp_path / "p.json"
-    with pytest.raises(ValueError, match="not JSON compliant"):
-        save_instance(ValuationProfile([model]), path)
+    with pytest.raises(ValueError, match=message):
+        save_instance(ValuationProfile([model, GraphConcaveModel(1.0)]), path)
     assert not path.exists()
 
 
@@ -270,8 +274,9 @@ def test_load_optional_fields_take_defaults(tmp_path):
 def test_load_rejects_missing_field(tmp_path, agent, missing):
     doc = _valid_doc()
     doc["agents"][0] = agent
-    with pytest.raises(InstanceError, match=re.escape(f"agents[0]: missing fields {missing}")):
-        load_instance(_write(tmp_path, doc))
+    path = _write(tmp_path, doc)
+    with pytest.raises(InstanceError, match=re.escape(f"{path}: agents[0]: missing fields {missing}")):
+        load_instance(path)
 
 
 def test_load_rejects_missing_top_level_field(tmp_path):
@@ -347,6 +352,7 @@ def test_load_rejects_strings_and_booleans_as_numbers(tmp_path, capsys, change):
     assert main(["check", "--instance", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "expected a number" in captured.err
+    assert captured.err.startswith(f"error: {path}: ")  # the file is named, as in every load error
 
 
 @pytest.mark.parametrize("content", [b"\xff\xfe{", b"[" * 100_000, b"[1" + b"0" * 5000 + b"]"],

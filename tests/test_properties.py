@@ -28,7 +28,7 @@ from extauction import (
 from extauction import mechanisms as mech
 from extauction.cli import main
 from extauction.experiments import gen_instance, quarter_bound_exhaustive
-from extauction.io import InstanceError, load_instance, save_instance
+from extauction.io import InstanceError, is_number, load_instance, save_instance
 from extauction.mechanisms import main_mechanism_exact_expectation
 from extauction.valuations import SHAPES
 
@@ -105,26 +105,32 @@ def test_fuzz_loader_on_raw_bytes(fuzz_dir, content):
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 _SHAPE = st.sampled_from(sorted(SHAPES))
+#: a number field of a model or weight: now and then a bool, a str or None
+_NUMBER_FIELD = st.integers(0, 15).flatmap(
+    lambda k: st.sampled_from([True, False, "2", None]) if k == 0 else _FINITE)
+#: a table value: now and then a bool, which saves as JSON true
+_TABLE_VALUE = st.integers(0, 15).flatmap(lambda k: st.booleans() if k == 0 else _FINITE)
 
 
 def _table(n, i):
     """Tables of agent ``i``: keys mostly masks holding ``i``, now and then one that is
-    negative, past n or without ``i``, so most refused tables have one bad key."""
+    negative, past n, without ``i`` or not an ``int``, so most refused tables have one
+    bad key."""
     held = [s for s in range(1 << n) if s >> i & 1]
-    bad = [-1, 0, 1 << n | 1 << i, (1 << n) - 1 - (1 << i)]
-    keys = st.sampled_from(held * (24 // len(held)) + bad)
-    return st.dictionaries(keys, _FINITE, max_size=4).map(TableModel)
+    bad = [-1, 0, 1 << n | 1 << i, (1 << n) - 1 - (1 << i), 1.5, "1", None]
+    keys = st.sampled_from(held * (40 // len(held)) + bad)
+    return st.dictionaries(keys, _TABLE_VALUE, max_size=4).map(TableModel)
 
 
 @functools.cache  # built once per (n, i): building a strategy costs more than drawing
 def _model(n, i):
-    weight = st.builds(DegreeWeight, _FINITE, _FINITE, _SHAPE) | _table(n, i)
+    weight = st.builds(DegreeWeight, _NUMBER_FIELD, _NUMBER_FIELD, _SHAPE) | _table(n, i)
     return st.one_of(
         _table(n, i),
-        st.builds(AdditiveModel, _FINITE, weight),
-        st.builds(ScalarModel, _FINITE, weight),
-        st.builds(LinearModel, _FINITE, weight, weight),
-        st.builds(GraphConcaveModel, _FINITE, _FINITE, _SHAPE),
+        st.builds(AdditiveModel, _NUMBER_FIELD, weight),
+        st.builds(ScalarModel, _NUMBER_FIELD, weight),
+        st.builds(LinearModel, _NUMBER_FIELD, weight, weight),
+        st.builds(GraphConcaveModel, _NUMBER_FIELD, _NUMBER_FIELD, _SHAPE),
     )
 
 
@@ -143,23 +149,30 @@ def _graph(n):
     return st.none() | st.lists(st.lists(ids, max_size=n + 1), min_size=n, max_size=n)
 
 
+def _parts(models):
+    """``(i, part)`` for each model, weight and offset of the agents."""
+    return [(i, p) for i, m in enumerate(models)
+            for p in (m, getattr(m, "weight", None), getattr(m, "offset", None)) if p is not None]
+
+
 def _well_formed(models, graph, declared_L):
     """The structure a file can hold, stated over the inputs."""
     n = len(models)
-    tables = [(i, t) for i, m in enumerate(models)
-              for t in (m, getattr(m, "weight", None), getattr(m, "offset", None))
-              if isinstance(t, TableModel)]
+    parts = _parts(models)
     return (graph is None or all(type(j) is int and 0 <= j < n for nb in graph for j in nb)) \
-        and all(0 <= k < 1 << n and k >> i & 1 for i, t in tables for k in t.values) \
+        and all(type(k) is int and 0 <= k < 1 << n and k >> i & 1
+                for i, t in parts if isinstance(t, TableModel) for k in t.values) \
+        and all(is_number(getattr(p, f)) for _, p in parts
+                for f in ("t", "beta", "base", "scale") if hasattr(p, f)) \
         and (declared_L is None or declared_L >= 1)
 
 
 @FUZZ
 @given(inputs=_profile_inputs())
 def test_a_profile_the_library_builds_is_a_file_the_loader_reads(fuzz_dir, inputs):
-    """Every profile the constructor accepts saves and reloads with the same models,
-    graph, ``declared_L`` and values; every input it refuses raises ``ValueError`` at
-    build."""
+    """Every profile the constructor accepts, its table values numbers, saves and reloads
+    with the same models, graph, ``declared_L`` and values; every input it refuses raises
+    ``ValueError`` at build, and a bool table value raises it at save, before any file."""
     models, graph, declared_L = inputs
     if not _well_formed(models, graph, declared_L):
         with pytest.raises(ValueError):
@@ -167,6 +180,13 @@ def test_a_profile_the_library_builds_is_a_file_the_loader_reads(fuzz_dir, input
         return
     profile = ValuationProfile(models, graph=graph, declared_L=declared_L)
     path = fuzz_dir / "built.json"
+    path.unlink(missing_ok=True)
+    if not all(is_number(v) for _, t in _parts(models) if isinstance(t, TableModel)
+               for v in t.values.values()):
+        with pytest.raises(ValueError, match="^table value (True|False) is not a number$"):
+            save_instance(profile, path)
+        assert not path.exists()
+        return
     save_instance(profile, path)
     loaded = load_instance(path, validate=False)
     assert (loaded.models, loaded.graph, loaded.declared_L) == \

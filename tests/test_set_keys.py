@@ -202,8 +202,16 @@ def test_threads_loading_at_once_each_get_the_serial_profile(tmp_path, fresh_key
         ([ScalarModel(1.0, TableWeight({1: 1.0, 3: 2.0})),
           LinearModel(1.0, TableWeight({2: 1.0}), TableWeight({3: 0.5, 1: 0.5}))],
          "agent 1: table key 1 is not a mask below 2^2 that holds agent 1"),
+        # keys that are not ints: the mask test cannot read them
+        ([TableModel({1: 1.0, 1.5: 1.0})],
+         "agent 0: table key 1.5 is not a mask below 2^1 that holds agent 0"),
+        ([TableModel({1: 1.0}), AdditiveModel(1.0, TableModel({"2": 1.0}))],
+         "agent 1: table key '2' is not a mask below 2^2 that holds agent 1"),
+        ([TableModel({None: 1.0})],
+         "agent 0: table key None is not a mask below 2^1 that holds agent 0"),
     ],
-    ids=["key-without-agent", "empty-key", "key-past-n", "negative-key", "offset-key"],
+    ids=["key-without-agent", "empty-key", "key-past-n", "negative-key", "offset-key",
+         "float-key", "str-key", "none-key"],
 )
 def test_unreadable_table_entries_are_refused_at_build(models, message):
     """A key no value query can read would be dropped by, or break, a saved file,

@@ -9,6 +9,7 @@ from extauction import (
     AdditiveModel,
     DegreeWeight,
     GraphConcaveModel,
+    LinearModel,
     ScalarModel,
     TableModel,
     TableWeight,
@@ -306,9 +307,18 @@ def test_table_cap():
         *[(lambda bad=bad: ValuationProfile(size_scalar_profile(3).models, declared_L=bad),
            rf"^declared_L must be a finite number >= 1, got {bad!r}$")
           for bad in (0.5, math.inf, math.nan)],
+        # a number field holds an int or a float: a bool would save as JSON true
+        (lambda: ValuationProfile([GraphConcaveModel(True)]), r"^agent 0: t must be a number, got True$"),
+        (lambda: ValuationProfile([GraphConcaveModel(1.0), GraphConcaveModel(1.0, beta="2")]),
+         r"^agent 1: beta must be a number, got '2'$"),
+        (lambda: ValuationProfile([ScalarModel(2.0, DegreeWeight(base=True))]),
+         r"^agent 0: base must be a number, got True$"),
+        (lambda: size_scalar_profile(3).replace(
+            2, LinearModel(1.0, DegreeWeight(), DegreeWeight(scale=None))),
+         r"^agent 2: scale must be a number, got None$"),
     ],
     ids=["graph-length", "check-mode", "neighbor-past-n", "declared_L-below-1", "declared_L-inf",
-         "declared_L-nan"],
+         "declared_L-nan", "bool-t", "str-beta", "bool-base", "replace-none-scale"],
 )
 def test_profile_and_checker_reject_bad_arguments(call, message):
     with pytest.raises(ValueError, match=message):
