@@ -26,7 +26,6 @@ from .benchmark import (  # noqa: F401  (_greedy_sweep stays bound for perfbench
     classical_best_price,
 )
 from .mechanisms import (
-    EXACT_EXPECTATION_MAX_N,
     Partition3,
     main_mechanism,
     main_mechanism_exact_expectation,
@@ -301,7 +300,7 @@ def quarter_bound_exhaustive(profile) -> tuple[int, int, list[Partition3]]:
     """Run the quarter-bound check over all ``3^n`` partitions.
 
     Returns (checked, skipped, failures); all partitions skip when the
-    benchmark optimum is zero, none otherwise.  Rejected for n > 10, like
+    benchmark optimum is zero, none otherwise.  Rejected for n > 12, like
     the exact expectation it shares its revenue table with.
 
     Each partition gets :func:`quarter_bound_check`'s test, inline: ``r(C)``,
@@ -315,8 +314,8 @@ def quarter_bound_exhaustive(profile) -> tuple[int, int, list[Partition3]]:
     """
     oracle = as_oracle(profile)
     n = oracle.n
-    if n > EXACT_EXPECTATION_MAX_N:
-        raise ValueError(f"quarter bound rejected for n > {EXACT_EXPECTATION_MAX_N}")
+    if n > EXHAUSTIVE_MAX_N:
+        raise ValueError(f"quarter bound rejected for n > {EXHAUSTIVE_MAX_N}")
     oracle.tabulate()
     optimum = benchmark_bruteforce(oracle, 3)
     checked = 3 ** n

@@ -33,8 +33,6 @@ from .valuations import EPS, EXHAUSTIVE_MAX_N, AdditiveModel, Oracle, ValuationP
 #: mixing parameter of the additive-market mixture mechanism.
 DEFAULT_ALPHA = 4.68
 
-EXACT_EXPECTATION_MAX_N = 10
-
 
 @dataclass
 class Outcome:
@@ -205,8 +203,8 @@ def revenue_table(oracle: Oracle) -> array:
     oracle, which it tabulates: every sweep step ``(T, free)`` is computed
     once (:meth:`~extauction.valuations.Oracle.argmin`), so a fresh oracle
     spends exactly ``n * 3^(n-1)`` queries here, one per ``i`` in ``T`` over
-    all disjoint ``(T, free)``.  For the ``3^n`` enumerations (n <= 10);
-    refused for n > 12, past which an oracle does not tabulate.
+    all disjoint ``(T, free)``.  For the ``3^n`` enumerations; refused for
+    n > 12, past which an oracle does not tabulate.
     """
     if oracle.n > EXHAUSTIVE_MAX_N:
         raise ValueError(f"revenue tables are capped at n <= {EXHAUSTIVE_MAX_N}")
@@ -283,10 +281,10 @@ def main_mechanism_exact_expectation(profile) -> float:
 
     Averages the deterministic revenue over all ``3^n`` equally likely
     labeled partitions; no sampling error, bit-reproducible.  Rejected for
-    n > 10.  ``r(C | A)``, ``r(C | B)`` and ``r(B | A)`` are read from
-    :func:`revenue_table`, so on a fresh oracle the queries are
-    ``n * 3^(n-1)`` for the table plus those of the deletion fixpoints that
-    run; a single run's ``10 n^2`` budget is not in play here.
+    n > 12, as every exhaustive path is.  ``r(C | A)``, ``r(C | B)`` and
+    ``r(B | A)`` are read from :func:`revenue_table`, so on a fresh oracle
+    the queries are ``n * 3^(n-1)`` for the table plus those of the deletion
+    fixpoints that run; a single run's ``10 n^2`` budget is not in play here.
 
     The deletion fixpoint runs only where B can pay.  A partition pays
     nothing, and is skipped, when B is empty, when ``r = r(C)`` is 0.0 or
@@ -313,8 +311,8 @@ def main_mechanism_exact_expectation(profile) -> float:
     """
     oracle = as_oracle(profile)
     n = oracle.n
-    if n > EXACT_EXPECTATION_MAX_N:
-        raise ValueError(f"exact expectation rejected for n > {EXACT_EXPECTATION_MAX_N}")
+    if n > EXHAUSTIVE_MAX_N:
+        raise ValueError(f"exact expectation rejected for n > {EXHAUSTIVE_MAX_N}")
     table = revenue_table(oracle)
     tern = oracle.tern
     slack = n * n * EPS

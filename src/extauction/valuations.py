@@ -230,16 +230,26 @@ EXHAUSTIVE_MAX_N = 12
 
 def _check_agent(i: int, n: int, model: Model, neighbors) -> None:
     """Raise ``ValueError`` unless agent ``i`` of ``n`` fits a file: ``neighbors`` are
-    ``int`` ids in ``range(n)`` (``i`` may be one), a table model needs n <= 10, each
-    key of a table model, weight or offset is a mask below ``2^n`` holding ``i``, and
-    ``t``, ``beta``, ``base`` and ``scale`` are ``int`` or ``float``, not ``bool``."""
+    ``int`` ids in ``range(n)`` (``i`` may be one), a table model needs n <= 10, a
+    ``weight`` or ``offset`` is a :class:`DegreeWeight` or a :class:`TableModel`, each
+    key of a table model, weight or offset is a mask below ``2^n`` holding ``i``,
+    ``t``, ``beta``, ``base`` and ``scale`` are ``int`` or ``float``, not ``bool``,
+    and a ``shape`` is a key of :data:`SHAPES`.  A model with none of these fields,
+    only a ``bind``, passes."""
     for j in neighbors:
         if type(j) is not int or not 0 <= j < n:  # a bool is not an id
             raise ValueError(f"bad neighbor {j!r} of agent {i}")
     if isinstance(model, TableModel) and n > TABLE_MODEL_MAX_N:
         raise ValueError(f"table models are capped at n <= {TABLE_MODEL_MAX_N}")
     full, bit = 1 << n, 1 << i
-    for part in (model, getattr(model, "weight", None), getattr(model, "offset", None)):
+    parts = [model]
+    for name in ("weight", "offset"):
+        w = getattr(model, name, parts)
+        if w is not parts:  # the model has the field
+            if type(w) is not DegreeWeight and type(w) is not TableModel:  # what a file names
+                raise ValueError(f"agent {i}: {name} must be a DegreeWeight or a table, got {w!r}")
+            parts.append(w)
+    for part in parts:
         if isinstance(part, TableModel):
             try:
                 for k in part.values:
@@ -251,11 +261,14 @@ def _check_agent(i: int, n: int, model: Model, neighbors) -> None:
                 pass
             raise ValueError(f"agent {i}: table key {k!r} is not a mask below 2^{n} "
                              f"that holds agent {i}")
-        elif part is not None:
+        else:
             for name in ("t", "beta", "base", "scale"):
                 x = getattr(part, name, 0.0)
                 if type(x) is not float and type(x) is not int:  # a bool is not a number
                     raise ValueError(f"agent {i}: {name} must be a number, got {x!r}")
+            shape = getattr(part, "shape", "linear")
+            if type(shape) is not str or shape not in SHAPES:  # a list is unhashable
+                raise ValueError(f"agent {i}: shape must be one of {sorted(SHAPES)}, got {shape!r}")
 
 
 @functools.lru_cache(maxsize=1)

@@ -225,15 +225,28 @@ def test_quarter_bound_exhaustive_zero_benchmark_skips_every_partition():
 
 
 def test_quarter_bound_exhaustive_is_capped_with_the_exact_expectation():
-    """Both ``3^n`` enumerations refuse n = 11, with the same message shape,
+    """Both ``3^n`` enumerations refuse n = 13, with the same message shape,
     before any value is read."""
-    profile = size_scalar_profile(11)
+    profile = size_scalar_profile(13)
     oracle = profile.oracle()
-    with pytest.raises(ValueError, match=r"^quarter bound rejected for n > 10$"):
+    with pytest.raises(ValueError, match=r"^quarter bound rejected for n > 12$"):
         quarter_bound_exhaustive(oracle)
-    with pytest.raises(ValueError, match=r"^exact expectation rejected for n > 10$"):
+    with pytest.raises(ValueError, match=r"^exact expectation rejected for n > 12$"):
         main_mechanism_exact_expectation(oracle)
     assert oracle.queries == 0
+
+
+def test_both_enumerations_run_at_the_cap():
+    """At n = 12, the top of the exhaustive range, both ``3^n`` enumerations run on
+    one oracle: the expectation and ``F^(3)`` are pinned, the ``F^(3)/324`` bound
+    holds and no partition fails the quarter bound."""
+    oracle = gen_instance("graph_concave", 12, seed=1, graph="er").oracle()
+    expected = main_mechanism_exact_expectation(oracle)
+    assert repr(expected) == "15.686733354082499"
+    f3 = benchmark_bruteforce(oracle, 3).value
+    assert repr(f3) == "132.42087016109417"
+    assert expected >= f3 / 324
+    assert quarter_bound_exhaustive(oracle) == (3 ** 12, 0, [])
 
 
 # --- revenue guarantee skeleton ----------------------------------------------------

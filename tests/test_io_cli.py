@@ -664,7 +664,7 @@ def _config_without_model(tmp_path):
             ],
             "instances[0] needs 'model' and 'n'",
         ),
-        (lambda tmp, inst: ["expect", "--instance", _n13_instance(tmp)], "rejected for n > 10"),
+        (lambda tmp, inst: ["expect", "--instance", _n13_instance(tmp)], "rejected for n > 12"),
         (
             lambda tmp, inst: ["run", "--mechanism", "fixed-price", "--instance", inst, "--price", "-1"],
             "price must be nonnegative",
@@ -1240,12 +1240,12 @@ def test_cli_result_that_is_not_finite_exits_2(tmp_path, capsys, argv):
 @pytest.mark.parametrize(
     "config, message",
     [
-        ({"mode": "exact", "instances": [{"model": "scalar", "n": 11}]},
-         "exact expectation rejected for n > 10"),
+        ({"mode": "exact", "instances": [{"model": "scalar", "n": 13}]},
+         "exact expectation rejected for n > 12"),
         ({"mode": "additive-bound", "instances": [{"model": "scalar", "n": 4}]},
          "mechanism2 requires an additive profile"),
     ],
-    ids=["exact-n11", "additive-bound-on-scalar"],
+    ids=["exact-n13", "additive-bound-on-scalar"],
 )
 def test_cli_experiment_that_fails_leaves_no_out_directory(tmp_path, capsys, config, message):
     path = tmp_path / "config.json"

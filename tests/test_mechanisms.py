@@ -311,7 +311,7 @@ def test_exact_expectation_meets_revenue_guarantee():
 
 def test_exact_expectation_rejects_large_n():
     with pytest.raises(ValueError):
-        main_mechanism_exact_expectation(flat_bids_profile([1.0] * 11))
+        main_mechanism_exact_expectation(flat_bids_profile([1.0] * 13))
 
 
 # --- partitions the exact expectation skips ----------------------------------------

@@ -104,7 +104,9 @@ def test_fuzz_loader_on_raw_bytes(fuzz_dir, content):
 # --- the structural gate: a profile the library builds is a file the loader reads ---
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
-_SHAPE = st.sampled_from(sorted(SHAPES))
+#: a shape: now and then one that is not a key of ``SHAPES``
+_SHAPE = st.integers(0, 15).flatmap(
+    lambda k: st.sampled_from(["cube", 1, None]) if k == 0 else st.sampled_from(sorted(SHAPES)))
 #: a number field of a model or weight: now and then a bool, a str or None
 _NUMBER_FIELD = st.integers(0, 15).flatmap(
     lambda k: st.sampled_from([True, False, "2", None]) if k == 0 else _FINITE)
@@ -124,7 +126,10 @@ def _table(n, i):
 
 @functools.cache  # built once per (n, i): building a strategy costs more than drawing
 def _model(n, i):
-    weight = st.builds(DegreeWeight, _NUMBER_FIELD, _NUMBER_FIELD, _SHAPE) | _table(n, i)
+    good = st.builds(DegreeWeight, _NUMBER_FIELD, _NUMBER_FIELD, _SHAPE) | _table(n, i)
+    # now and then not a weight: nothing, or a model, which binds as a weight would
+    weight = st.integers(0, 15).flatmap(
+        lambda k: st.sampled_from([None, GraphConcaveModel(1.0)]) if k == 0 else good)
     return st.one_of(
         _table(n, i),
         st.builds(AdditiveModel, _NUMBER_FIELD, weight),
@@ -149,10 +154,14 @@ def _graph(n):
     return st.none() | st.lists(st.lists(ids, max_size=n + 1), min_size=n, max_size=n)
 
 
+def _weights(m):
+    """The weight and offset fields of model ``m``, those it has."""
+    return [getattr(m, f) for f in ("weight", "offset") if hasattr(m, f)]
+
+
 def _parts(models):
     """``(i, part)`` for each model, weight and offset of the agents."""
-    return [(i, p) for i, m in enumerate(models)
-            for p in (m, getattr(m, "weight", None), getattr(m, "offset", None)) if p is not None]
+    return [(i, p) for i, m in enumerate(models) for p in (m, *_weights(m)) if p is not None]
 
 
 def _well_formed(models, graph, declared_L):
@@ -160,6 +169,8 @@ def _well_formed(models, graph, declared_L):
     n = len(models)
     parts = _parts(models)
     return (graph is None or all(type(j) is int and 0 <= j < n for nb in graph for j in nb)) \
+        and all(type(w) in (DegreeWeight, TableModel) for m in models for w in _weights(m)) \
+        and all(p.shape in SHAPES for _, p in parts if hasattr(p, "shape")) \
         and all(type(k) is int and 0 <= k < 1 << n and k >> i & 1
                 for i, t in parts if isinstance(t, TableModel) for k in t.values) \
         and all(is_number(getattr(p, f)) for _, p in parts

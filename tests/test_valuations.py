@@ -316,9 +316,26 @@ def test_table_cap():
         (lambda: size_scalar_profile(3).replace(
             2, LinearModel(1.0, DegreeWeight(), DegreeWeight(scale=None))),
          r"^agent 2: scale must be a number, got None$"),
+        # a shape is a key of SHAPES, and a weight or offset one a file can name
+        (lambda: ValuationProfile([GraphConcaveModel(1.0, shape="cube")]),
+         r"^agent 0: shape must be one of \['linear', 'sqrt'\], got 'cube'$"),
+        (lambda: size_scalar_profile(3).replace(1, GraphConcaveModel(1.0, shape="cube")),
+         r"^agent 1: shape must be one of \['linear', 'sqrt'\], got 'cube'$"),
+        (lambda: ValuationProfile([ScalarModel(1.0, DegreeWeight(shape=1))]),
+         r"^agent 0: shape must be one of \['linear', 'sqrt'\], got 1$"),
+        (lambda: ValuationProfile([ScalarModel(1.0, DegreeWeight(shape=["sqrt"]))]),
+         r"^agent 0: shape must be one of \['linear', 'sqrt'\], got \['sqrt'\]$"),
+        (lambda: ValuationProfile([ScalarModel(1.0, None)]),
+         r"^agent 0: weight must be a DegreeWeight or a table, got None$"),
+        (lambda: ValuationProfile([LinearModel(1.0, DegreeWeight(), None)]),
+         r"^agent 0: offset must be a DegreeWeight or a table, got None$"),
+        (lambda: ValuationProfile([AdditiveModel(1.0, GraphConcaveModel(1.0))]),
+         r"^agent 0: weight must be a DegreeWeight or a table, got GraphConcaveModel\(.*\)$"),
     ],
     ids=["graph-length", "check-mode", "neighbor-past-n", "declared_L-below-1", "declared_L-inf",
-         "declared_L-nan", "bool-t", "str-beta", "bool-base", "replace-none-scale"],
+         "declared_L-nan", "bool-t", "str-beta", "bool-base", "replace-none-scale",
+         "unknown-shape", "replace-unknown-shape", "int-shape", "list-shape", "none-weight",
+         "none-offset", "model-as-weight"],
 )
 def test_profile_and_checker_reject_bad_arguments(call, message):
     with pytest.raises(ValueError, match=message):
