@@ -21,6 +21,7 @@ import itertools
 import random
 from bisect import bisect_right
 from dataclasses import dataclass, replace
+from operator import is_
 from typing import Callable, Sequence
 
 from .mechanisms import Outcome
@@ -268,6 +269,8 @@ class DeviationViolation:
 
 
 def _scale_model(model: Model, factor: float) -> Model:
+    """``model`` with every value of a table, or the private ``t`` of a
+    single-parameter model, multiplied by ``factor`` (``v * factor``)."""
     if isinstance(model, TableModel):
         return TableModel({k: v * factor for k, v in model.values.items()})
     # single private parameter: scaling the report scales t only
@@ -283,8 +286,13 @@ def misreport_plan(
     huge bid, and seeded uniform draws).  Table agents perturb the whole bid
     function: uniform scalings, per-set multiplicative noise, and the
     adversarial all-zero / all-huge patterns.
+
+    The draws are ``b * rng.random()``, which is ``rng.uniform(0.0, b)`` bit
+    for bit when ``b >= 0``, without a Python frame per draw: a ``scale x...``
+    factor is ``4.0 * r``, and a ``table noise`` value is ``v * (2.0 * r)``,
+    one draw per key in the table's order.
     """
-    rng = random.Random(seed)
+    draw = random.Random(seed).random
     n = profile.n
     plan: list[Deviation] = []
     structured = [0.0, 0.25, 0.5, 0.9, 1.1, 2.0, 10.0]
@@ -302,17 +310,41 @@ def misreport_plan(
                 )
             )
             while len(plan) < stop:
-                noisy = {
-                    k: v * rng.uniform(0.0, 2.0) for k, v in model.values.items()
-                }
+                noisy = {k: v * (2.0 * draw()) for k, v in model.values.items()}
                 plan.append(Deviation(i, TableModel(noisy), "table noise"))
         else:
             plan.append(Deviation(i, replace(model, t=0.0), "zero bid"))
             plan.append(Deviation(i, replace(model, t=1e6), "huge bid"))
             while len(plan) < stop:
-                f = rng.uniform(0.0, 4.0)
+                f = 4.0 * draw()
                 plan.append(Deviation(i, _scale_model(model, f), f"scale x{f:.3f}"))
     return plan
+
+
+#: the last :func:`deviation_test` call's ``(profile, plan, reports)``, or ``None``
+_last_bind: list[tuple | None] = [None]
+
+
+def _bound_reports(profile: ValuationProfile, plan: Sequence[Deviation]) -> list[ValuationProfile]:
+    """``profile.replace(d.agent, d.model)`` for each ``d`` of ``plan``, kept for the next call.
+
+    The entry is reused when ``profile`` and every entry of ``plan`` are the very objects
+    of the last call (``is``, element by element, and the same length): a ``Deviation``
+    holding a ``dict`` is unhashable, and equal models can still differ (``-0.0`` and
+    ``0.0``).  The entry holds those objects, so no ``id`` is reused while it lives, and
+    it is dropped before a rebind, so at most one plan's reports are held, and a
+    ``replace`` error leaves none.  A call reads the entry once, so concurrent calls
+    each get their own plan's reports.
+    """
+    last = _last_bind[0]
+    if (last is not None and last[0] is profile and len(last[1]) == len(plan)
+            and all(map(is_, last[1], plan))):
+        return last[2]
+    _last_bind[0] = None
+    plan = tuple(plan)
+    reports = [profile.replace(d.agent, d.model) for d in plan]
+    _last_bind[0] = (profile, plan, reports)
+    return reports
 
 
 def deviation_test(
@@ -327,13 +359,16 @@ def deviation_test(
     same seed is replayed for truth and for every misreport, which is what
     universal truthfulness promises to survive.
 
-    Each misreport is bound once per call (``profile.replace``), before the
+    Each misreport is bound once per plan (``profile.replace``), before the
     first mechanism call, and the same reported profile is replayed under
     every seed; so an error from ``replace`` surfaces before the mechanism
-    runs at all.  Per seed the mechanism sees the truthful profile, then the
-    misreports in plan order, and ``seeds`` is read once.
+    runs at all.  The reports are kept until the next call, and a call on
+    the same profile object with the same ``Deviation`` objects in the same
+    order (another mechanism, say) binds nothing and replays them
+    (:func:`_bound_reports`).  Per seed the mechanism sees the truthful
+    profile, then the misreports in plan order, and ``seeds`` is read once.
     """
-    reports = [profile.replace(d.agent, d.model) for d in plan]
+    reports = _bound_reports(profile, plan)
     out = []
     for seed in seeds:
         truth = mechanism(profile, seed)

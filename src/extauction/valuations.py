@@ -229,13 +229,16 @@ EXHAUSTIVE_MAX_N = 12
 
 
 def _check_agent(i: int, n: int, model: Model, neighbors) -> None:
-    """Raise ``ValueError`` unless agent ``i`` of ``n`` fits a file: ``neighbors`` are
-    ``int`` ids in ``range(n)`` (``i`` may be one), a table model needs n <= 10, a
-    ``weight`` or ``offset`` is a :class:`DegreeWeight` or a :class:`TableModel`, each
-    key of a table model, weight or offset is a mask below ``2^n`` holding ``i``,
-    ``t``, ``beta``, ``base`` and ``scale`` are ``int`` or ``float``, not ``bool``,
-    and a ``shape`` is a key of :data:`SHAPES`.  A model with none of these fields,
-    only a ``bind``, passes."""
+    """Raise ``ValueError`` unless agent ``i`` of ``n`` fits a file: ``model`` has a
+    callable ``bind`` and is not a :class:`DegreeWeight` (a weight, which no file names
+    as a model), ``neighbors`` are ``int`` ids in ``range(n)`` (``i`` may be one), a
+    table model needs n <= 10, a ``weight`` or ``offset`` is a :class:`DegreeWeight` or
+    a :class:`TableModel`, each key of a table model, weight or offset is a mask below
+    ``2^n`` holding ``i``, ``t``, ``beta``, ``base`` and ``scale`` are ``int`` or
+    ``float``, not ``bool``, and a ``shape`` is a key of :data:`SHAPES`.  A model with
+    none of these fields, only a ``bind``, passes."""
+    if isinstance(model, DegreeWeight) or not callable(getattr(model, "bind", None)):
+        raise ValueError(f"agent {i}: not a valuation model: {model!r}")
     for j in neighbors:
         if type(j) is not int or not 0 <= j < n:  # a bool is not an id
             raise ValueError(f"bad neighbor {j!r} of agent {i}")

@@ -130,13 +130,16 @@ def _model(n, i):
     # now and then not a weight: nothing, or a model, which binds as a weight would
     weight = st.integers(0, 15).flatmap(
         lambda k: st.sampled_from([None, GraphConcaveModel(1.0)]) if k == 0 else good)
-    return st.one_of(
+    model = st.one_of(
         _table(n, i),
         st.builds(AdditiveModel, _NUMBER_FIELD, weight),
         st.builds(ScalarModel, _NUMBER_FIELD, weight),
         st.builds(LinearModel, _NUMBER_FIELD, weight, weight),
         st.builds(GraphConcaveModel, _NUMBER_FIELD, _NUMBER_FIELD, _SHAPE),
     )
+    # now and then not a model: nothing, a name, or a weight, which binds as a model would
+    return st.integers(0, 15).flatmap(
+        lambda k: st.sampled_from([None, "scalar"]) | good if k == 0 else model)
 
 
 @st.composite
@@ -164,11 +167,16 @@ def _parts(models):
     return [(i, p) for i, m in enumerate(models) for p in (m, *_weights(m)) if p is not None]
 
 
+#: the models a file can name
+_MODELS = (TableModel, AdditiveModel, ScalarModel, LinearModel, GraphConcaveModel)
+
+
 def _well_formed(models, graph, declared_L):
     """The structure a file can hold, stated over the inputs."""
     n = len(models)
     parts = _parts(models)
-    return (graph is None or all(type(j) is int and 0 <= j < n for nb in graph for j in nb)) \
+    return all(type(m) in _MODELS for m in models) \
+        and (graph is None or all(type(j) is int and 0 <= j < n for nb in graph for j in nb)) \
         and all(type(w) in (DegreeWeight, TableModel) for m in models for w in _weights(m)) \
         and all(p.shape in SHAPES for _, p in parts if hasattr(p, "shape")) \
         and all(type(k) is int and 0 <= k < 1 << n and k >> i & 1

@@ -1,5 +1,9 @@
+import gc
 import hashlib
+import math
 import random
+import re
+import weakref
 
 import pytest
 
@@ -24,9 +28,10 @@ from extauction.truthfulness import (
     uniform_grid,
     verify_rule_truthful,
 )
-from extauction.experiments import gen_instance
+from extauction.experiments import GEN_MODELS, gen_instance
 from extauction.valuations import (
     AdditiveModel,
+    GraphConcaveModel,
     LinearModel,
     TableModel,
     ValuationProfile,
@@ -362,6 +367,32 @@ def test_misreport_plan_random_extras_are_pinned():
     assert hashlib.sha256(models).hexdigest() == MIXED_PLAN_MODELS_SHA256
 
 
+#: sha256 over ``misreport_plan(gen_instance(family, n, seed=n), 16 * n, seed=n)`` for every
+#: family of ``GEN_MODELS`` and n = 3..10, one ``family n agent label repr(model)`` line per
+#: misreport, recorded when each draw was an ``rng.uniform`` call and each table a dict
+#: comprehension
+PLANS_SHA256 = "5b7afc96043fa4c743c8234b0d6de21d7701b24ec9cc044309dc5dd0132862fa"
+
+
+def test_plans_of_every_family_are_pinned():
+    """16 misreports per agent reach every table's ``table noise`` draws and every other
+    agent's ``scale x...`` draws, so each kind of draw and table map is in the pin."""
+    lines, kinds = [], set()
+    for family in GEN_MODELS:
+        for n in range(3, 11):
+            profile = gen_instance(family, n, seed=n)
+            for d in misreport_plan(profile, 16 * n, seed=n):
+                lines.append(f"{family} {n} {d.agent} {d.label} {d.model!r}")
+                kind = re.sub(r"x\d+\.\d{3}$", "x draw", d.label)  # a seeded factor
+                kind = re.sub(r"x[\d.]+$", "x", kind)  # a structured one
+                kinds.add((isinstance(profile.models[d.agent], TableModel), kind))
+    assert len(lines) == 4992
+    assert kinds == {(True, "scale x"), (True, "huge table"), (True, "table noise"),
+                     (False, "scale x"), (False, "zero bid"), (False, "huge bid"),
+                     (False, "scale x draw")}
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == PLANS_SHA256
+
+
 def test_broken_mechanism_is_flagged():
     profile = size_scalar_profile(3)
     plan = misreport_plan(profile, 50, seed=0)
@@ -377,9 +408,8 @@ def _recording(mechanism, calls):
     return recorded
 
 
-def test_each_misreport_is_bound_once_per_call(monkeypatch):
-    profile = gen_instance("mixed", 5, seed=4)
-    plan = misreport_plan(profile, 30, seed=2)
+def _counting_binds(monkeypatch):
+    """The agent of each ``ValuationProfile.replace`` call from now on, in call order."""
     binds = []
     replace = ValuationProfile.replace
 
@@ -388,6 +418,13 @@ def test_each_misreport_is_bound_once_per_call(monkeypatch):
         return replace(self, i, model)
 
     monkeypatch.setattr(ValuationProfile, "replace", counted)
+    return binds
+
+
+def test_each_misreport_is_bound_once_per_call(monkeypatch):
+    profile = gen_instance("mixed", 5, seed=4)
+    plan = misreport_plan(profile, 30, seed=2)
+    binds = _counting_binds(monkeypatch)
     calls = []
     deviation_test(_recording(main_mechanism, calls), profile, plan, seeds=(0, 1, 2))
     assert binds == [d.agent for d in plan]
@@ -422,7 +459,7 @@ def test_a_replace_error_surfaces_before_the_mechanism_runs():
     assert calls == []
 
 
-def _replay_record(profile, mechanism):
+def _replay_record(profile, mechanism, plan):
     """sha256 over every run ``deviation_test`` makes (truth and each misreport, in
     call order) of ``(winners, sorted payments, queries)``, and its violations."""
     runs = []
@@ -432,14 +469,14 @@ def _replay_record(profile, mechanism):
         runs.append(repr((o.winners, sorted(o.payments.items()), o.queries_used)))
         return o
 
-    plan = misreport_plan(profile, 60, seed=1)
     violations = deviation_test(recorded, profile, plan, seeds=(0, 1))
     assert len(runs) == 2 * (len(plan) + 1)
     return hashlib.sha256("\n".join(runs).encode()).hexdigest(), violations
 
 
-#: ``_replay_record`` per (family, mechanism), recorded with a ``replace`` that rebuilt the
-#: whole profile for every misreport; the broken control's violations are pinned by the
+#: ``_replay_record`` per (family, mechanism) on ``misreport_plan(profile, 60, seed=1)``,
+#: recorded with a ``replace`` that rebuilt the whole profile for every misreport and a
+#: plan bound anew for every mechanism; the broken control's violations are pinned by the
 #: sha256 of their repr
 REPLAY_RECORDS = {
     ("table", "main"): (
@@ -485,25 +522,104 @@ REPLAY_RECORDS = {
 }
 
 
-@pytest.mark.parametrize("family, graph", [("table", None), ("mixed", "pa"), ("additive", "er")])
-def test_replayed_misreports_are_pinned(family, graph):
-    profile = gen_instance(family, 6, seed=3, graph=graph)
+def _mechanisms(profile):
+    """The mechanisms ``REPLAY_RECORDS`` pins on ``profile``, by name."""
     price = benchmark_bruteforce(profile, 1).price
     mechanisms = {
         "main": lambda p, s: main_mechanism(p, s),
         "fixed-price": lambda p, s: fixed_price_mechanism(p, price),
         "broken": broken_first_price_mechanism,
     }
-    if family == "additive":
+    if all(isinstance(m, AdditiveModel) for m in profile.models):
         mechanisms["mechanism2"] = lambda p, s: mechanism2(p, alpha=1.0, rng=s)
-    for name, mechanism in mechanisms.items():
-        digest, violations = _replay_record(profile, mechanism)
+    return mechanisms
+
+
+@pytest.mark.parametrize("family, graph", [("table", None), ("mixed", "pa"), ("additive", "er")])
+def test_replayed_misreports_are_pinned(family, graph):
+    """Every mechanism after the first replays the reports the first call bound."""
+    profile = gen_instance(family, 6, seed=3, graph=graph)
+    plan = misreport_plan(profile, 60, seed=1)
+    for name, mechanism in _mechanisms(profile).items():
+        digest, violations = _replay_record(profile, mechanism, plan)
         want_digest, want_violations = REPLAY_RECORDS[family, name]
         assert digest == want_digest, name
         if name == "broken":
             assert len(violations) >= 1
             violations = hashlib.sha256(repr(violations).encode()).hexdigest()
         assert violations == want_violations, name
+
+
+def test_calls_on_one_profile_and_plan_bind_it_once(monkeypatch):
+    profile = gen_instance("mixed", 5, seed=21, graph="er")
+    plan = misreport_plan(profile, 30, seed=21)
+    binds = _counting_binds(monkeypatch)
+    seen = []
+    for mechanism in _mechanisms(profile).values():
+        calls = []
+        deviation_test(_recording(mechanism, calls), profile, plan, seeds=(0, 1))
+        assert [p for _, p in calls[:len(plan) + 1]] == [p for _, p in calls[len(plan) + 1:]]
+        seen.append([p for _, p in calls[1:len(plan) + 1]])
+    assert binds == [d.agent for d in plan]
+    assert len(seen) == 3
+    assert all(p is q for later in seen[1:] for p, q in zip(later, seen[0], strict=True))
+
+
+@pytest.mark.parametrize("family", ["table", "additive"])
+def test_a_replayed_plan_gives_what_fresh_calls_give(family):
+    """Calls on one profile and plan, the later ones binding nothing, record the same runs
+    and violations as calls that each build their own profile and plan."""
+    profile = gen_instance(family, 5, seed=22)
+    plan = misreport_plan(profile, 40, seed=22)
+    mechanisms = _mechanisms(profile)
+    replayed = {name: _replay_record(profile, m, plan) for name, m in mechanisms.items()}
+    fresh = {}
+    for name in mechanisms:
+        p = gen_instance(family, 5, seed=22)
+        fresh[name] = _replay_record(p, _mechanisms(p)[name], misreport_plan(p, 40, seed=22))
+    assert replayed == fresh
+    assert replayed["broken"][1]
+
+
+def test_a_new_profile_or_a_changed_plan_is_bound_anew(monkeypatch):
+    profile = gen_instance("graph_concave", 4, seed=23)
+    plan = [Deviation(0, GraphConcaveModel(-0.0), "zero"),
+            *misreport_plan(profile, 12, seed=23)]
+    same = ValuationProfile(profile.models, graph=profile.graph)
+    positive = [Deviation(0, GraphConcaveModel(0.0), "zero"), *plan[1:]]
+    assert positive == plan and positive[0] is not plan[0]
+    binds = _counting_binds(monkeypatch)
+    deviation_test(main_mechanism, profile, plan)
+    assert len(binds) == len(plan)
+    for p, q in [(same, plan), (same, positive), (same, [*positive, plan[1]]),
+                 (same, positive[:-1]), (profile, positive[:-1])]:
+        del binds[:]
+        calls = []
+        deviation_test(_recording(main_mechanism, calls), p, q)
+        assert binds == [d.agent for d in q]
+        assert all(r.models[d.agent] is d.model for (_, r), d in zip(calls[1:], q, strict=True))
+    assert math.copysign(1.0, calls[1][1].value(0, 1)) == 1.0  # not the -0.0 report
+    edited = list(plan)
+    deviation_test(main_mechanism, profile, edited)
+    edited[0] = positive[0]  # the same list, edited in place
+    del binds[:]
+    deviation_test(main_mechanism, profile, edited)
+    assert binds == [d.agent for d in edited]
+
+
+def test_a_replace_error_in_a_rebind_leaves_no_entry(monkeypatch):
+    profile = gen_instance("scalar", 4, seed=24)
+    plan = misreport_plan(profile, 8, seed=24)
+    deviation_test(main_mechanism, profile, plan)
+    held = weakref.ref(truthfulness._last_bind[0][2][0])
+    with pytest.raises(ValueError, match="not a valuation model"):
+        deviation_test(main_mechanism, profile, [*plan, Deviation(1, DegreeWeight(), "weight")])
+    assert truthfulness._last_bind == [None]
+    gc.collect()
+    assert held() is None  # the earlier plan's reports are gone too
+    binds = _counting_binds(monkeypatch)
+    deviation_test(main_mechanism, profile, plan)
+    assert binds == [d.agent for d in plan]
 
 
 def test_rules_selling_both_are_upward_closed():
