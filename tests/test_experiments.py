@@ -1,13 +1,13 @@
 import hashlib
 import itertools
 import math
+from array import array
 from fractions import Fraction
 
 import pytest
 
 from extauction import BenchmarkResult, Partition3, benchmark_bruteforce, check_conditions
 from extauction import experiments
-from extauction import mechanisms as mech
 from extauction.experiments import (
     PartitionStats,
     binomial_low_tail,
@@ -200,14 +200,14 @@ def test_quarter_bound_exhaustive_on_random_instances():
     "model, n, seed, expected", [("mixed", 6, 1, 585), ("table", 5, 2, 211), ("scalar", 7, 3, 1539)]
 )
 def test_quarter_bound_exhaustive_reports_failures(monkeypatch, model, n, seed, expected):
-    """Negative control: with every sweep value, and so ``r(C)``, forced to 0,
-    exactly the partitions whose C holds a benchmark winner fail,
-    ``3^n - 2^m 3^(n-m)`` of them for ``m = |S*|``."""
+    """Negative control: with every entry of the revenue table the scan reads,
+    and so ``r(C)``, forced to 0, exactly the partitions whose C holds a
+    benchmark winner fail, ``3^n - 2^m 3^(n-m)`` of them for ``m = |S*|``."""
     profile = gen_instance(model, n, seed=seed)
     assert quarter_bound_exhaustive(profile)[2] == []
     m = benchmark_bruteforce(profile, 3).winners.bit_count()
     assert 3**n - 2**m * 3 ** (n - m) == expected
-    monkeypatch.setattr(mech, "_greedy_sweep", lambda oracle, pool, free, k: (0.0, 0.0, 0))
+    monkeypatch.setattr(experiments, "revenue_table", lambda o: array("d", bytes(8 * 3**o.n)))
     checked, skipped, failures = quarter_bound_exhaustive(profile)
     assert (checked, skipped, len(failures)) == (3**n, 0, expected)
 

@@ -21,6 +21,7 @@ import hashlib
 import itertools
 import math
 import sys
+from array import array
 
 import pytest
 
@@ -50,7 +51,7 @@ from extauction.experiments import (
 from extauction.sets import mask_of
 from extauction.valuations import EPS, EXHAUSTIVE_MAX_N
 
-from conftest import flat_bids_profile, square_table_profile
+from conftest import flat_bids_profile, size_scalar_profile, square_table_profile
 from test_outcome_digests import _disjoint_pairs, _profiles as digest_profiles
 
 
@@ -144,6 +145,7 @@ def _table_cases():
     cases = {model: gen_instance(model, 5, seed=5, graph="er") for model in GEN_MODELS}
     cases["signed_zero"] = digest_profiles()["signed_zero"]
     cases["negative_bid"] = flat_bids_profile([-5e-10, 1.0, 2.0])
+    cases["nan_bids"] = ValuationProfile([ScalarModel(0.0, DegreeWeight(1e308, 1e308))] * 3)
     return cases
 
 
@@ -175,6 +177,147 @@ def test_single_runs_on_a_tabulated_oracle_match_fresh_runs(name):
         assert got.winners == want.winners, part
         assert repr(sorted(got.payments.items())) == repr(sorted(want.payments.items())), part
         assert repr(got.revenue) == repr(want.revenue), part
+
+
+# --- the DP fill: each pair extends its tail's record ---------------------------
+
+def _sweep_fill(oracle):
+    """The fill before the DP, kept as the reference: one sweep per pair."""
+    oracle.tabulate()
+    tern = oracle.tern
+    full = oracle.full
+    table = array("d", bytes(8 * 3 ** oracle.n))
+    for pool in range(1, full + 1):
+        code = tern[pool]
+        rest = full ^ pool
+        free = rest
+        while True:
+            table[code + 2 * tern[free]] = bm._greedy_sweep(oracle, pool, free, 1)[0]
+            if not free:
+                break
+            free = (free - 1) & rest
+    return table
+
+
+def _oracles(profile, kind):
+    """Two like oracles of one kind, and the evaluator calls of each (wrapped kind only)."""
+    pair, calls = [], []
+    for _ in range(2):
+        oracle = profile.oracle()
+        counter = [0]
+        if kind == "scanned":  # the subset scan fills part of the step memo first
+            oracle.tabulate()
+            benchmark_bruteforce(oracle, 3)
+        elif kind == "wrapped":
+            def counted(fn, counter=counter):
+                def call(s):
+                    counter[0] += 1
+                    return fn(s)
+                return call
+            oracle._fns = tuple(map(counted, oracle._fns))
+        pair.append(oracle)
+        calls.append(counter)
+    return pair, calls
+
+
+@pytest.mark.parametrize("graph", [None, "er", "pa"])
+@pytest.mark.parametrize("model", GEN_MODELS)
+def test_dp_fill_matches_the_sweep_fill(model, graph):
+    """Byte for byte: the table, the step memo and the query count are the
+    per-pair sweeps', on a fresh oracle, one whose subset scan ran first,
+    and one with wrapped evaluators (one call per counted query)."""
+    for n in range(3, 9):
+        profile = gen_instance(model, n, seed=n, graph=graph)
+        for kind in ("fresh", "scanned", "wrapped"):
+            (ref, dp), (ref_calls, dp_calls) = _oracles(profile, kind)
+            want = _sweep_fill(ref)
+            got = mech.revenue_table(dp)
+            case = (n, kind)
+            assert got.tobytes() == want.tobytes(), case
+            assert dp._lows.tobytes() == ref._lows.tobytes() and dp._args == ref._args, case
+            assert dp.queries == ref.queries, case
+            assert dp_calls[0] == ref_calls[0] == (dp.queries if kind == "wrapped" else 0), case
+            assert (dp._columns is None) == (kind == "wrapped"), case
+
+
+def _tabled(*tables):
+    """Agent ``i`` bids ``tables[i][s]`` on each listed set ``s`` holding it, else 0."""
+    return ValuationProfile([TableModel(t) for t in tables])
+
+
+def _fold_cases():
+    """(profile, swept) per fold rule: whether the fill must sweep ``(full, 0)``.
+
+    Each pool's first step deletes agent 0, and the tail is the rest, but
+    in ``second_record_of_a_copied_chain``, where it deletes agent 3 and
+    the tail's own first step bids below 0, so that the tail copies its
+    record chain from ``{1, 2}``.  In ``near_tie_chain`` the pool's sweep records ``val``, ``+0.5``, ``+1.4``
+    and ``+1.6`` (units of EPS): the sweep keeps ``+1.4``, while folding
+    ``val`` into the tail's value from the right gives ``+1.6``.  The tail's
+    first record lies in ``(val, val + EPS]``, so only a sweep can tell.
+    """
+    x = 12.0
+    return {
+        "negative_step_copies_the_tail": (flat_bids_profile([-1.0, 2.0, 3.0]), False),
+        "tail_at_most_val": (flat_bids_profile([3.0, 4.0, 5.0]), False),
+        "tail_without_record": (_tabled({0b11: -2e-10}, {0b11: 5.0, 0b10: -5.0}), False),
+        "first_record_above_val": (flat_bids_profile([1.0, 5.0, 7.0]), False),
+        "second_record_above_val": (flat_bids_profile([2.0, 2.5, 10.0]), False),
+        "second_record_of_a_copied_chain": (_tabled(
+            {0b1111: 10.0, 0b0111: -1.0}, {0b1111: 10.0, 0b0111: 10.0, 0b0110: 1.5},
+            {0b1111: 10.0, 0b0111: 10.0, 0b0110: 10.0, 0b0100: 10.0}, {0b1111: 1.0}), False),
+        "tied_bids": (size_scalar_profile(4), False),
+        "near_tie_chain": (flat_bids_profile(
+            [x / 4, (x + 0.5 * EPS) / 3, (x + 1.4 * EPS) / 2, x + 1.6 * EPS]), True),
+    }
+
+
+@pytest.mark.parametrize("name", [*_fold_cases(), *_table_cases()])
+def test_dp_fill_sweeps_only_one_member_pools_and_fallbacks(name, monkeypatch):
+    """Every one-member pair is swept once, as the DP's base case; any other
+    sweep is a fallback, and a planted pair is swept exactly when its fold
+    rule cannot extend the tail's record.  Every entry is the sweep's own,
+    and the step memo and the query count are the per-pair sweeps'."""
+    cases = {**{key: (p, None) for key, p in _table_cases().items()}, **_fold_cases()}
+    profile, swept = cases[name]
+    n = profile.n
+    calls = []
+
+    def counted(oracle, pool, free, k):
+        calls.append((pool, free))
+        return bm._greedy_sweep(oracle, pool, free, k)
+
+    monkeypatch.setattr(mech, "_greedy_sweep", counted)
+    oracle = profile.oracle()
+    table = mech.revenue_table(oracle)
+    base = sorted(c for c in calls if c[0].bit_count() == 1)
+    fallbacks = [c for c in calls if c[0].bit_count() > 1]
+    assert base == sorted((1 << i, free) for i in range(n)
+                          for free in range(1 << n) if not free >> i & 1)
+    assert len(calls) == n * 2 ** (n - 1) + len(fallbacks)
+    assert len(set(fallbacks)) == len(fallbacks)
+    if swept is not None:
+        assert ((profile.full, 0) in fallbacks) == swept
+    tern = oracle.tern
+    for pool, free in _disjoint_pairs(n):
+        want = bm._greedy_sweep(profile.oracle(), pool, free, 1)[0]
+        assert repr(table[tern[pool] + 2 * tern[free]]) == repr(want), (pool, free)
+    ref = profile.oracle()
+    _sweep_fill(ref)
+    assert oracle._lows.tobytes() == ref._lows.tobytes() and oracle._args == ref._args
+    assert oracle.queries == ref.queries == n * 3 ** (n - 1)
+
+
+def test_near_tie_chain_keeps_the_left_fold():
+    """The planted chain's sweep keeps ``+1.4``, not the tail's ``+1.6``."""
+    profile = _fold_cases()["near_tie_chain"][0]
+    full, tail = profile.full, profile.full & ~1
+    oracle = profile.oracle()
+    table = mech.revenue_table(oracle)
+    got, rest = table[oracle.tern[full]], table[oracle.tern[tail]]
+    assert got == bm._greedy_sweep(profile.oracle(), full, 0, 1)[0]
+    assert rest == bm._greedy_sweep(profile.oracle(), tail, 0, 1)[0]
+    assert 12.0 + EPS < got < rest - 0.1 * EPS
 
 
 def test_column_holds_every_value():
