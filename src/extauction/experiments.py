@@ -27,6 +27,7 @@ from .benchmark import (  # noqa: F401  (_greedy_sweep stays bound for perfbench
 )
 from .mechanisms import (
     Partition3,
+    _label_halves,
     main_mechanism,
     main_mechanism_exact_expectation,
     mechanism2_expected_revenue,
@@ -303,8 +304,11 @@ def quarter_bound_exhaustive(profile) -> tuple[int, int, list[Partition3]]:
     benchmark optimum is zero, none otherwise.  Rejected for n > 12, like
     the exact expectation it shares its revenue table with.
 
-    Each partition gets :func:`quarter_bound_check`'s test, inline: ``r(C)``,
-    the larger of ``r(C | A)`` and ``r(C | B)`` read from
+    The partitions are walked as joined label halves, in
+    :meth:`~extauction.mechanisms.Partition3.all_partitions` order, and a
+    ``Partition3`` is built only for a failure.  Each partition gets
+    :func:`quarter_bound_check`'s test, inline: ``r(C)``, the larger of
+    ``r(C | A)`` and ``r(C | B)`` read from
     :func:`~extauction.mechanisms.revenue_table`, against the floor
     ``r_F(C)/4 - EPS``, looked up by the number of benchmark winners in C.
     On a fresh oracle with a non-zero optimum that costs ``n * 3^(n-1)``
@@ -326,14 +330,17 @@ def quarter_bound_exhaustive(profile) -> tuple[int, int, list[Partition3]]:
     table = revenue_table(oracle)
     tern = oracle.tern
     failures = []
-    for part in Partition3.all_partitions(n):
-        a, b, c = part
-        r_c = table[tern[c] + 2 * tern[a]]
-        r_cb = table[tern[c] + 2 * tern[b]]
-        if r_cb > r_c:
-            r_c = r_cb
-        if not r_c >= floors[(winners & c).bit_count()]:
-            failures.append(part)
+    high, low = _label_halves(n)
+    for ha, hb, hc in high:
+        for la, lb, lc in low:
+            c = hc | lc
+            code_c = tern[c]
+            r_c = table[code_c + 2 * tern[ha | la]]
+            r_cb = table[code_c + 2 * tern[hb | lb]]
+            if r_cb > r_c:
+                r_c = r_cb
+            if not r_c >= floors[(winners & c).bit_count()]:
+                failures.append(Partition3(ha | la, hb | lb, c))
     return checked, 0, failures
 
 

@@ -103,14 +103,15 @@ class Partition3(NamedTuple):
         label order (agent 0's label changes slowest).
 
         Each partition joins a labeling of the first ``n // 2`` agents with a
-        precomputed one of the rest, so no per-partition loop over agents.
+        precomputed one of the rest, in :func:`_label_halves` order, so no
+        per-partition loop over agents.  The two ``3^n`` loops,
+        :func:`main_mechanism_exact_expectation` and
+        :func:`~extauction.experiments.quarter_bound_exhaustive`, walk the
+        same halves without building a tuple per partition.
         """
-        if n < 0:
-            raise ValueError("n must be nonnegative")
-        half = n // 2
+        high, low = _label_halves(n)
         new = tuple.__new__  # skips the NamedTuple's Python-level __new__
-        low = _labelings(half, n)
-        for a, b, c in _labelings(0, half):
+        for a, b, c in high:
             for la, lb, lc in low:
                 yield new(cls, (a | la, b | lb, c | lc))
 
@@ -122,6 +123,22 @@ _TOP_BYTE_3 = bytes(range(0xC0, 0x100))
 #: a label string as the binary digits of the A mask, and of the B mask
 _A_DIGITS = bytes.maketrans(b"012", b"100")
 _B_DIGITS = bytes.maketrans(b"012", b"010")
+
+
+def _label_halves(n: int) -> tuple[list[tuple[int, int, int]], list[tuple[int, int, int]]]:
+    """``(high, low)``: the (A, B, C) masks of every labeling of agents ``0 .. n//2 - 1``,
+    and of agents ``n//2 .. n-1``.
+
+    Joining each ``high`` entry, in order, with each ``low`` entry, in order,
+    by ``|`` walks the ``3^n`` labeled partitions in
+    ``itertools.product(range(3), repeat=n)`` label order (agent 0's label
+    changes slowest); :meth:`Partition3.all_partitions` and both ``3^n``
+    loops enumerate them that way.
+    """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    half = n // 2
+    return _labelings(0, half), _labelings(half, n)
 
 
 def _labelings(lo: int, hi: int) -> list[tuple[int, int, int]]:
@@ -362,11 +379,22 @@ def main_mechanism_exact_expectation(profile) -> float:
     """Expected revenue of the tripartition auction, exactly.
 
     Averages the deterministic revenue over all ``3^n`` equally likely
-    labeled partitions; no sampling error, bit-reproducible.  Rejected for
-    n > 12, as every exhaustive path is.  ``r(C | A)``, ``r(C | B)`` and
-    ``r(B | A)`` are read from :func:`revenue_table`, so on a fresh oracle
-    the queries are ``n * 3^(n-1)`` for the table plus those of the deletion
-    fixpoints that run; a single run's ``10 n^2`` budget is not in play here.
+    labeled partitions, in :meth:`Partition3.all_partitions` order;
+    no sampling error, bit-reproducible.  Rejected for n > 12, as every
+    exhaustive path is.  ``r(C | A)``, ``r(C | B)`` and ``r(B | A)`` are read
+    from :func:`revenue_table`, so on a fresh oracle the queries are
+    ``n * 3^(n-1)`` for the table plus those of the deletion fixpoints that
+    the stored sweep step does not settle; a single run's ``10 n^2`` budget
+    is not in play here.
+
+    A partition that is not skipped (below) first reads B's sweep step
+    ``(B, A)``, which the table's fill stores for every disjoint pair: its
+    low is ``min_i b_i(A | B)`` over B's non-NaN bids, or NaN when B's
+    lowest-id member bids NaN.  If ``low >= r/|B| - EPS``, the deletion
+    loop's first round drops nobody, so B pays ``(r/|B|) * |B|``, the float
+    expression :func:`_run_partitioned` computes, at no query.  A NaN low or
+    ``r`` fails that test, and such a partition, like any whose first round
+    drops someone, runs :func:`_run_partitioned` as a single run would.
 
     The deletion fixpoint runs only where B can pay.  A partition pays
     nothing, and is skipped, when B is empty, when ``r = r(C)`` is 0.0 or
@@ -396,23 +424,33 @@ def main_mechanism_exact_expectation(profile) -> float:
     if n > EXHAUSTIVE_MAX_N:
         raise ValueError(f"exact expectation rejected for n > {EXHAUSTIVE_MAX_N}")
     table = revenue_table(oracle)
-    tern = oracle.tern
-    slack = n * n * EPS
+    tern, lows = oracle.tern, oracle._lows
+    slack, eps = n * n * EPS, EPS
     total = 0.0
-    for part in Partition3.all_partitions(n):
-        a, b, c = part
-        if not b:
-            continue
-        code_a = 2 * tern[a]
-        r_c = table[tern[c] + code_a]
-        r_cb = table[tern[c] + 2 * tern[b]]
-        if r_cb > r_c:  # max(r(C|A), r(C|B)), as testers_revenue takes it
-            r_c = r_cb
-        if not r_c:
-            continue
-        if r_c > 0 and table[tern[b] + code_a] < r_c - slack * (1.0 + r_c):
-            continue
-        total += _run_partitioned(oracle, part, r_c).revenue
+    high, low = _label_halves(n)
+    for ha, hb, hc in high:
+        for la, lb, lc in low:
+            b = hb | lb
+            if not b:
+                continue
+            code_a = 2 * tern[ha | la]
+            code_b = tern[b]
+            code_c = tern[hc | lc]
+            r_c = table[code_c + code_a]
+            r_cb = table[code_c + 2 * code_b]
+            if r_cb > r_c:  # max(r(C|A), r(C|B)), as testers_revenue takes it
+                r_c = r_cb
+            if not r_c:
+                continue
+            key = code_b + code_a
+            if r_c > 0 and table[key] < r_c - slack * (1.0 + r_c):
+                continue
+            k = b.bit_count()
+            share = r_c / k
+            if lows[key] >= share - eps:  # B's first round drops nobody: B pays r(C)
+                total += share * k
+            else:
+                total += _run_partitioned(oracle, Partition3(ha | la, b, hc | lc), r_c).revenue
     return total / (3 ** n)
 
 

@@ -27,6 +27,7 @@ from extauction import benchmark as bm
 from extauction.experiments import gen_instance, two_agent_gap_instance
 from extauction.sets import mask_of, members
 from extauction.truthfulness import deviation_test, misreport_plan
+from extauction.valuations import EPS
 
 from conftest import flat_bids_profile, size_scalar_profile
 
@@ -316,14 +317,22 @@ def test_exact_expectation_rejects_large_n():
 
 # --- partitions the exact expectation skips ----------------------------------------
 
-def _expectation_runs(monkeypatch, profile):
-    """The exact expectation, and the partitions it ran the cost sharing on."""
-    ran = set()
-    run = mech._run_partitioned
-    with monkeypatch.context() as patch:
-        patch.setattr(mech, "_run_partitioned",
-                      lambda o, part, r_c: ran.add(part) or run(o, part, r_c))
-        return main_mechanism_exact_expectation(profile), ran
+def _skipped(profile, part):
+    """The exact expectation's skip rule, restated for a partition with B non-empty:
+    ``r(C)`` is zero, or ``r(C) > 0`` and ``r(B | A) < r(C) - n^2 * EPS * (1 + r(C))``."""
+    r_c = mech.testers_revenue(profile.oracle(), part)
+    if not r_c:
+        return True
+    r_b = bm._greedy_sweep(profile.oracle(), part.b, part.a, 1)[0]
+    return r_c > 0 and r_b < r_c - profile.n ** 2 * EPS * (1 + r_c)
+
+
+def _expectation_and_runs(profile):
+    """The exact expectation, and the left-to-right sum of every partition's run over ``3^n``."""
+    total = 0.0
+    for part in Partition3.all_partitions(profile.n):
+        total += main_mechanism(profile, partition=part).revenue
+    return main_mechanism_exact_expectation(profile), total / 3 ** profile.n
 
 
 R = 65244415293.32113
@@ -342,33 +351,37 @@ R = 65244415293.32113
     ],
     ids=["relative", "absolute"],
 )
-def test_exact_expectation_runs_near_ties_that_pay(monkeypatch, bids, expected):
+def test_exact_expectation_runs_near_ties_that_pay(bids, expected):
     """Values recorded before the skip rule.  B = everyone but agent 0, C = {0}:
-    B's own sweep value misses ``r(C)``, yet every buyer survives and pays."""
+    B's own sweep value misses ``r(C)``, yet every buyer survives and pays.
+    The skip rule keeps that partition, the expectation is the runs' sum, bit
+    for bit, and the rule does skip some others."""
     profile = flat_bids_profile(bids)
     assert check_conditions(profile) == []
-    n = profile.n
     part = Partition3(0, profile.full - 1, 1)
     r_c = mech.testers_revenue(profile.oracle(), part)
     assert bm._greedy_sweep(profile.oracle(), part.b, part.a, 1)[0] < r_c
     outcome = main_mechanism(profile, partition=part)
     assert outcome.winners == part.b and outcome.revenue > 0
-    value, ran = _expectation_runs(monkeypatch, profile)
-    assert value.hex() == expected and part in ran
-    assert len(ran) < 3**n - 2**n
+    value, runs = _expectation_and_runs(profile)
+    assert value.hex() == expected == runs.hex()
+    assert not _skipped(profile, part)
+    assert any(p.b and _skipped(profile, p) for p in Partition3.all_partitions(profile.n))
 
 
-def test_exact_expectation_keeps_a_negative_testers_revenue(monkeypatch):
+def test_exact_expectation_keeps_a_negative_testers_revenue():
     """A valid profile may bid in ``[-EPS, 0)``, so ``r(C)`` can be negative and B
-    pays it: those partitions are run, not skipped with the zeros (value recorded
+    pays it: those partitions count, not skipped with the zeros (value recorded
     before the skip rule)."""
     profile = flat_bids_profile([-5e-10, 1.0, 2.0])
     assert check_conditions(profile) == []
     part = Partition3(0b010, 0b100, 0b001)
     assert mech.testers_revenue(profile.oracle(), part) == -5e-10
     assert main_mechanism(profile, partition=part).revenue == -5e-10
-    value, ran = _expectation_runs(monkeypatch, profile)
-    assert value.hex() == "0x1.c71c71c34b19cp-4" and part in ran
+    value, runs = _expectation_and_runs(profile)
+    assert value.hex() == "0x1.c71c71c34b19cp-4" == runs.hex()
+    assert not _skipped(profile, part)
+    assert any(p.b and _skipped(profile, p) for p in Partition3.all_partitions(profile.n))
 
 
 def test_two_agent_gap_expected_revenue():

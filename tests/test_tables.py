@@ -9,8 +9,9 @@ table, filled by sweeps on a tabulated oracle that computes, and counts,
 each sweep step ``(T, free)`` once: ``n * 3^(n-1)`` queries in all.  These
 tests pin that the tables change no result, that each ``v_i(S)`` is evaluated
 once, and the exact query counts: the table's, plus the deletion fixpoints
-of the partitions where B can pay.  Single runs on an oracle that is not
-tabulated count every lookup, as before.
+of the partitions where B can pay and B's stored first sweep step does not
+show that nobody drops.  Single runs on an oracle that is not tabulated
+count every lookup, as before.
 
 ``CHECKER_DIGEST`` was recorded on the code before the tables; re-record it
 with ``PYTHONPATH=src python tests/test_tables.py`` only for a change meant to
@@ -88,8 +89,11 @@ def _fixpoint_queries(profile):
     """Queries of the deletion fixpoints the exact expectation runs.
 
     The skip rule is restated here: B non-empty, and ``r(C)`` zero or
-    ``r(B | A) < r(C) - n^2 * EPS * (1 + r(C))`` with ``r(C) > 0``.  Each
-    fixpoint runs on a fresh oracle, and none of the skipped ones pays.
+    ``r(B | A) < r(C) - n^2 * EPS * (1 + r(C))`` with ``r(C) > 0``.  A
+    partition that is not skipped costs no query when B's first sweep step,
+    ``argmin(B, A | B)``, bids at least ``r(C)/|B| - EPS``, and its fixpoint's
+    queries otherwise.  Each step and fixpoint runs on a fresh oracle, and
+    none of the skipped partitions pays.
     """
     n = profile.n
     slack = n * n * EPS
@@ -103,7 +107,9 @@ def _fixpoint_queries(profile):
         fresh = profile.oracle()
         survivors, share = mech._cost_share_survivors(fresh, r_c, part.b, part.a)
         if r_c and not (r_c > 0 and r_b < r_c - slack * (1 + r_c)):
-            ran += fresh.queries
+            low = profile.oracle().argmin(part.b, part.a | part.b)[0]
+            if not low >= r_c / part.b.bit_count() - EPS:
+                ran += fresh.queries
             continue
         assert share * survivors.bit_count() == 0, part
         assert not r_c or survivors == 0, part  # B cannot afford r(C)
@@ -115,7 +121,8 @@ def _fixpoint_queries(profile):
 def test_exact_expectation_is_the_sum_of_untabulated_runs(model, n):
     """Bit for bit: same enumeration order, same float sum.  The queries are
     the revenue table's, one per member of each sweep step, plus those of the
-    fixpoints of the partitions that can pay."""
+    fixpoints of the partitions that can pay and that the stored step does
+    not settle."""
     profile = gen_instance(model, n, seed=n, graph="er")
     plain = profile.oracle()
     total = 0.0
@@ -177,6 +184,64 @@ def test_single_runs_on_a_tabulated_oracle_match_fresh_runs(name):
         assert got.winners == want.winners, part
         assert repr(sorted(got.payments.items())) == repr(sorted(want.payments.items())), part
         assert repr(got.revenue) == repr(want.revenue), part
+
+
+# --- the stored first step settles B's first deletion round ---------------------
+
+@pytest.mark.parametrize("wrap", [False, True], ids=["own", "wrapped"])
+@pytest.mark.parametrize("name", list(_table_cases()))
+def test_revenue_table_stores_every_disjoint_step(name, wrap):
+    """The exact expectation reads B's step ``(B, A)`` from the step memo with
+    no check that it is set: the fill must have stored every one."""
+    profile = _table_cases()[name]
+    (oracle, _), _ = _oracles(profile, "wrapped" if wrap else "fresh")
+    mech.revenue_table(oracle)
+    assert (oracle._columns is None) == wrap
+    tern = oracle.tern
+    for pool, free in _disjoint_pairs(profile.n):
+        if pool:
+            key = tern[pool] + 2 * tern[free]
+            assert oracle._args[key] != 255, (pool, free)
+            want = profile.oracle().argmin(pool, pool | free)
+            assert repr((oracle._lows[key], oracle._args[key])) == repr(want), (pool, free)
+
+
+def test_a_nan_first_buyer_does_not_settle_the_first_round(monkeypatch):
+    """B = {0, 1}, A empty, C = {2}: agent 0, B's lowest id, bids NaN on
+    ``A | B``, so B's stored low is NaN.  Agent 1 bids under ``r(C)/2``, and
+    once it is dropped agent 0 bids 0: nobody pays, where reading a NaN low
+    as "nobody drops" would add ``r(C)``.  The NaN also makes ``r({0} | {1})``
+    NaN, so the expectation is NaN either way; the partition must be run,
+    and the queries are the table's plus the runs' fixpoints."""
+    profile = _tabled({0b011: math.nan}, {0b011: 1.0, 0b010: 1.0},
+                      {0b100: 10.0, 0b111: 10.0})
+    n = profile.n
+    part = Partition3(0, 0b011, 0b100)
+    assert math.isnan(profile.oracle().argmin(part.b, part.b)[0])
+    assert mech.testers_revenue(profile.oracle(), part) == 10.0
+    assert main_mechanism(profile, partition=part).revenue == 0.0
+    total = 0.0
+    for p in Partition3.all_partitions(n):
+        total += main_mechanism(profile, partition=p).revenue
+    ran = set()
+    run = mech._run_partitioned
+    monkeypatch.setattr(mech, "_run_partitioned",
+                        lambda o, p, r_c: ran.add(p) or run(o, p, r_c))
+    oracle = profile.oracle()
+    assert repr(main_mechanism_exact_expectation(oracle)) == repr(total / 3 ** n)
+    assert part in ran
+    assert oracle.queries == n * 3 ** (n - 1) + _fixpoint_queries(profile)
+
+
+def test_an_all_nan_profile_expects_the_runs_sum():
+    """Every bid NaN: each stored low and each ``r(C)`` is NaN, so every
+    partition with a buyer runs, and the NaN sum comes out as the runs' does."""
+    profile = _table_cases()["nan_bids"]
+    total = 0.0
+    for p in Partition3.all_partitions(profile.n):
+        total += main_mechanism(profile, partition=p).revenue
+    got = main_mechanism_exact_expectation(profile)
+    assert math.isnan(got) and repr(got) == repr(total / 3 ** profile.n)
 
 
 # --- the DP fill: each pair extends its tail's record ---------------------------
