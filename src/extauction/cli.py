@@ -108,8 +108,7 @@ def _cmd_expect(args) -> tuple[dict, bool]:
 def _cmd_verify(args) -> tuple[dict, bool]:
     profile = _load(args.instance)
     mechanism = _mechanism(args)
-    count = args.misreports * (4 if args.exhaustive else 1)
-    plan = tr.misreport_plan(profile, count, seed=args.seed)
+    plan = tr.misreport_plan(profile, args.misreports, seed=args.seed)
     violations = tr.deviation_test(mechanism, profile, plan, seeds=range(args.runs))
     return {
         "mechanism": args.mechanism,
@@ -255,7 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("verify", help="deviation-test a mechanism for truthfulness")
     c.add_argument("--mechanism", required=True)
     c.add_argument("--instance", required=True)
-    c.add_argument("--exhaustive", action="store_true")
     c.add_argument("--misreports", type=_count, default=200)
     c.add_argument("--runs", type=_count, default=3)
     c.add_argument("--seed", type=int, default=0)

@@ -27,6 +27,7 @@ from .benchmark import (  # noqa: F401  (_greedy_sweep stays bound for perfbench
 )
 from .mechanisms import (
     Partition3,
+    _check_partition,
     _label_halves,
     main_mechanism,
     main_mechanism_exact_expectation,
@@ -279,9 +280,10 @@ def quarter_bound_check(
 
     ``r(C)`` is the best revenue extractable from C given A or B free;
     ``r_F(C)`` is the canonical 3-winner benchmark optimum's take from C.
-    Skips (never fails) when the benchmark is zero.
+    Skips (never fails) when the benchmark is zero; a bad ``partition`` raises ``ValueError``.
     """
     oracle = as_oracle(profile)
+    _check_partition(partition, oracle.full)
     if optimum is None:
         optimum = benchmark_bruteforce(oracle, 3)
     if optimum.value <= EPS:

@@ -5,9 +5,9 @@ fields are rejected so fixtures stay honest.  Loading validates the domain
 conditions exhaustively for n <= 12; :func:`require_valid` also checks larger
 instances, by seeded sampling.  Every number must be a finite JSON number,
 not a string or a boolean.  The profile's constructor checks the structure
-(neighbour ids, table keys, ``declared_L`` finite and >= 1), so a profile the
-library builds saves to a file this module reads; ``declared_L`` is not
-checked against the valuations.  Table set keys are read by lookup when
+(neighbour ids, table keys, shapes, ``declared_L`` finite and >= 1), so a
+profile the library builds saves to a file this module reads; ``declared_L``
+is not checked against the valuations.  Table set keys are read by lookup when
 canonical (ids ascending, comma-joined, every id below ``n``) and by the
 parser otherwise, to the same set; saving writes canonical keys.  The lookup
 tables are built once per size, by a :func:`functools.cache`, and never
@@ -29,7 +29,6 @@ from .experiments import ExperimentReport
 from .sets import MEMBER_TABLE_SIZE, mask_of, members
 from .valuations import (
     EXHAUSTIVE_MAX_N,
-    SHAPES,
     AdditiveModel,
     DegreeWeight,
     GraphConcaveModel,
@@ -184,9 +183,7 @@ def _field(annotation: str, value, n: int, where: str):
         return _float(value, where)
     if annotation == "Weight":
         return _from_json(value, "kind", n, where)
-    if annotation == "str":  # the string fields are shapes
-        if not isinstance(value, str) or value not in SHAPES:
-            raise InstanceError(f"{where}: unknown shape {value!r} (want one of {sorted(SHAPES)})")
+    if annotation == "str":  # a shape, which the profile's constructor checks
         return value
     if not isinstance(value, dict):  # Mapping[int, float]
         raise InstanceError(f"{where}: a table must be an object of set keys to numbers")

@@ -347,21 +347,29 @@ def main_mechanism(profile, rng=0, partition: Partition3 | None = None) -> Outco
     deterministic truthful mechanism.
 
     ``rng`` is a seed or a :class:`random.Random`; ``partition``, when given,
-    replaces the draw.  A caller's generator is advanced exactly as
-    :meth:`Partition3.sample` advances it.  An ``int`` seed draws
-    ``Partition3.sample(n, random.Random(seed))``, and the last such draw is
-    kept in a one-entry memo keyed by ``(n, seed)``: replaying one seed over
-    many profiles of one size, as a deviation test does for the truthful run
-    and every misreport, draws once.  Any other seed (a bool, a str,
-    ``None``) builds its generator each run.
+    replaces the draw and must partition the agents (else ``ValueError``).  A
+    caller's generator is advanced exactly as :meth:`Partition3.sample` advances
+    it.  An ``int`` seed draws ``Partition3.sample(n, random.Random(seed))``,
+    and the last such draw is kept in a one-entry memo keyed by ``(n, seed)``:
+    replaying one seed over many profiles of one size, as a deviation test does
+    for the truthful run and every misreport, draws once.  Any other seed (a
+    bool, a str, ``None``) builds its generator each run.
     """
     oracle = as_oracle(profile)
-    if partition is None:
-        if type(rng) is int:
-            partition = _seeded_partition(oracle.n, rng)
-        else:
-            partition = Partition3.sample(oracle.n, as_rng(rng))
+    if partition is not None:
+        _check_partition(partition, oracle.full)
+    elif type(rng) is int:
+        partition = _seeded_partition(oracle.n, rng)
+    else:
+        partition = Partition3.sample(oracle.n, as_rng(rng))
     return _run_partitioned(oracle, partition, testers_revenue(oracle, partition))
+
+
+def _check_partition(part: Partition3, full: int) -> None:
+    """Raise ``ValueError`` unless ``part``'s masks are disjoint and their union is ``full``."""
+    a, b, c = part
+    if a & b or a & c or b & c or a | b | c != full:
+        raise ValueError(f"{part!r} does not partition the {full.bit_length()} agents")
 
 
 @functools.lru_cache(maxsize=1)

@@ -436,11 +436,13 @@ class Oracle:
     through :meth:`argmin` and :meth:`below`, one evaluator call per query.
     """
 
-    __slots__ = ("profile", "queries", "revenues", "_fns", "_columns", "tern", "revenue_table",
-                 "_lows", "_args")
+    __slots__ = ("profile", "n", "full", "queries", "revenues", "_fns", "_columns", "tern",
+                 "revenue_table", "_lows", "_args")
 
     def __init__(self, profile: ValuationProfile):
         self.profile = profile
+        self.n = profile.n
+        self.full = profile.full
         self._fns = profile._fns
         self._columns: tuple[tuple[float, ...], ...] | None = None
         self.queries = 0
@@ -449,14 +451,6 @@ class Oracle:
         self.revenue_table: array | None = None
         self._lows: array | None = None
         self._args: bytearray | None = None
-
-    @property
-    def n(self) -> int:
-        return self.profile.n
-
-    @property
-    def full(self) -> int:
-        return self.profile.full
 
     def value(self, i: int, s: int) -> float:
         self.queries += 1

@@ -32,6 +32,7 @@ from extauction.mechanisms import main_mechanism_exact_expectation
 from extauction.valuations import (
     AdditiveModel,
     DegreeWeight,
+    GraphConcaveModel,
     ScalarModel,
     TableModel,
     ValuationProfile,
@@ -50,6 +51,14 @@ def test_gen_instance_graph_concave_valid():
 
 def test_gen_instance_table_valid():
     assert check_conditions(gen_instance("table", 3, seed=1)) == []
+
+
+def test_gen_instance_refuses_an_instance_that_fails_the_conditions(monkeypatch):
+    monkeypatch.setitem(experiments._FAMILIES, "graph_concave",
+                        lambda i, n, rng: GraphConcaveModel(-1.0))
+    with pytest.raises(ValueError) as info:
+        gen_instance("graph_concave", 3, seed=1)
+    assert str(info.value) == "generated graph_concave instance for n=3 violates the conditions"
 
 
 def test_gen_instance_rejects_empty_market():

@@ -67,7 +67,9 @@ RECORDED = {
     "benchmark": "a0ca39ecdf2c4c74cdad4e63f4edf8cc305e39fa25289ff75d3173df4fc3ed9d",
     "run": "2ba731d759e3451fd992c45201f9a1a80093485b011dca65707762de8fa4ce84",
     "expect": "51a5d8a0623abaf8811000dea5fcb07ea38019756aee5e435a37eaf7f94dbb8a",
-    "verify": "f073a241cb858442dc9756ae0c13e6bf3269fb2b9a74075b8ed94915cdcd429e",
+    # re-recorded when verify lost --exhaustive and "--misreports 2 --exhaustive"
+    # became "--misreports 8", the same plan; the code with the flag gives it too
+    "verify": "dab84bdb6ed82363c2bd6dfd08c9bc3a933f45ee9fbeb8e4127f3a724b27312a",
     "experiment": "b4cec5705cf254befdbf920a27a0c33650eb1d74ae2d59a403a50382bd7daa30",
     "demo": "174a41cc344058c0aa92c9788acb9c1075082ea8fdf3263bb6a68ee4d81d7b07",
     # recorded on the code before the checker and estimate_L shared one witness scan
@@ -145,7 +147,7 @@ def _calls(root: Path) -> dict[str, list[list[str]]]:
         calls["expect"].append(["expect", *inst])
         calls["verify"] += [
             ["verify", "--mechanism", "main", *inst, "--misreports", "8", "--runs", "2"],
-            ["verify", "--mechanism", "main", *inst, "--misreports", "2", "--exhaustive"],
+            ["verify", "--mechanism", "main", *inst, "--misreports", "8"],
             ["verify", "--mechanism", "fixed-price", *inst, "--price", "2.0", "--misreports", "8"],
             ["verify", "--mechanism", "broken", *inst, "--misreports", "8", "--runs", "1"],
         ]

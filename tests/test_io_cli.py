@@ -1014,11 +1014,19 @@ def test_experiment_summary_embeds_digests(tmp_path):
     assert list(doc["summary"]["instance_digests"].values())[0]
 
 
-def test_load_rejects_unknown_shape(tmp_path):
+def test_load_rejects_unknown_shape(tmp_path, capsys):
+    """The profile's constructor is the one shape check: loading refuses the file with
+    its message, and so does every command that runs on it."""
     doc = _valid_doc()
     doc["agents"][0]["weight"]["shape"] = "cube"
-    with pytest.raises(InstanceError, match="unknown shape"):
-        load_instance(_write(tmp_path, doc))
+    path = _write(tmp_path, doc)
+    message = f"{path}: agent 0: shape must be one of ['linear', 'sqrt'], got 'cube'"
+    with pytest.raises(InstanceError, match=f"^{re.escape(message)}$"):
+        load_instance(path)
+    for cmd in (["check"], ["benchmark"], ["run", "--mechanism", "main"], ["expect"],
+                ["verify", "--mechanism", "main"]):
+        assert main([*cmd, "--instance", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def _invalid_n13_instance(tmp_path):

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import re
 import sys
 import threading
 
@@ -24,7 +25,7 @@ from extauction import (
 )
 from extauction import mechanisms as mech
 from extauction import benchmark as bm
-from extauction.experiments import gen_instance, two_agent_gap_instance
+from extauction.experiments import gen_instance, quarter_bound_check, two_agent_gap_instance
 from extauction.sets import mask_of, members
 from extauction.truthfulness import deviation_test, misreport_plan
 from extauction.valuations import EPS
@@ -135,6 +136,20 @@ def test_main_mechanism_never_sells_to_testers():
         assert out.winners & part.a == part.a
         for i in members(part.a):
             assert out.payment(i) == 0.0
+
+
+@pytest.mark.parametrize(
+    "part",
+    [Partition3(1, 2, 0), Partition3(7, 7, 0), Partition3(1, 2, 12), Partition3(-1, 0, 0)],
+    ids=["agent-in-no-group", "agents-in-a-and-b", "agents-past-n", "negative-mask"],
+)
+def test_a_partition_that_does_not_split_the_agents_is_refused(part):
+    profile = gen_instance("additive", 3, seed=1)
+    message = rf"^{re.escape(repr(part))} does not partition the 3 agents$"
+    with pytest.raises(ValueError, match=message):
+        main_mechanism(profile, partition=part)
+    with pytest.raises(ValueError, match=message):
+        quarter_bound_check(profile, part)
 
 
 def _cold(profile, seed):

@@ -342,6 +342,13 @@ def test_profile_and_checker_reject_bad_arguments(call, message):
         call()
 
 
+def test_profile_repr_names_each_agents_model():
+    profile = ValuationProfile(
+        [AdditiveModel(2.0, DegreeWeight()), TableModel({0b10: 1.0}), GraphConcaveModel(1.0)])
+    assert repr(profile) == (
+        "ValuationProfile(n=3, models=[AdditiveModel,TableModel,GraphConcaveModel])")
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     n=st.integers(min_value=1, max_value=6),
