@@ -28,12 +28,12 @@ from .benchmark import (  # noqa: F401  (_greedy_sweep stays bound for perfbench
 from .mechanisms import (
     Partition3,
     _check_partition,
-    _label_halves,
+    _partition_ledger,
+    _quarter_floor,
     main_mechanism,
     main_mechanism_exact_expectation,
     mechanism2_expected_revenue,
     require_additive,
-    revenue_table,
     testers_revenue,
 )
 from .sets import iter_members
@@ -294,11 +294,6 @@ def quarter_bound_check(
     return QuarterBoundResult(status, r_c, r_f_c)
 
 
-def _quarter_floor(r_f_c: float) -> float:
-    """The least ``r(C)`` that passes the quarter bound: ``r_F(C)/4``, less EPS."""
-    return r_f_c / 4 - EPS
-
-
 def quarter_bound_exhaustive(profile) -> tuple[int, int, list[Partition3]]:
     """Run the quarter-bound check over all ``3^n`` partitions.
 
@@ -306,44 +301,30 @@ def quarter_bound_exhaustive(profile) -> tuple[int, int, list[Partition3]]:
     benchmark optimum is zero, none otherwise.  Rejected for n > 12, like
     the exact expectation it shares its revenue table with.
 
-    The partitions are walked as joined label halves, in
-    :meth:`~extauction.mechanisms.Partition3.all_partitions` order, and a
-    ``Partition3`` is built only for a failure.  Each partition gets
-    :func:`quarter_bound_check`'s test, inline: ``r(C)``, the larger of
-    ``r(C | A)`` and ``r(C | B)`` read from
+    Each partition gets :func:`quarter_bound_check`'s test: ``r(C)``, the
+    larger of ``r(C | A)`` and ``r(C | B)`` read from
     :func:`~extauction.mechanisms.revenue_table`, against the floor
     ``r_F(C)/4 - EPS``, looked up by the number of benchmark winners in C.
-    On a fresh oracle with a non-zero optimum that costs ``n * 3^(n-1)``
-    queries, the subset scan's steps included, since the tabulated oracle
-    computes each sweep step once.  After the exact expectation, or a first
-    scan, on the same oracle this scan sweeps nothing and makes no query.
+    The failures come in :meth:`~extauction.mechanisms.Partition3.all_partitions`
+    order.  A view of the oracle's partition ledger
+    (:func:`~extauction.mechanisms._partition_ledger`), which walks the
+    partitions once for this and the exact expectation together: the
+    first of the two views on an oracle fills the table and walks, and
+    the second reads the stored result, with no sweep and no query.  A
+    zero benchmark returns before the table is filled.
     """
     oracle = as_oracle(profile)
     n = oracle.n
     if n > EXHAUSTIVE_MAX_N:
         raise ValueError(f"quarter bound rejected for n > {EXHAUSTIVE_MAX_N}")
-    oracle.tabulate()
-    optimum = benchmark_bruteforce(oracle, 3)
-    checked = 3 ** n
-    if optimum.value <= EPS:
-        return checked, checked, []
-    price, winners = optimum.price, optimum.winners
-    floors = [_quarter_floor(price * m) for m in range(winners.bit_count() + 1)]
-    table = revenue_table(oracle)
-    tern = oracle.tern
-    failures = []
-    high, low = _label_halves(n)
-    for ha, hb, hc in high:
-        for la, lb, lc in low:
-            c = hc | lc
-            code_c = tern[c]
-            r_c = table[code_c + 2 * tern[ha | la]]
-            r_cb = table[code_c + 2 * tern[hb | lb]]
-            if r_cb > r_c:
-                r_c = r_cb
-            if not r_c >= floors[(winners & c).bit_count()]:
-                failures.append(Partition3(ha | la, hb | lb, c))
-    return checked, 0, failures
+    optimum = None
+    if oracle.ledger is None:
+        oracle.tabulate()
+        optimum = benchmark_bruteforce(oracle, 3)
+        if optimum.value <= EPS:
+            return 3 ** n, 3 ** n, []
+    checked, skipped, failures = _partition_ledger(oracle, optimum)[1]
+    return checked, skipped, list(failures)
 
 
 # ---------------------------------------------------------------------------

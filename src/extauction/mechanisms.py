@@ -21,7 +21,9 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .benchmark import (
+    BenchmarkResult,
     _greedy_sweep,
+    benchmark_bruteforce,
     classical_best_price,
     deletion_fixpoint,
     maximal_feasible_set,
@@ -104,10 +106,9 @@ class Partition3(NamedTuple):
 
         Each partition joins a labeling of the first ``n // 2`` agents with a
         precomputed one of the rest, in :func:`_label_halves` order, so no
-        per-partition loop over agents.  The two ``3^n`` loops,
-        :func:`main_mechanism_exact_expectation` and
-        :func:`~extauction.experiments.quarter_bound_exhaustive`, walk the
-        same halves without building a tuple per partition.
+        per-partition loop over agents.  The ``3^n`` walk behind the exact
+        expectation and the quarter bound, :func:`_partition_ledger`, joins
+        the same halves without building a tuple per partition.
         """
         high, low = _label_halves(n)
         new = tuple.__new__  # skips the NamedTuple's Python-level __new__
@@ -132,8 +133,8 @@ def _label_halves(n: int) -> tuple[list[tuple[int, int, int]], list[tuple[int, i
     Joining each ``high`` entry, in order, with each ``low`` entry, in order,
     by ``|`` walks the ``3^n`` labeled partitions in
     ``itertools.product(range(3), repeat=n)`` label order (agent 0's label
-    changes slowest); :meth:`Partition3.all_partitions` and both ``3^n``
-    loops enumerate them that way.
+    changes slowest); :meth:`Partition3.all_partitions` and the ``3^n``
+    walk of :func:`_partition_ledger` enumerate them that way.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -383,14 +384,92 @@ def _seeded_partition(n: int, seed: int) -> Partition3:
     return Partition3.sample(n, random.Random(seed))
 
 
+def _quarter_floor(r_f_c: float) -> float:
+    """The least ``r(C)`` that passes the quarter bound: ``r_F(C)/4``, less EPS."""
+    return r_f_c / 4 - EPS
+
+
+def _partition_ledger(oracle: Oracle, optimum: BenchmarkResult | None = None) -> tuple:
+    """``(E[rev], (checked, skipped, failures))`` from one walk of the ``3^n`` partitions.
+
+    Built once per oracle and kept in ``oracle.ledger``; a later call reads
+    it back and walks nothing.  ``optimum`` is ``F^(3)``'s
+    :func:`~extauction.benchmark.benchmark_bruteforce` result when the
+    caller has it; else the subset scan runs here, after the fill, where
+    every step it takes is a memo hit and costs no query.
+
+    The partitions are walked as joined label halves, in
+    :meth:`Partition3.all_partitions` order.  Each half-labelling carries
+    its share of the three table keys, ``tern[C] + 2 tern[A]``,
+    ``tern[C] + 2 tern[B]`` and ``tern[B] + 2 tern[A]``, of ``|B|`` and of
+    ``|S* & C|``: all five add over the two disjoint halves, so a partition
+    costs one addition per key.  Per partition ``r(C)``, the larger of
+    ``r(C | A)`` and ``r(C | B)`` from :func:`revenue_table`, is read once
+    and feeds both results:
+
+    - the quarter bound checks it against ``r_F(C)/4 - EPS``
+      (:func:`_quarter_floor`), and a ``Partition3`` is built only for a
+      failure; with a zero benchmark every partition skips and none fails;
+    - the expectation adds B's payment, as
+      :func:`main_mechanism_exact_expectation` states it.
+    """
+    ledger = oracle.ledger
+    if ledger is not None:
+        return ledger
+    n = oracle.n
+    table = revenue_table(oracle)
+    if optimum is None:
+        optimum = benchmark_bruteforce(oracle, 3)
+    quarter = not optimum.value <= EPS
+    winners = optimum.winners
+    floors = [_quarter_floor(optimum.price * m) for m in range(winners.bit_count() + 1)]
+    tern, lows = oracle.tern, oracle._lows
+    high, low = (
+        [(a, b, c, tern[c] + 2 * tern[a], tern[c] + 2 * tern[b], tern[b] + 2 * tern[a],
+          b.bit_count(), (winners & c).bit_count()) for a, b, c in half]
+        for half in _label_halves(n)
+    )
+    slack, eps = n * n * EPS, EPS
+    total = 0.0
+    failures = []
+    for ha, hb, hc, h_ca, h_cb, h_ba, h_k, h_w in high:
+        for la, lb, lc, l_ca, l_cb, l_ba, l_k, l_w in low:
+            r_c = table[h_ca + l_ca]
+            r_cb = table[h_cb + l_cb]
+            if r_cb > r_c:  # max(r(C|A), r(C|B)), as testers_revenue takes it
+                r_c = r_cb
+            if not r_c >= floors[h_w + l_w] and quarter:
+                failures.append(Partition3(ha | la, hb | lb, hc | lc))
+            k = h_k + l_k
+            if not k or not r_c:
+                continue
+            key = h_ba + l_ba
+            if r_c > 0 and table[key] < r_c - slack * (1.0 + r_c):
+                continue
+            share = r_c / k
+            if lows[key] >= share - eps:  # B's first round drops nobody: B pays r(C)
+                total += share * k
+            else:
+                part = Partition3(ha | la, hb | lb, hc | lc)
+                total += _run_partitioned(oracle, part, r_c).revenue
+    checked = 3 ** n
+    counts = (checked, 0, tuple(failures)) if quarter else (checked, checked, ())
+    ledger = oracle.ledger = (total / checked, counts)
+    return ledger
+
+
 def main_mechanism_exact_expectation(profile) -> float:
     """Expected revenue of the tripartition auction, exactly.
 
     Averages the deterministic revenue over all ``3^n`` equally likely
     labeled partitions, in :meth:`Partition3.all_partitions` order;
     no sampling error, bit-reproducible.  Rejected for n > 12, as every
-    exhaustive path is.  ``r(C | A)``, ``r(C | B)`` and ``r(B | A)`` are read
-    from :func:`revenue_table`, so on a fresh oracle the queries are
+    exhaustive path is.  A view of the oracle's partition ledger
+    (:func:`_partition_ledger`), whose walk also settles the quarter bound,
+    so after :func:`~extauction.experiments.quarter_bound_exhaustive` on
+    the same oracle this reads the stored value and costs nothing.
+    ``r(C | A)``, ``r(C | B)`` and ``r(B | A)`` are read from
+    :func:`revenue_table`, so on a fresh oracle the queries are
     ``n * 3^(n-1)`` for the table plus those of the deletion fixpoints that
     the stored sweep step does not settle; a single run's ``10 n^2`` budget
     is not in play here.
@@ -428,38 +507,9 @@ def main_mechanism_exact_expectation(profile) -> float:
     make possible on a valid profile, is never skipped: B pays it.
     """
     oracle = as_oracle(profile)
-    n = oracle.n
-    if n > EXHAUSTIVE_MAX_N:
+    if oracle.n > EXHAUSTIVE_MAX_N:
         raise ValueError(f"exact expectation rejected for n > {EXHAUSTIVE_MAX_N}")
-    table = revenue_table(oracle)
-    tern, lows = oracle.tern, oracle._lows
-    slack, eps = n * n * EPS, EPS
-    total = 0.0
-    high, low = _label_halves(n)
-    for ha, hb, hc in high:
-        for la, lb, lc in low:
-            b = hb | lb
-            if not b:
-                continue
-            code_a = 2 * tern[ha | la]
-            code_b = tern[b]
-            code_c = tern[hc | lc]
-            r_c = table[code_c + code_a]
-            r_cb = table[code_c + 2 * code_b]
-            if r_cb > r_c:  # max(r(C|A), r(C|B)), as testers_revenue takes it
-                r_c = r_cb
-            if not r_c:
-                continue
-            key = code_b + code_a
-            if r_c > 0 and table[key] < r_c - slack * (1.0 + r_c):
-                continue
-            k = b.bit_count()
-            share = r_c / k
-            if lows[key] >= share - eps:  # B's first round drops nobody: B pays r(C)
-                total += share * k
-            else:
-                total += _run_partitioned(oracle, Partition3(ha | la, b, hc | lc), r_c).revenue
-    return total / (3 ** n)
+    return _partition_ledger(oracle)[0]
 
 
 def rsop(bids, rng=0, coins=None) -> Outcome:
@@ -502,12 +552,10 @@ def require_additive(profile: ValuationProfile):
 
 
 def public_weight_vector(profile: ValuationProfile, s: int) -> list[float]:
-    """Public additive weights ``w_i(S)`` of an additive profile."""
+    """Public additive weights ``w_i(S)`` of an additive profile; each weight is
+    bound once per profile."""
     require_additive(profile)
-    return [
-        m.weight.bind(i, profile.neighbor_masks[i])(s)
-        for i, m in enumerate(profile.models)
-    ]
+    return [w(s) for w in profile._public_weights()]
 
 
 def mechanism2(profile, alpha: float = DEFAULT_ALPHA, m0=rsop, rng=0) -> Outcome:

@@ -349,6 +349,7 @@ class ValuationProfile:
             [m.bind(i, nb) for i, (m, nb) in enumerate(zip(self.models, self.neighbor_masks))])
         self.declared_L = declared_L
         self._sweep_view: DegreeView | None = None
+        self._weights: tuple[Callable[[int], float], ...] | None = None
 
     def value(self, i: int, s: int) -> float:
         """Pure, uncounted ``v_i(S)``; ``s`` is a bitmask."""
@@ -382,6 +383,7 @@ class ValuationProfile:
         new.models = (*self.models[:i], model, *self.models[i + 1:])
         new._fns = (*self._fns[:i], fn, *self._fns[i + 1:])
         new._sweep_view = None
+        new._weights = None
         return new
 
     def _degree_view(self) -> DegreeView:
@@ -396,6 +398,16 @@ class ValuationProfile:
             mask = mask_of(i for i, g in enumerate(tables) if g is not None)
             view = self._sweep_view = DegreeView(mask, tables, *_graph_masks(self.neighbor_masks))
         return view
+
+    def _public_weights(self) -> tuple[Callable[[int], float], ...]:
+        """Each agent's public weight ``w_i`` bound to its neighbours, for an
+        additive profile: bound on the first call and kept, so the mixture
+        mechanism's runs on one profile bind each weight once."""
+        weights = self._weights
+        if weights is None:
+            pairs = enumerate(zip(self.models, self.neighbor_masks))
+            weights = self._weights = tuple([m.weight.bind(i, nb) for i, (m, nb) in pairs])
+        return weights
 
     def __repr__(self):
         kinds = ",".join(type(m).__name__ for m in self.models)
@@ -421,7 +433,11 @@ class Oracle:
     member's column (``_columns``, set only when :meth:`tabulate` installed
     the columns), or asks :meth:`argmin` when the evaluators are wrapped,
     and holds ``16 * 3^n`` bytes of record chains beside the table while it
-    runs.
+    runs.  ``ledger``, once :func:`~extauction.mechanisms._partition_ledger`
+    has walked the ``3^n`` partitions, holds ``(E[rev], (checked, skipped,
+    failures))``, the exact expectation and the quarter bound's counts with
+    its failing partitions as a tuple, so the second of the two views reads
+    them and walks nothing.
 
     ``queries`` counts logical queries: ``|T|`` per sweep step on ``T`` and
     per deletion round, one per other lookup.  On an oracle that is not
@@ -437,7 +453,7 @@ class Oracle:
     """
 
     __slots__ = ("profile", "n", "full", "queries", "revenues", "_fns", "_columns", "tern",
-                 "revenue_table", "_lows", "_args")
+                 "revenue_table", "ledger", "_lows", "_args")
 
     def __init__(self, profile: ValuationProfile):
         self.profile = profile
@@ -449,6 +465,7 @@ class Oracle:
         self.revenues: dict[tuple[int, int], float] = {}
         self.tern: list[int] | None = None
         self.revenue_table: array | None = None
+        self.ledger: tuple | None = None
         self._lows: array | None = None
         self._args: bytearray | None = None
 

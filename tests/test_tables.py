@@ -40,6 +40,7 @@ from extauction import (
     main_mechanism,
     main_mechanism_exact_expectation,
 )
+from extauction import experiments
 from extauction import mechanisms as mech
 from extauction import benchmark as bm
 from extauction.benchmark import benchmark_bruteforce
@@ -145,7 +146,8 @@ def test_quarter_bound_matches_untabulated_checks(model):
     checked, skipped, failures = quarter_bound_exhaustive(tabulated)
     assert (checked, skipped, failures) == (len(statuses), 0, [])
     assert "fail" not in statuses and "skip" not in statuses
-    assert tabulated.queries == n * 3 ** (n - 1)
+    # the scan is a view of the partition ledger, which runs the expectation's fixpoints too
+    assert tabulated.queries == n * 3 ** (n - 1) + _fixpoint_queries(profile)
 
 
 def _table_cases():
@@ -242,6 +244,63 @@ def test_an_all_nan_profile_expects_the_runs_sum():
         total += main_mechanism(profile, partition=p).revenue
     got = main_mechanism_exact_expectation(profile)
     assert math.isnan(got) and repr(got) == repr(total / 3 ** profile.n)
+
+
+# --- one partition ledger behind both 3^n enumerations ---------------------------
+
+def test_quarter_bound_after_the_expectation_walks_nothing(monkeypatch):
+    """The expectation leaves the ledger on the oracle; the quarter bound then
+    reads it: no label halves, no run, no sweep and no query."""
+    profile = gen_instance("mixed", 6, seed=2, graph="er")
+    want = quarter_bound_exhaustive(profile)
+    oracle = profile.oracle()
+    main_mechanism_exact_expectation(oracle)
+    spent = oracle.queries
+    calls = []
+    for name in ("_label_halves", "_run_partitioned", "_greedy_sweep"):
+        fn = getattr(mech, name)
+        monkeypatch.setattr(mech, name, lambda *a, name=name, fn=fn: calls.append(name) or fn(*a))
+    got = quarter_bound_exhaustive(oracle)
+    assert got == want and calls == [] and oracle.queries == spent
+    got[2].append(None)  # the caller's list is a copy of the stored failures
+    assert quarter_bound_exhaustive(oracle) == want
+
+
+def _ledger_cases():
+    cases = {model: gen_instance(model, 6, seed=6, graph="er") for model in GEN_MODELS}
+    table_cases = _table_cases()
+    for name in ("nan_bids", "negative_bid", "signed_zero"):
+        cases[name] = table_cases[name]
+    return cases
+
+
+@pytest.mark.parametrize("name", list(_ledger_cases()))
+def test_both_call_orders_give_the_same_ledger(name):
+    """Quarter bound first or expectation first: ``E[rev]`` is ``repr``-identical,
+    the triple is the same, and both oracles end on the same query count."""
+    profile = _ledger_cases()[name]
+    first = profile.oracle()
+    expected = main_mechanism_exact_expectation(first)
+    quarter = quarter_bound_exhaustive(first)
+    second = profile.oracle()
+    assert quarter_bound_exhaustive(second) == quarter
+    assert repr(main_mechanism_exact_expectation(second)) == repr(expected)
+    assert second.queries == first.queries
+
+
+@pytest.mark.parametrize("model, n, seed", [("mixed", 6, 1), ("table", 5, 2), ("scalar", 7, 3)])
+def test_ledger_failures_are_the_single_checks_in_order(monkeypatch, model, n, seed):
+    """Negative control: with ``r(C)`` forced to 0 in the revenue table and in
+    :func:`quarter_bound_check` alike, the ledger's failures are exactly the
+    partitions the single check fails, in ``Partition3.all_partitions`` order."""
+    profile = gen_instance(model, n, seed=seed)
+    monkeypatch.setattr(mech, "revenue_table", lambda o: array("d", bytes(8 * 3 ** o.n)))
+    monkeypatch.setattr(experiments, "testers_revenue", lambda o, part: 0.0)
+    optimum = benchmark_bruteforce(profile, 3)
+    want = [part for part in Partition3.all_partitions(n)
+            if quarter_bound_check(profile, part, optimum).status == "fail"]
+    assert want
+    assert quarter_bound_exhaustive(profile) == (3 ** n, 0, want)
 
 
 # --- the DP fill: each pair extends its tail's record ---------------------------
