@@ -212,14 +212,20 @@ def test_quarter_bound_exhaustive_reports_failures(monkeypatch, model, n, seed, 
     """Negative control: with every entry of the revenue table the partition
     ledger reads (``mechanisms.revenue_table``), and so ``r(C)``, forced to 0,
     exactly the partitions whose C holds a benchmark winner fail,
-    ``3^n - 2^m 3^(n-m)`` of them for ``m = |S*|``."""
+    ``3^n - 2^m 3^(n-m)`` of them for ``m = |S*|``: those on which
+    :func:`quarter_bound_check`, with ``r(C)`` forced to 0 too, fails, in
+    ``Partition3.all_partitions`` order."""
     profile = gen_instance(model, n, seed=seed)
     assert quarter_bound_exhaustive(profile)[2] == []
-    m = benchmark_bruteforce(profile, 3).winners.bit_count()
+    optimum = benchmark_bruteforce(profile, 3)
+    m = optimum.winners.bit_count()
     assert 3**n - 2**m * 3 ** (n - m) == expected
     monkeypatch.setattr(mechanisms, "revenue_table", lambda o: array("d", bytes(8 * 3**o.n)))
+    monkeypatch.setattr(experiments, "testers_revenue", lambda o, part: 0.0)
     checked, skipped, failures = quarter_bound_exhaustive(profile)
     assert (checked, skipped, len(failures)) == (3**n, 0, expected)
+    assert failures == [part for part in Partition3.all_partitions(n)
+                        if quarter_bound_check(profile, part, optimum).status == "fail"]
 
 
 def test_quarter_bound_exhaustive_zero_benchmark_skips_every_partition():

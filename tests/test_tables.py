@@ -40,7 +40,6 @@ from extauction import (
     main_mechanism,
     main_mechanism_exact_expectation,
 )
-from extauction import experiments
 from extauction import mechanisms as mech
 from extauction import benchmark as bm
 from extauction.benchmark import benchmark_bruteforce
@@ -286,21 +285,6 @@ def test_both_call_orders_give_the_same_ledger(name):
     assert quarter_bound_exhaustive(second) == quarter
     assert repr(main_mechanism_exact_expectation(second)) == repr(expected)
     assert second.queries == first.queries
-
-
-@pytest.mark.parametrize("model, n, seed", [("mixed", 6, 1), ("table", 5, 2), ("scalar", 7, 3)])
-def test_ledger_failures_are_the_single_checks_in_order(monkeypatch, model, n, seed):
-    """Negative control: with ``r(C)`` forced to 0 in the revenue table and in
-    :func:`quarter_bound_check` alike, the ledger's failures are exactly the
-    partitions the single check fails, in ``Partition3.all_partitions`` order."""
-    profile = gen_instance(model, n, seed=seed)
-    monkeypatch.setattr(mech, "revenue_table", lambda o: array("d", bytes(8 * 3 ** o.n)))
-    monkeypatch.setattr(experiments, "testers_revenue", lambda o, part: 0.0)
-    optimum = benchmark_bruteforce(profile, 3)
-    want = [part for part in Partition3.all_partitions(n)
-            if quarter_bound_check(profile, part, optimum).status == "fail"]
-    assert want
-    assert quarter_bound_exhaustive(profile) == (3 ** n, 0, want)
 
 
 # --- the DP fill: each pair extends its tail's record ---------------------------
