@@ -97,9 +97,9 @@ def _cmd_run(args) -> tuple[dict, bool]:
 
 
 def _cmd_expect(args) -> tuple[dict, bool]:
-    profile = _load(args.instance)
-    expected = mech.main_mechanism_exact_expectation(profile)
-    f3 = bm.benchmark_bruteforce(profile, 3).value
+    oracle = _load(args.instance).oracle()
+    expected = mech.main_mechanism_exact_expectation(oracle)
+    f3 = bm.benchmark_bruteforce(oracle, 3).value
     bound = f3 / ex.REVENUE_GUARANTEE_FACTOR
     bound_ok = expected >= bound - EPS
     return {"expected_revenue": expected, "f3": f3, "bound": bound, "bound_ok": bound_ok}, bound_ok

@@ -299,7 +299,7 @@ def quarter_bound_exhaustive(profile) -> tuple[int, int, list[Partition3]]:
 
     Returns (checked, skipped, failures); all partitions skip when the
     benchmark optimum is zero, none otherwise.  Rejected for n > 12, like
-    the exact expectation it shares its revenue table with.
+    the exact expectation, its twin view of the same ledger.
 
     Each partition gets :func:`quarter_bound_check`'s test: ``r(C)``, the
     larger of ``r(C | A)`` and ``r(C | B)`` read from
@@ -309,21 +309,14 @@ def quarter_bound_exhaustive(profile) -> tuple[int, int, list[Partition3]]:
     order.  A view of the oracle's partition ledger
     (:func:`~extauction.mechanisms._partition_ledger`), which walks the
     partitions once for this and the exact expectation together: the
-    first of the two views on an oracle fills the table and walks, and
-    the second reads the stored result, with no sweep and no query.  A
-    zero benchmark returns before the table is filled.
+    first of the two views on an oracle fills the table and walks, even on
+    a zero benchmark, and the second reads the stored result, with no
+    sweep and no query.
     """
     oracle = as_oracle(profile)
-    n = oracle.n
-    if n > EXHAUSTIVE_MAX_N:
+    if oracle.n > EXHAUSTIVE_MAX_N:
         raise ValueError(f"quarter bound rejected for n > {EXHAUSTIVE_MAX_N}")
-    optimum = None
-    if oracle.ledger is None:
-        oracle.tabulate()
-        optimum = benchmark_bruteforce(oracle, 3)
-        if optimum.value <= EPS:
-            return 3 ** n, 3 ** n, []
-    checked, skipped, failures = _partition_ledger(oracle, optimum)[1]
+    checked, skipped, failures = _partition_ledger(oracle)[1]
     return checked, skipped, list(failures)
 
 
@@ -365,10 +358,9 @@ def revenue_guarantee_suite(instances: Sequence[tuple[str, ValuationProfile]]) -
     """
     rows = []
     for name, profile in instances:
-        f1 = benchmark_bruteforce(profile, 1).value
-        f2 = benchmark_bruteforce(profile, 2).value
-        f3 = benchmark_bruteforce(profile, 3).value
-        expected = main_mechanism_exact_expectation(profile)
+        oracle = as_oracle(profile)
+        expected = main_mechanism_exact_expectation(oracle)
+        f1, f2, f3 = (benchmark_bruteforce(oracle, k).value for k in (1, 2, 3))
         ok = expected >= f3 / REVENUE_GUARANTEE_FACTOR - EPS
         ratio = _ratio(f3, expected) if f3 > EPS else math.nan
         rows.append((name, profile.n, f1, f2, f3, expected, ratio, ok))
@@ -479,10 +471,9 @@ def f2_gap_demo(m_values: Sequence[float]) -> ExperimentReport:
     for m in m_values:
         if not 1 <= m < math.inf:  # NaN fails every comparison
             raise ValueError(f"m values must be finite and >= 1, got {m!r}")
-        profile = two_agent_gap_instance(m)
-        f2 = benchmark_bruteforce(profile, 2).value
-        f3 = benchmark_bruteforce(profile, 3).value
-        expected = main_mechanism_exact_expectation(profile)
+        oracle = two_agent_gap_instance(m).oracle()
+        expected = main_mechanism_exact_expectation(oracle)
+        f2, f3 = (benchmark_bruteforce(oracle, k).value for k in (2, 3))
         rows.append((m, f2, f3, expected, _ratio(f2, expected)))
     return ExperimentReport(F2_GAP_COLUMNS, rows, {"x": 1.0})  # the instances' t
 

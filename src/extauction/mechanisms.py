@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .benchmark import (
-    BenchmarkResult,
     _greedy_sweep,
     benchmark_bruteforce,
     classical_best_price,
@@ -111,10 +110,9 @@ class Partition3(NamedTuple):
         the same halves without building a tuple per partition.
         """
         high, low = _label_halves(n)
-        new = tuple.__new__  # skips the NamedTuple's Python-level __new__
         for a, b, c in high:
             for la, lb, lc in low:
-                yield new(cls, (a | la, b | lb, c | lc))
+                yield cls(a | la, b | lb, c | lc)
 
 
 #: a word's top byte as the ASCII label its top two bits make, and the top
@@ -389,14 +387,16 @@ def _quarter_floor(r_f_c: float) -> float:
     return r_f_c / 4 - EPS
 
 
-def _partition_ledger(oracle: Oracle, optimum: BenchmarkResult | None = None) -> tuple:
+def _partition_ledger(oracle: Oracle) -> tuple:
     """``(E[rev], (checked, skipped, failures))`` from one walk of the ``3^n`` partitions.
 
-    Built once per oracle and kept in ``oracle.ledger``; a later call reads
-    it back and walks nothing.  ``optimum`` is ``F^(3)``'s
-    :func:`~extauction.benchmark.benchmark_bruteforce` result when the
-    caller has it; else the subset scan runs here, after the fill, where
-    every step it takes is a memo hit and costs no query.
+    The one entry to the exact path: it tabulates the oracle, fills
+    :func:`revenue_table`, then takes ``F^(3)`` from
+    :func:`~extauction.benchmark.benchmark_bruteforce` on the same oracle,
+    where every step of that subset scan is already stored and costs no
+    query.  Built once per oracle and kept in ``oracle.ledger``; a later
+    call reads it back and walks nothing, and a later ``F^(k)`` scan on the
+    oracle reads the stored steps too.
 
     The partitions are walked as joined label halves, in
     :meth:`Partition3.all_partitions` order.  Each half-labelling carries
@@ -409,7 +409,8 @@ def _partition_ledger(oracle: Oracle, optimum: BenchmarkResult | None = None) ->
 
     - the quarter bound checks it against ``r_F(C)/4 - EPS``
       (:func:`_quarter_floor`), and a ``Partition3`` is built only for a
-      failure; with a zero benchmark every partition skips and none fails;
+      failure; with a zero benchmark every partition skips and none fails,
+      ``(3^n, 3^n, ())``;
     - the expectation adds B's payment, as
       :func:`main_mechanism_exact_expectation` states it.
     """
@@ -417,9 +418,9 @@ def _partition_ledger(oracle: Oracle, optimum: BenchmarkResult | None = None) ->
     if ledger is not None:
         return ledger
     n = oracle.n
+    oracle.tabulate()
     table = revenue_table(oracle)
-    if optimum is None:
-        optimum = benchmark_bruteforce(oracle, 3)
+    optimum = benchmark_bruteforce(oracle, 3)
     quarter = not optimum.value <= EPS
     winners = optimum.winners
     floors = [_quarter_floor(optimum.price * m) for m in range(winners.bit_count() + 1)]

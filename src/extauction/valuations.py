@@ -437,7 +437,11 @@ class Oracle:
     has walked the ``3^n`` partitions, holds ``(E[rev], (checked, skipped,
     failures))``, the exact expectation and the quarter bound's counts with
     its failing partitions as a tuple, so the second of the two views reads
-    them and walks nothing.
+    them and walks nothing.  The ledger is the one entry to the exact path:
+    every exact caller (``extauction expect``, the exact experiment, the
+    f2-gap demo) builds one oracle per instance, asks it for the
+    expectation first, and then reads each ``F^(k)`` subset scan off the
+    steps the fill stored, at no query.
 
     ``queries`` counts logical queries: ``|T|`` per sweep step on ``T`` and
     per deletion round, one per other lookup.  On an oracle that is not

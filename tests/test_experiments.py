@@ -9,6 +9,7 @@ import pytest
 from extauction import BenchmarkResult, Partition3, benchmark_bruteforce, check_conditions
 from extauction import experiments, mechanisms
 from extauction.experiments import (
+    GEN_MODELS,
     PartitionStats,
     binomial_low_tail,
     chernoff_tail_check,
@@ -30,6 +31,7 @@ from extauction.experiments import (
 from extauction.io import instance_digest
 from extauction.mechanisms import main_mechanism_exact_expectation
 from extauction.valuations import (
+    EPS,
     AdditiveModel,
     DegreeWeight,
     GraphConcaveModel,
@@ -229,6 +231,8 @@ def test_quarter_bound_exhaustive_reports_failures(monkeypatch, model, n, seed, 
 
 
 def test_quarter_bound_exhaustive_zero_benchmark_skips_every_partition():
+    """A zero benchmark skips every partition; the walk still runs, and its
+    ledger serves the exact expectation at no further query."""
     zero_bidder = ValuationProfile(
         [ScalarModel(0.0, DegreeWeight())] + [ScalarModel(2.0, DegreeWeight())] * 2
     )
@@ -237,7 +241,11 @@ def test_quarter_bound_exhaustive_zero_benchmark_skips_every_partition():
         oracle = profile.oracle()
         n = profile.n
         assert quarter_bound_exhaustive(oracle) == (3**n, 3**n, [])
-        assert oracle.revenues == {} and oracle.revenue_table is None  # no sweep ran
+        assert oracle.ledger is not None
+        queries = oracle.queries
+        expected = main_mechanism_exact_expectation(oracle)
+        assert oracle.queries == queries  # the expectation reads the same ledger
+        assert repr(expected) == repr(main_mechanism_exact_expectation(profile.oracle()))
 
 
 def test_quarter_bound_exhaustive_is_capped_with_the_exact_expectation():
@@ -371,6 +379,29 @@ def test_revenue_guarantee_suite_with_no_three_winner_benchmark():
     assert summary["instances"] == 2
     assert summary["worst_revenue_over_f3"] is None
     assert math.isnan(summary["min_ratio"]) and math.isnan(summary["mean_ratio"])
+
+
+def test_exact_rows_match_one_fresh_oracle_per_call():
+    """The exact experiment and the f2-gap demo read ``E[rev]`` and every ``F^(k)``
+    off one oracle per instance; their rows are ``repr``-equal to rows built
+    with a fresh oracle for each call."""
+    instances = standard_suite()[::10] + [(kind, gen_instance(kind, 8, seed=1))
+                                          for kind in GEN_MODELS]
+    rows = []
+    for name, profile in instances:
+        f1, f2, f3 = (benchmark_bruteforce(profile, k).value for k in (1, 2, 3))
+        expected = main_mechanism_exact_expectation(profile)
+        ratio = experiments._ratio(f3, expected) if f3 > EPS else math.nan
+        ok = expected >= f3 / experiments.REVENUE_GUARANTEE_FACTOR - EPS
+        rows.append((name, profile.n, f1, f2, f3, expected, ratio, ok))
+    assert repr(revenue_guarantee_suite(instances).rows) == repr(rows)
+    rows = []
+    for m in experiments.F2_GAP_M_VALUES:
+        profile = two_agent_gap_instance(m)
+        f2, f3 = (benchmark_bruteforce(profile, k).value for k in (2, 3))
+        expected = main_mechanism_exact_expectation(profile)
+        rows.append((m, f2, f3, expected, experiments._ratio(f2, expected)))
+    assert repr(f2_gap_demo(experiments.F2_GAP_M_VALUES).rows) == repr(rows)
 
 
 # --- campaigns --------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from extauction import (
     ValuationProfile,
     check_conditions,
 )
+from extauction import benchmark as bm
 from extauction import experiments as ex
 from extauction import mechanisms as mech
 from extauction.cli import build_parser, main
@@ -581,6 +582,29 @@ def test_cli_run_and_expect(instance_path, capsys):
     assert main(["expect", "--instance", instance_path]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["bound_ok"] and out["expected_revenue"] == pytest.approx(21 / 27)
+
+
+def test_cli_expect_scans_f3_on_the_ledger_oracle(tmp_path, capsys, monkeypatch):
+    """``expect`` reads ``F^(3)`` off the expectation's oracle: the scan finds the
+    partition ledger set and adds no query, and the printed ``f3`` is the value a
+    fresh oracle's scan gives."""
+    profile = gen_instance("graph_concave", 8, seed=1, graph="er")
+    path = tmp_path / "gc8.json"
+    save_instance(profile, path)
+    scan = bm.benchmark_bruteforce
+    scans = []
+
+    def watched(oracle, k):
+        queries = oracle.queries
+        result = scan(oracle, k)
+        scans.append((k, oracle.ledger is not None, oracle.queries - queries))
+        return result
+
+    monkeypatch.setattr(bm, "benchmark_bruteforce", watched)
+    assert main(["expect", "--instance", str(path)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert scans == [(3, True, 0)]
+    assert repr(out["f3"]) == repr(scan(load_instance(path), 3).value)
 
 
 def _signed_zero_path(tmp_path):
