@@ -246,25 +246,6 @@ def chernoff_tail_check(m: int) -> Fraction:
 # quarter bound (test-group revenue vs its benchmark share)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PartitionStats:
-    """Benchmark winners per group of a tripartition; they sum to ``|S*|``."""
-
-    m: int
-    k1: int
-    k2: int
-    k3: int
-
-
-def partition_stats(optimum: BenchmarkResult, partition: Partition3) -> PartitionStats:
-    ks = [(optimum.winners & g).bit_count() for g in (partition.a, partition.b, partition.c)]
-    stats = PartitionStats(optimum.winners.bit_count(), *ks)
-    held = stats.k1 + stats.k2 + stats.k3
-    if held != stats.m:  # raised, not asserted: ``python -O`` keeps it
-        raise AssertionError(f"the groups hold {held} of the {stats.m} benchmark winners")
-    return stats
-
-
 class QuarterBoundResult(NamedTuple):
     status: str  # pass | fail | skip
     r_c: float

@@ -191,23 +191,16 @@ def cost_share(profile, r: float, x: int, y: int) -> Outcome:
 def testers_revenue(oracle: Oracle, part: Partition3) -> float:
     """``r(C)``: the best uniform-price revenue from C given A, or else B, holds the good.
 
-    Each sweep value is memoized on the oracle per ``(C, free)`` pair, so the
-    partitions of one run that share a pair sweep it once.  The ``3^n``
-    enumerations read the same values from :func:`revenue_table` instead.
+    Two sweeps, ``r(C | A)`` and ``r(C | B)``, or one when A = B = {}; on a
+    tabulated oracle each step is read from the step memo, so a repeat
+    costs no query.  The ``3^n`` enumerations read the same values from
+    :func:`revenue_table` instead.
     """
     a, b, c = part
     if not c:
         return 0.0
-    return max(_sweep_value(oracle, c, a), _sweep_value(oracle, c, b))
-
-
-def _sweep_value(oracle: Oracle, pool: int, free: int) -> float:
-    """``r(pool | free)``, the sweep value, memoized on the oracle."""
-    memo = oracle.revenues
-    r = memo.get((pool, free))
-    if r is None:
-        r = memo[pool, free] = _greedy_sweep(oracle, pool, free, 1)[0]
-    return r
+    r = _greedy_sweep(oracle, c, a, 1)[0]
+    return r if a == b else max(r, _greedy_sweep(oracle, c, b, 1)[0])
 
 
 def revenue_table(oracle: Oracle) -> array:
@@ -215,9 +208,11 @@ def revenue_table(oracle: Oracle) -> array:
 
     ``tern`` is ``oracle.tern`` (:func:`~extauction.sets.ternary_codes`); an
     empty pool reads 0.0, and a non-empty one holds its sweep value
-    ``_greedy_sweep(oracle, pool, free, 1)[0]``, bit for bit.  Built once per
-    oracle, which it tabulates, for the ``3^n`` enumerations; refused for
-    n > 12, past which an oracle does not tabulate.
+    ``_greedy_sweep(oracle, pool, free, 1)[0]``, bit for bit.  It tabulates
+    the oracle, then fills a new table on each call and keeps none: its
+    caller, :func:`_partition_ledger`, keeps its own result instead, and a
+    second fill reads every step from the step memo at no query.  Refused
+    for n > 12, past which an oracle does not tabulate.
 
     The fill is a DP over pools in increasing mask order.  A sweep of
     ``pool`` takes its first step ``(low, arg)`` and then sweeps the tail
@@ -252,76 +247,73 @@ def revenue_table(oracle: Oracle) -> array:
     """
     if oracle.n > EXHAUSTIVE_MAX_N:
         raise ValueError(f"revenue tables are capped at n <= {EXHAUSTIVE_MAX_N}")
-    table = oracle.revenue_table
-    if table is None:
-        oracle.tabulate()
-        tern, full, cols = oracle.tern, oracle.full, oracle._columns
-        lows, args = oracle._lows, oracle._args
-        size3 = 3 ** oracle.n
-        pow3 = [3 ** i for i in range(oracle.n)]
-        table = array("d", bytes(8 * size3))
-        no_record, eps = -math.inf, EPS
-        first = array("d", [no_record]) * size3
-        second = array("d", [math.nan]) * size3
-        for pool in range(1, full + 1):
-            code = tern[pool]
-            rest = full ^ pool
-            free = rest
-            size = pool.bit_count()
-            if size == 1:
-                while True:
-                    key = code + 2 * tern[free]
-                    table[key] = _greedy_sweep(oracle, pool, free, 1)[0]
-                    if not lows[key] < -eps:
-                        first[key] = lows[key]
-                    if not free:
-                        break
-                    free = (free - 1) & rest
-                continue
-            top = pool.bit_length() - 1
-            col = None if cols is None else cols[top]
-            shift = pow3[top]  # the key of (pool - top, free + top), less the key of (pool, free)
+    oracle.tabulate()
+    tern, full, cols = oracle.tern, oracle.full, oracle._columns
+    lows, args = oracle._lows, oracle._args
+    size3 = 3 ** oracle.n
+    pow3 = [3 ** i for i in range(oracle.n)]
+    table = array("d", bytes(8 * size3))
+    no_record, eps = -math.inf, EPS
+    first = array("d", [no_record]) * size3
+    second = array("d", [math.nan]) * size3
+    for pool in range(1, full + 1):
+        code = tern[pool]
+        rest = full ^ pool
+        free = rest
+        size = pool.bit_count()
+        if size == 1:
             while True:
                 key = code + 2 * tern[free]
-                arg = args[key]
-                if arg != 255:
-                    low = lows[key]
-                elif col is not None:
-                    low = lows[key + shift]
-                    arg = args[key + shift]
-                    v = col[pool | free]
-                    if v < low:
-                        low = v
-                        arg = top
-                    lows[key] = low
-                    args[key] = arg
-                    oracle.queries += size
-                else:
-                    low, arg = oracle.argmin(pool, pool | free)
-                tail = key - pow3[arg]
-                tb = table[tail]
-                val = size * low
-                if val < -eps:
-                    table[key] = tb
-                    first[key] = first[tail]
-                    second[key] = second[tail]
-                else:
-                    first[key] = val
-                    tf = first[tail]
-                    if tb <= val or tf == no_record:
-                        table[key] = val
-                    elif tf > val + eps:
-                        table[key] = tb
-                        second[key] = tf
-                    elif tf <= val and second[tail] > val + eps:
-                        table[key] = tb
-                        second[key] = second[tail]
-                    else:
-                        table[key] = _greedy_sweep(oracle, pool, free, 1)[0]
+                table[key] = _greedy_sweep(oracle, pool, free, 1)[0]
+                if not lows[key] < -eps:
+                    first[key] = lows[key]
                 if not free:
                     break
                 free = (free - 1) & rest
-        oracle.revenue_table = table
+            continue
+        top = pool.bit_length() - 1
+        col = None if cols is None else cols[top]
+        shift = pow3[top]  # the key of (pool - top, free + top), less the key of (pool, free)
+        while True:
+            key = code + 2 * tern[free]
+            arg = args[key]
+            if arg != 255:
+                low = lows[key]
+            elif col is not None:
+                low = lows[key + shift]
+                arg = args[key + shift]
+                v = col[pool | free]
+                if v < low:
+                    low = v
+                    arg = top
+                lows[key] = low
+                args[key] = arg
+                oracle.queries += size
+            else:
+                low, arg = oracle.argmin(pool, pool | free)
+            tail = key - pow3[arg]
+            tb = table[tail]
+            val = size * low
+            if val < -eps:
+                table[key] = tb
+                first[key] = first[tail]
+                second[key] = second[tail]
+            else:
+                first[key] = val
+                tf = first[tail]
+                if tb <= val or tf == no_record:
+                    table[key] = val
+                elif tf > val + eps:
+                    table[key] = tb
+                    second[key] = tf
+                elif tf <= val and second[tail] > val + eps:
+                    table[key] = tb
+                    second[key] = second[tail]
+                else:
+                    table[key] = _greedy_sweep(oracle, pool, free, 1)[0]
+            if not free:
+                break
+            free = (free - 1) & rest
     return table
 
 
@@ -394,9 +386,10 @@ def _partition_ledger(oracle: Oracle) -> tuple:
     :func:`revenue_table`, then takes ``F^(3)`` from
     :func:`~extauction.benchmark.benchmark_bruteforce` on the same oracle,
     where every step of that subset scan is already stored and costs no
-    query.  Built once per oracle and kept in ``oracle.ledger``; a later
-    call reads it back and walks nothing, and a later ``F^(k)`` scan on the
-    oracle reads the stored steps too.
+    query.  Built once per oracle and kept in ``oracle.ledger``, while the
+    table is freed after the walk; a later call reads the ledger back and
+    walks nothing, and a later ``F^(k)`` scan on the oracle reads the
+    stored steps too.
 
     The partitions are walked as joined label halves, in
     :meth:`Partition3.all_partitions` order.  Each half-labelling carries

@@ -10,10 +10,11 @@ Every model enforces the domain conditions by construction:
      for ``i`` in both sets), or the L-relaxed variant thereof.
 
 Profiles are immutable once built and safe to share; the only mutable state
-(the query counter, the ``r(C)`` memos and any ``2^n`` value columns) lives on a
-per-run :class:`Oracle`.  A profile only caches, on its first sweep or deletion round
-of a large pool, a view of its own tables (:meth:`ValuationProfile._degree_view`), the
-same whichever run builds it, with masks kept for the last graph (:func:`_graph_masks`).
+(the query counter, the sweep-step memo, the partition ledger and any ``2^n``
+value columns) lives on a per-run :class:`Oracle`.  A profile only caches, on
+its first sweep or deletion round of a large pool, a view of its own tables
+(:meth:`ValuationProfile._degree_view`), the same whichever run builds it, with
+masks kept for the last graph (:func:`_graph_masks`).
 The exhaustive paths (n <= 12) read each agent's values from one table
 (:meth:`ValuationProfile.column`) instead of calling the model once per
 lookup.
@@ -417,27 +418,27 @@ class ValuationProfile:
 class Oracle:
     """Query-counted view of a profile; one per mechanism run.
 
-    It holds the run's mutable state, the value-query count ``queries`` and
-    ``revenues``, the ``r(C)`` sweep values memoized per ``(C, free)`` by
-    :func:`~extauction.mechanisms.testers_revenue`, so profiles stay
-    shareable across threads and runs: concurrent runs each hold their own.
+    It holds the run's mutable state, starting with the value-query count
+    ``queries``, so profiles stay shareable across threads and runs:
+    concurrent runs each hold their own.  Each exact-path quantity has one
+    store here, the step memo or the ledger.
 
     After :meth:`tabulate` it also holds the profile's value columns, answers
     from them instead of the models, and remembers every sweep step
-    (:meth:`argmin`), so each step is computed and counted once; values stay
-    the same.  ``tern`` is then :func:`~extauction.sets.ternary_codes` of n,
-    and ``revenue_table``, once :func:`~extauction.mechanisms.revenue_table`
-    fills it, holds ``r(pool | free)`` for every disjoint pair.  That fill
-    is a DP that keeps the step memo as its own state: it extends the
-    memoised step of ``pool`` minus its highest member by one read of that
-    member's column (``_columns``, set only when :meth:`tabulate` installed
-    the columns), or asks :meth:`argmin` when the evaluators are wrapped,
-    and holds ``16 * 3^n`` bytes of record chains beside the table while it
-    runs.  ``ledger``, once :func:`~extauction.mechanisms._partition_ledger`
-    has walked the ``3^n`` partitions, holds ``(E[rev], (checked, skipped,
-    failures))``, the exact expectation and the quarter bound's counts with
-    its failing partitions as a tuple, so the second of the two views reads
-    them and walks nothing.  The ledger is the one entry to the exact path:
+    (:meth:`argmin`) in the step memo (``_lows``, ``_args``), so each step is
+    computed and counted once; values stay the same.  ``tern`` is then
+    :func:`~extauction.sets.ternary_codes` of n.
+    :func:`~extauction.mechanisms.revenue_table` fills ``r(pool | free)``
+    for every disjoint pair by a DP that keeps the step memo as its own
+    state: it extends the memoised step of ``pool`` minus its highest
+    member by one read of that member's column (``_columns``, set only when
+    :meth:`tabulate` installed the columns), or asks :meth:`argmin` when the
+    evaluators are wrapped; the table is not kept here.  ``ledger``, once
+    :func:`~extauction.mechanisms._partition_ledger` has walked the ``3^n``
+    partitions, holds ``(E[rev], (checked, skipped, failures))``, the exact
+    expectation and the quarter bound's counts with its failing partitions
+    as a tuple, so the second of the two views reads them and walks
+    nothing.  The ledger is the one entry to the exact path:
     every exact caller (``extauction expect``, the exact experiment, the
     f2-gap demo) builds one oracle per instance, asks it for the
     expectation first, and then reads each ``F^(k)`` subset scan off the
@@ -456,8 +457,8 @@ class Oracle:
     through :meth:`argmin` and :meth:`below`, one evaluator call per query.
     """
 
-    __slots__ = ("profile", "n", "full", "queries", "revenues", "_fns", "_columns", "tern",
-                 "revenue_table", "ledger", "_lows", "_args")
+    __slots__ = ("profile", "n", "full", "queries", "_fns", "_columns", "tern", "ledger",
+                 "_lows", "_args")
 
     def __init__(self, profile: ValuationProfile):
         self.profile = profile
@@ -466,9 +467,7 @@ class Oracle:
         self._fns = profile._fns
         self._columns: tuple[tuple[float, ...], ...] | None = None
         self.queries = 0
-        self.revenues: dict[tuple[int, int], float] = {}
         self.tern: list[int] | None = None
-        self.revenue_table: array | None = None
         self.ledger: tuple | None = None
         self._lows: array | None = None
         self._args: bytearray | None = None
@@ -533,7 +532,7 @@ class Oracle:
         for wrapped evaluators: the revenue table's fill reads a column
         directly only when the oracle's evaluators are its columns.  The
         memo takes ``9 * 3^n`` bytes (4.8 MB at n = 12), and the fill adds
-        ``16 * 3^n`` bytes of record chains while it runs.
+        ``24 * 3^n`` bytes, the table and its record chains, while it runs.
         """
         p = self.profile
         if self.tern is None and p.n <= EXHAUSTIVE_MAX_N:

@@ -6,11 +6,10 @@ from fractions import Fraction
 
 import pytest
 
-from extauction import BenchmarkResult, Partition3, benchmark_bruteforce, check_conditions
+from extauction import Partition3, benchmark_bruteforce, check_conditions
 from extauction import experiments, mechanisms
 from extauction.experiments import (
     GEN_MODELS,
-    PartitionStats,
     binomial_low_tail,
     chernoff_tail_check,
     derive_seed,
@@ -20,7 +19,6 @@ from extauction.experiments import (
     mechanism2_bound_check,
     monte_carlo_expectation,
     partition_min_expectation,
-    partition_stats,
     quarter_bound_check,
     quarter_bound_exhaustive,
     ratio_campaign,
@@ -144,26 +142,16 @@ def test_chernoff_tail_check_raises_on_a_failing_tail(monkeypatch):
         chernoff_tail_check(17)
 
 
-def test_partition_stats_raises_when_the_groups_miss_a_winner():
-    optimum = BenchmarkResult(3.0, 1.0, 0b111, 3)
-    assert partition_stats(optimum, Partition3(0b001, 0b010, 0b100)) == PartitionStats(3, 1, 1, 1)
-    with pytest.raises(AssertionError, match="the groups hold 2 of the 3 benchmark winners$"):
-        partition_stats(optimum, Partition3(0b001, 0b010, 0))
-
-
 #: run under ``python -O``, which strips ``assert`` statements
 OPTIMIZED_CHECKS = """
 from fractions import Fraction
-from extauction import Partition3, experiments
-from extauction.benchmark import BenchmarkResult
+from extauction import experiments
 experiments.binomial_low_tail = lambda m, cutoff: Fraction(1, 2)
-for check in (lambda: experiments.chernoff_tail_check(17),
-              lambda: experiments.partition_stats(BenchmarkResult(3.0, 1.0, 7, 3),
-                                                  Partition3(1, 2, 0))):
-    try:
-        check()
-    except AssertionError:
-        continue
+try:
+    experiments.chernoff_tail_check(17)
+except AssertionError:
+    pass
+else:
     raise SystemExit("a failing check returned under -O")
 """
 
@@ -448,19 +436,6 @@ def test_derive_seed_is_stable_and_distinct():
     assert derive_seed("a", 1) == derive_seed("a", 1)
     assert derive_seed("a", 1) != derive_seed("a", 2)
     assert 0 <= derive_seed("x") < 2**64
-
-
-def test_partition_stats_sum_to_optimum_size():
-    from extauction.experiments import partition_stats
-
-    profile = size_scalar_profile(5)
-    optimum = benchmark_bruteforce(profile, 3)
-    for seed in range(5):
-        import random as _r
-
-        part = Partition3.sample(5, _r.Random(seed))
-        stats = partition_stats(optimum, part)
-        assert stats.k1 + stats.k2 + stats.k3 == stats.m == 5
 
 
 def test_monte_carlo_tracks_exact_on_several_instances():

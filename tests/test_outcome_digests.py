@@ -43,9 +43,11 @@ N = 5
 TARGETS = (0.0, -0.0, 1.0, 50.0)
 BIDS = ((5.0, 3.0, 3.0, 1.0), (0.0, 2.0, 2.0, 7.5), (1.0, 1.0, 1.0, 1.0))
 
-#: recorded on the code before the equal-split share moved into the survivor loop
+#: recorded on the code before the equal-split share moved into the survivor loop;
+#: ``main_mechanism`` re-recorded when the oracle stopped memoising ``r(C)`` across
+#: runs, which moved only the cumulative query counts on each shared oracle
 RECORDED = {
-    "main_mechanism": "691d9675d0ce6f22f310ddab1ce6411c4ab14a513089dce33a3b716e1366eb9e",
+    "main_mechanism": "b6825aa65a6a615374ecde01b0c201f27a1003ca73cb12514159d056bf8173e6",
     "cost_share": "57b864a1e9040cd90dc491dbf92ce53e04eee585d970aa9873e4ad490b92d84a",
     "rsop": "7c02a2f8cbd6ccfc73a0482e1579d12f6731899f01d8cfcd2569349ae4253c76",
     "additive_bound": "4f491408389c5bf5598894461c6e05e3c87f4e3783592f11f91b28086ef23d3a",

@@ -170,21 +170,60 @@ def test_revenue_table_holds_each_sweep_value(name):
     for pool, free in _disjoint_pairs(n):
         want = mech._greedy_sweep(profile.oracle(), pool, free, 1)[0]
         assert repr(table[tern[pool] + 2 * tern[free]]) == repr(want), (pool, free)
-    assert mech.revenue_table(oracle) is table and oracle.queries == n * 3 ** (n - 1)
+    assert repr(mech.revenue_table(oracle)) == repr(table) and oracle.queries == n * 3 ** (n - 1)
 
 
 @pytest.mark.parametrize("name", list(_table_cases()))
 def test_single_runs_on_a_tabulated_oracle_match_fresh_runs(name):
-    """The step memo changes no outcome of a run that reuses the oracle."""
+    """Neither the step memo nor the earlier runs on a shared oracle, tabulated
+    or not, change the outcome of a run that reuses the oracle."""
     profile = _table_cases()[name]
     memo = profile.oracle()
     mech.revenue_table(memo)
+    shared = profile.oracle()
     for part in Partition3.all_partitions(profile.n):
-        got = main_mechanism(memo, partition=part)
         want = main_mechanism(profile.oracle(), partition=part)
-        assert got.winners == want.winners, part
-        assert repr(sorted(got.payments.items())) == repr(sorted(want.payments.items())), part
-        assert repr(got.revenue) == repr(want.revenue), part
+        for oracle in (memo, shared):
+            got = main_mechanism(oracle, partition=part)
+            assert got.winners == want.winners, part
+            assert repr(sorted(got.payments.items())) == repr(sorted(want.payments.items())), part
+            assert repr(got.revenue) == repr(want.revenue), part
+    assert shared.tern is None
+
+
+@pytest.mark.parametrize("name", ["graph_concave", "signed_zero"])
+def test_runs_on_a_shared_untabulated_oracle_cost_what_fresh_runs_cost(name):
+    """An untabulated oracle keeps no value between runs: each run on a shared
+    one adds exactly the queries the same run spends on a fresh oracle."""
+    profile = _table_cases()[name]
+    shared = profile.oracle()
+    for part in Partition3.all_partitions(profile.n):
+        fresh = profile.oracle()
+        main_mechanism(fresh, partition=part)
+        before = shared.queries
+        main_mechanism(shared, partition=part)
+        assert shared.queries - before == fresh.queries, part
+    assert shared.tern is None
+
+
+def test_the_partition_ledger_frees_its_revenue_table(monkeypatch):
+    """The ledger outlives its walk on the oracle; the ``3^n`` table does not,
+    and a second fill is a new table of the same values."""
+    import gc
+    import weakref
+
+    profile = _table_cases()["graph_concave"]
+    oracle = profile.oracle()
+    fill = mech.revenue_table
+    tables = []
+    monkeypatch.setattr(mech, "revenue_table", lambda o: tables.append(fill(o)) or tables[-1])
+    ledger = mech._partition_ledger(oracle)
+    assert len(tables) == 1 and oracle.ledger is ledger
+    ref = weakref.ref(tables.pop())
+    gc.collect()
+    assert ref() is None
+    again = fill(oracle)
+    assert again is not fill(oracle) and repr(again) == repr(fill(oracle))
 
 
 # --- the stored first step settles B's first deletion round ---------------------
@@ -458,7 +497,7 @@ def test_revenue_table_is_refused_past_the_exhaustive_range():
     oracle = profile.oracle()
     with pytest.raises(ValueError, match="revenue tables are capped at n <= 12"):
         mech.revenue_table(oracle)
-    assert oracle.queries == 0 and oracle.revenue_table is None
+    assert oracle.queries == 0 and oracle.tern is None
     oracle = profile.oracle()
     oracle.tabulate()  # a no-op there: the oracle keeps evaluating the models
     assert oracle.value(0, profile.full) == profile.value(0, profile.full)
