@@ -186,13 +186,15 @@ def _greedy_sweep(oracle: Oracle, pool: int, free: int, k: int) -> tuple[float, 
     evaluators, takes :func:`_degree_sweep`, which after each deletion
     recomputes only the deleted agent's in-neighbours.  Any other sweep
     asks :meth:`~extauction.valuations.Oracle.argmin` at every step: pools
-    with a table agent, wrapped evaluators, and every tabulated oracle (n <=
-    12, whose evaluators are its columns).  Both paths give the same
-    result, bit for bit.  The gate is the pool size, where the median time
-    per sweep crossed on a sparse and on the complete graph: 13 members swept
-    1.5-1.9x faster incrementally on sparse graphs and 1.03-1.2x faster on
-    complete ones at n = 16, 24 and 128, while 10 members on a complete graph
-    (n = 16, 24) and 4-8 members at n = 10 swept 1.1-2.3x slower.
+    with a table agent, wrapped evaluators, and the ``3^n`` walk's oracle
+    (:class:`~extauction.mechanisms._Tabulated`, n <= 12, whose evaluators
+    are its columns and whose ``argmin`` reads the step memo first).  Both
+    paths give the same result, bit for bit.  The gate is the pool size,
+    where the median time per sweep crossed on a sparse and on the complete
+    graph: 13 members swept 1.5-1.9x faster incrementally on sparse graphs
+    and 1.03-1.2x faster on complete ones at n = 16, 24 and 128, while 10
+    members on a complete graph (n = 16, 24) and 4-8 members at n = 10 swept
+    1.1-2.3x slower.
     """
     if pool >= _LEAST_LARGE_POOL:
         view = _large_pool_view(oracle, pool, free)

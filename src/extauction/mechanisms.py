@@ -27,7 +27,7 @@ from .benchmark import (
     deletion_fixpoint,
     maximal_feasible_set,
 )
-from .sets import iter_members, mask_of, members
+from .sets import iter_members, mask_of, members, ternary_codes
 from .valuations import EPS, EXHAUSTIVE_MAX_N, AdditiveModel, Oracle, ValuationProfile, as_oracle
 
 #: documented best known competitive bound for RSOP, used as the default
@@ -192,8 +192,8 @@ def testers_revenue(oracle: Oracle, part: Partition3) -> float:
     """``r(C)``: the best uniform-price revenue from C given A, or else B, holds the good.
 
     Two sweeps, ``r(C | A)`` and ``r(C | B)``, or one when A = B = {}; on a
-    tabulated oracle each step is read from the step memo, so a repeat
-    costs no query.  The ``3^n`` enumerations read the same values from
+    :class:`_Tabulated` oracle each step is read from the step memo, so a
+    repeat costs no query.  The ``3^n`` walk reads the same values from
     :func:`revenue_table` instead.
     """
     a, b, c = part
@@ -203,16 +203,59 @@ def testers_revenue(oracle: Oracle, part: Partition3) -> float:
     return r if a == b else max(r, _greedy_sweep(oracle, c, b, 1)[0])
 
 
-def revenue_table(oracle: Oracle) -> array:
+class _Tabulated(Oracle):
+    """The oracle of one ``3^n`` walk: it answers from the profile's value
+    columns and remembers every sweep step.
+
+    Built from a caller's oracle, it takes the profile's ``2^n`` value
+    columns (``_columns``) as its evaluators when the caller's evaluators are
+    the profile's own, and keeps wrapped ones (a counted one, say) as they
+    are, with ``_columns`` ``None``.  The step memo holds one low (an
+    ``array('d')``) and one argmin (a ``bytearray``, 255 for unset) under
+    the base-3 code of each ``(T, free)``, with ``tern`` the
+    :func:`~extauction.sets.ternary_codes` of n: :meth:`argmin` computes,
+    and counts as ``|T|`` queries, each step once, and :func:`revenue_table`
+    fills the memo as its own state.  Value lookups outside sweeps still
+    count one query each.  The memo takes ``9 * 3^n`` bytes (4.8 MB at
+    n = 12), and the fill adds ``24 * 3^n`` bytes, the table and its record
+    chains, while it runs.  Refused for n > 12.
+    """
+
+    __slots__ = ("_columns", "tern", "_lows", "_args")
+
+    def __init__(self, oracle: Oracle):
+        p = oracle.profile
+        if p.n > EXHAUSTIVE_MAX_N:
+            raise ValueError(f"tabulation is capped at n <= {EXHAUSTIVE_MAX_N}")
+        super().__init__(p)
+        own = oracle._fns is p._fns
+        self._columns = tuple(p.column(i) for i in range(p.n)) if own else None
+        self._fns = tuple(col.__getitem__ for col in self._columns) if own else oracle._fns
+        self.tern = ternary_codes(p.n)
+        size = 3 ** p.n
+        self._lows = array("d", bytes(8 * size))
+        self._args = bytearray(b"\xff") * size
+
+    def argmin(self, t: int, union: int) -> tuple[float, int]:
+        """:meth:`Oracle.argmin`, read from the step memo when there: a repeat costs no query."""
+        key = 2 * self.tern[union] - self.tern[t]
+        arg = self._args[key]
+        if arg != 255:
+            return self._lows[key], arg
+        low, arg = super().argmin(t, union)
+        self._lows[key] = low
+        self._args[key] = arg
+        return low, arg
+
+
+def revenue_table(oracle: _Tabulated) -> array:
     """``r(pool | free)`` for all ``3^n`` disjoint pairs, at ``tern[pool] + 2 * tern[free]``.
 
-    ``tern`` is ``oracle.tern`` (:func:`~extauction.sets.ternary_codes`); an
-    empty pool reads 0.0, and a non-empty one holds its sweep value
-    ``_greedy_sweep(oracle, pool, free, 1)[0]``, bit for bit.  It tabulates
-    the oracle, then fills a new table on each call and keeps none: its
-    caller, :func:`_partition_ledger`, keeps its own result instead, and a
-    second fill reads every step from the step memo at no query.  Refused
-    for n > 12, past which an oracle does not tabulate.
+    ``tern`` is ``oracle.tern``; an empty pool reads 0.0, and a non-empty one
+    holds its sweep value ``_greedy_sweep(oracle, pool, free, 1)[0]``, bit
+    for bit.  It fills a new table on each call and keeps none: its caller,
+    :func:`_partition_ledger`, keeps its own result instead, and a second
+    fill on the same oracle reads every step from the step memo at no query.
 
     The fill is a DP over pools in increasing mask order.  A sweep of
     ``pool`` takes its first step ``(low, arg)`` and then sweeps the tail
@@ -227,27 +270,35 @@ def revenue_table(oracle: Oracle) -> array:
     - ``val < -EPS`` takes no record, so the pair copies its tail's three;
     - a tail with no record, or whose value is at most ``val``, leaves
       ``val``;
-    - a tail whose first record is above ``val + EPS``, or whose first is at
-      most ``val`` and second above ``val + EPS``, leaves the tail's value:
-      the fold takes ``val``, then that record, and follows the tail from
-      there.
+    - a tail whose first record is above ``val + EPS``, or whose second is
+      above ``val + EPS``, leaves the tail's value: the fold takes ``val``,
+      then that record, and follows the tail from there.
 
-    Any other case (a NaN, a tail record in ``(val, val + EPS]``, an unknown
-    second record) and every one-member pool, which has no tail, are swept
-    by :func:`~extauction.benchmark._greedy_sweep`, whose steps are all
-    memoised by then; a swept pair's second record is not known.
+    Reading the tail's second record ``s`` rests on an invariant of every
+    known one: each step value of the pair's sweep before ``s`` is below
+    ``s - EPS``, so a fold that took any of them still takes ``s``, and from
+    there folds as the tail does.  Each rule that stores ``s`` keeps it:
+    when ``s`` is the tail's first record, ``val`` and the tail's values
+    before it (all below ``-EPS``) lie under it; when ``s`` is the tail's
+    second, ``val`` lies under it and the tail's values do by induction; a
+    copied chain adds only a ``val`` below ``-EPS``.  So a tail whose first
+    record lies in ``(val, val + EPS]`` needs no sweep when its second is
+    above ``val + EPS``.
+
+    Any other case (a NaN, a tail's first record in ``(val, val + EPS]``
+    with no second above ``val + EPS``) and every one-member pool, which
+    has no tail, are swept by :func:`~extauction.benchmark._greedy_sweep`,
+    whose steps are all memoised by then; a swept pair's second record is
+    not known.
 
     Each step ``(pool, free)`` is computed once: read from the oracle's
     step memo when there (a subset scan may have filled it), else the
     memoised step of ``pool`` minus its highest member ``top``, extended by
     one read of ``top``'s column, or, when the evaluators are wrapped,
-    :meth:`~extauction.valuations.Oracle.argmin`.  Each new step counts
-    ``|pool|`` queries, so a fresh oracle spends exactly ``n * 3^(n-1)``
-    queries here, one per ``i`` in ``T`` over all disjoint ``(T, free)``.
+    :meth:`_Tabulated.argmin`.  Each new step counts ``|pool|`` queries, so
+    a fresh oracle spends exactly ``n * 3^(n-1)`` queries here, one per
+    ``i`` in ``T`` over all disjoint ``(T, free)``.
     """
-    if oracle.n > EXHAUSTIVE_MAX_N:
-        raise ValueError(f"revenue tables are capped at n <= {EXHAUSTIVE_MAX_N}")
-    oracle.tabulate()
     tern, full, cols = oracle.tern, oracle.full, oracle._columns
     lows, args = oracle._lows, oracle._args
     size3 = 3 ** oracle.n
@@ -306,7 +357,7 @@ def revenue_table(oracle: Oracle) -> array:
                 elif tf > val + eps:
                     table[key] = tb
                     second[key] = tf
-                elif tf <= val and second[tail] > val + eps:
+                elif second[tail] > val + eps:
                     table[key] = tb
                     second[key] = second[tail]
                 else:
@@ -382,14 +433,16 @@ def _quarter_floor(r_f_c: float) -> float:
 def _partition_ledger(oracle: Oracle) -> tuple:
     """``(E[rev], (checked, skipped, failures))`` from one walk of the ``3^n`` partitions.
 
-    The one entry to the exact path: it tabulates the oracle, fills
-    :func:`revenue_table`, then takes ``F^(3)`` from
-    :func:`~extauction.benchmark.benchmark_bruteforce` on the same oracle,
-    where every step of that subset scan is already stored and costs no
-    query.  Built once per oracle and kept in ``oracle.ledger``, while the
-    table is freed after the walk; a later call reads the ledger back and
-    walks nothing, and a later ``F^(k)`` scan on the oracle reads the
-    stored steps too.
+    The one entry to the exact path: it builds one :class:`_Tabulated`
+    from ``oracle``, fills :func:`revenue_table` on it, then takes
+    ``F^(3)`` from :func:`~extauction.benchmark.benchmark_bruteforce` on
+    the same tabulated oracle, where every step of that subset scan is
+    already stored and costs no query, and runs the fixpoints there too.
+    The walk's queries are added to ``oracle.queries`` and the result is
+    kept in ``oracle.ledger``, while the tabulated oracle and the table are
+    freed after the walk; a later call reads the ledger back and walks
+    nothing, and a later ``F^(k)`` scan on ``oracle`` costs what it costs
+    on a fresh oracle.
 
     The partitions are walked as joined label halves, in
     :meth:`Partition3.all_partitions` order.  Each half-labelling carries
@@ -411,13 +464,13 @@ def _partition_ledger(oracle: Oracle) -> tuple:
     if ledger is not None:
         return ledger
     n = oracle.n
-    oracle.tabulate()
-    table = revenue_table(oracle)
-    optimum = benchmark_bruteforce(oracle, 3)
+    tab = _Tabulated(oracle)
+    table = revenue_table(tab)
+    optimum = benchmark_bruteforce(tab, 3)
     quarter = not optimum.value <= EPS
     winners = optimum.winners
     floors = [_quarter_floor(optimum.price * m) for m in range(winners.bit_count() + 1)]
-    tern, lows = oracle.tern, oracle._lows
+    tern, lows = tab.tern, tab._lows
     high, low = (
         [(a, b, c, tern[c] + 2 * tern[a], tern[c] + 2 * tern[b], tern[b] + 2 * tern[a],
           b.bit_count(), (winners & c).bit_count()) for a, b, c in half]
@@ -445,7 +498,8 @@ def _partition_ledger(oracle: Oracle) -> tuple:
                 total += share * k
             else:
                 part = Partition3(ha | la, hb | lb, hc | lc)
-                total += _run_partitioned(oracle, part, r_c).revenue
+                total += _run_partitioned(tab, part, r_c).revenue
+    oracle.queries += tab.queries
     checked = 3 ** n
     counts = (checked, 0, tuple(failures)) if quarter else (checked, checked, ())
     ledger = oracle.ledger = (total / checked, counts)

@@ -10,8 +10,10 @@ Every model enforces the domain conditions by construction:
      for ``i`` in both sets), or the L-relaxed variant thereof.
 
 Profiles are immutable once built and safe to share; the only mutable state
-(the query counter, the sweep-step memo, the partition ledger and any ``2^n``
-value columns) lives on a per-run :class:`Oracle`.  A profile only caches, on
+(the query counter and the partition ledger) lives on a per-run
+:class:`Oracle`, and the ``2^n`` value columns and the sweep-step memo of the
+exact path on the oracle its ``3^n`` walk builds and frees
+(:class:`~extauction.mechanisms._Tabulated`).  A profile only caches, on
 its first sweep or deletion round of a large pool, a view of its own tables
 (:meth:`ValuationProfile._degree_view`), the same whichever run builds it, with
 masks kept for the last graph (:func:`_graph_masks`).
@@ -34,12 +36,11 @@ from __future__ import annotations
 import functools
 import math
 import random
-from array import array
 from dataclasses import dataclass
 from itertools import islice
 from typing import Callable, Mapping, NamedTuple, Sequence, Union
 
-from .sets import full_mask, iter_members, mask_of, members, ternary_codes
+from .sets import full_mask, iter_members, mask_of, members
 
 EPS = 1e-9
 
@@ -311,8 +312,9 @@ class ValuationProfile:
 
     ``column(i)`` is agent ``i``'s value table over all ``2^n`` masks, for the
     exhaustive paths only (n <= 12).  A profile keeps no such table: whoever
-    builds one holds it (an :class:`Oracle` after ``tabulate()``, the
-    checker for one agent's scan).  What it does keep is each parametric
+    builds one holds it (the exact path's tabulated oracle,
+    :class:`~extauction.mechanisms._Tabulated`, or the checker for one agent's
+    scan).  What it does keep is each parametric
     agent's per-degree table, ``v_i`` at every ``k = 0 .. |N(i) \\ {i}|``:
     ``sum_i (|N(i) \\ {i}| + 1)`` floats at most, ``n^2`` on the complete
     graph (16,384 at n = 128).  Agents with a table model or a table weight
@@ -418,59 +420,39 @@ class ValuationProfile:
 class Oracle:
     """Query-counted view of a profile; one per mechanism run.
 
-    It holds the run's mutable state, starting with the value-query count
-    ``queries``, so profiles stay shareable across threads and runs:
-    concurrent runs each hold their own.  Each exact-path quantity has one
-    store here, the step memo or the ledger.
-
-    After :meth:`tabulate` it also holds the profile's value columns, answers
-    from them instead of the models, and remembers every sweep step
-    (:meth:`argmin`) in the step memo (``_lows``, ``_args``), so each step is
-    computed and counted once; values stay the same.  ``tern`` is then
-    :func:`~extauction.sets.ternary_codes` of n.
-    :func:`~extauction.mechanisms.revenue_table` fills ``r(pool | free)``
-    for every disjoint pair by a DP that keeps the step memo as its own
-    state: it extends the memoised step of ``pool`` minus its highest
-    member by one read of that member's column (``_columns``, set only when
-    :meth:`tabulate` installed the columns), or asks :meth:`argmin` when the
-    evaluators are wrapped; the table is not kept here.  ``ledger``, once
+    It holds the run's mutable state, the value-query count ``queries``, so
+    profiles stay shareable across threads and runs: concurrent runs each
+    hold their own.  ``ledger``, once
     :func:`~extauction.mechanisms._partition_ledger` has walked the ``3^n``
     partitions, holds ``(E[rev], (checked, skipped, failures))``, the exact
     expectation and the quarter bound's counts with its failing partitions
     as a tuple, so the second of the two views reads them and walks
-    nothing.  The ledger is the one entry to the exact path:
-    every exact caller (``extauction expect``, the exact experiment, the
-    f2-gap demo) builds one oracle per instance, asks it for the
-    expectation first, and then reads each ``F^(k)`` subset scan off the
-    steps the fill stored, at no query.
+    nothing.  The walk runs on a tabulated oracle of its own
+    (:class:`~extauction.mechanisms._Tabulated`: the value columns and the
+    sweep-step memo), adds that oracle's queries here, and frees it.
 
     ``queries`` counts logical queries: ``|T|`` per sweep step on ``T`` and
-    per deletion round, one per other lookup.  On an oracle that is not
-    tabulated, a pool of more than 12 degree-table members, disjoint from
-    the free set, is swept (:func:`~extauction.benchmark._greedy_sweep`) and
-    deleted from (:func:`~extauction.benchmark.deletion_fixpoint`) on
-    neighbour counts read from the profile's tables.  Those paths add the
-    same ``|T|`` per step and per round, the last round that drops nobody
-    included, without calling an evaluator, so a single run keeps within
-    its ``10 n^2`` budget whichever path it takes.  An oracle whose
-    evaluators are not the profile's (a wrapped one, say) always steps
-    through :meth:`argmin` and :meth:`below`, one evaluator call per query.
+    per deletion round, one per other lookup.  A pool of more than 12
+    degree-table members, disjoint from the free set, is swept
+    (:func:`~extauction.benchmark._greedy_sweep`) and deleted from
+    (:func:`~extauction.benchmark.deletion_fixpoint`) on neighbour counts
+    read from the profile's tables.  Those paths add the same ``|T|`` per
+    step and per round, the last round that drops nobody included, without
+    calling an evaluator, so a single run keeps within its ``10 n^2`` budget
+    whichever path it takes.  An oracle whose evaluators are not the
+    profile's (a wrapped one, say) always steps through :meth:`argmin` and
+    :meth:`below`, one evaluator call per query.
     """
 
-    __slots__ = ("profile", "n", "full", "queries", "_fns", "_columns", "tern", "ledger",
-                 "_lows", "_args")
+    __slots__ = ("profile", "n", "full", "queries", "_fns", "ledger")
 
     def __init__(self, profile: ValuationProfile):
         self.profile = profile
         self.n = profile.n
         self.full = profile.full
         self._fns = profile._fns
-        self._columns: tuple[tuple[float, ...], ...] | None = None
         self.queries = 0
-        self.tern: list[int] | None = None
         self.ledger: tuple | None = None
-        self._lows: array | None = None
-        self._args: bytearray | None = None
 
     def value(self, i: int, s: int) -> float:
         self.queries += 1
@@ -479,18 +461,8 @@ class Oracle:
     def argmin(self, t: int, union: int) -> tuple[float, int]:
         """``(v_i(union), i)`` for the member ``i`` of non-empty ``t`` bidding least,
         ties to the smallest ``i`` (so the first member when every bid is inf or
-        NaN): one sweep step, counted as ``|t|`` queries.
-
-        ``t`` lies inside ``union``.  On a tabulated oracle the step is kept
-        under the base-3 code of ``(t, union - t)``, and a repeat costs no
-        query."""
-        args = self._args
-        if args is not None:
-            tern = self.tern
-            key = 2 * tern[union] - tern[t]
-            arg = args[key]
-            if arg != 255:
-                return self._lows[key], arg
+        NaN): one sweep step, counted as ``|t|`` queries.  ``t`` lies inside
+        ``union``."""
         self.queries += t.bit_count()
         fns = self._fns
         it = iter_members(t)
@@ -501,9 +473,6 @@ class Oracle:
             if v < low:
                 low = v
                 arg = i
-        if args is not None:
-            self._lows[key] = low
-            args[key] = arg
         return low, arg
 
     def below(self, t: int, union: int, bar: float) -> int:
@@ -516,33 +485,6 @@ class Oracle:
             if fns[i](union) < bar:
                 drop |= 1 << i
         return drop
-
-    def tabulate(self) -> None:
-        """Answer from the profile's value columns, and remember sweep steps, from now on.
-
-        For the ``3^n`` enumerations, which read each ``v_i(S)`` many times
-        and repeat each sweep step ``(T, free)`` across sweeps: the step memo
-        holds one low (an ``array('d')``) and one argmin (a ``bytearray``, 255
-        for unset) per base-3 code, so every step is computed, and counted as
-        ``|T|`` queries, once.  Value lookups outside sweeps still count one
-        query each.  Both are built once per oracle: a second call, and any
-        call for n > 12, is a no-op.  Evaluators that are not the profile's
-        own (a wrapped one, say) are kept, and only the step memo is added.
-        The columns installed are kept in ``_columns``, which stays ``None``
-        for wrapped evaluators: the revenue table's fill reads a column
-        directly only when the oracle's evaluators are its columns.  The
-        memo takes ``9 * 3^n`` bytes (4.8 MB at n = 12), and the fill adds
-        ``24 * 3^n`` bytes, the table and its record chains, while it runs.
-        """
-        p = self.profile
-        if self.tern is None and p.n <= EXHAUSTIVE_MAX_N:
-            if self._fns is p._fns:
-                self._columns = tuple(p.column(i) for i in range(p.n))
-                self._fns = tuple(col.__getitem__ for col in self._columns)
-            self.tern = ternary_codes(p.n)
-            size = 3 ** p.n
-            self._lows = array("d", bytes(8 * size))
-            self._args = bytearray(b"\xff") * size
 
 
 def as_oracle(profile_or_oracle) -> Oracle:

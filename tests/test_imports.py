@@ -97,3 +97,30 @@ def test_the_check_catches_an_unread_private_name(tmp_path):
     (tmp_path / "b.py").write_text("from a import _helper\nimport a\n\nprint(a._pair)\n")
     assert _unread_private_names(sorted(tmp_path.glob("*.py"))) == {
         ("a", "_memo"), ("a", "_left"), ("a", "_Box")}
+
+
+#: the tabulated store of the exact path, which only ``mechanisms._Tabulated`` and its walk read
+TABULATED_STATE = {"tern", "_lows", "_args", "_columns"}
+
+
+def _tabulated_state_readers(paths) -> dict[str, set[str]]:
+    """Per module outside ``mechanisms``, the tabulated-store names it reads."""
+    readers = {}
+    for path in paths:
+        names = _reads(ast.parse(path.read_text(), filename=str(path))) & TABULATED_STATE
+        if names and path.stem != "mechanisms":
+            readers[path.stem] = names
+    return readers
+
+
+def test_only_mechanisms_reads_the_tabulated_store():
+    assert _tabulated_state_readers(PACKAGE.glob("*.py")) == {}
+
+
+def test_the_check_catches_a_tabulated_store_read_elsewhere(tmp_path):
+    (tmp_path / "mechanisms.py").write_text("def fill(o):\n    return o.tern, o._lows\n")
+    (tmp_path / "valuations.py").write_text(
+        "class Oracle:\n    def argmin(self, key):\n        return self._args[key]\n")
+    (tmp_path / "benchmark.py").write_text("from mechanisms import _columns\ntern = 3\n")
+    assert _tabulated_state_readers(sorted(tmp_path.glob("*.py"))) == {
+        "valuations": {"_args"}, "benchmark": {"_columns"}}

@@ -585,9 +585,10 @@ def test_cli_run_and_expect(instance_path, capsys):
 
 
 def test_cli_expect_scans_f3_on_the_ledger_oracle(tmp_path, capsys, monkeypatch):
-    """``expect`` reads ``F^(3)`` off the expectation's oracle: the scan finds the
-    partition ledger set and adds no query, and the printed ``f3`` is the value a
-    fresh oracle's scan gives."""
+    """``expect`` scans ``F^(3)`` on the expectation's oracle after the walk: the
+    scan finds the partition ledger set but no step memo, which the walk
+    freed, so it adds exactly the queries of a fresh oracle's scan, and the
+    printed ``f3`` is the value that scan gives."""
     profile = gen_instance("graph_concave", 8, seed=1, graph="er")
     path = tmp_path / "gc8.json"
     save_instance(profile, path)
@@ -603,8 +604,10 @@ def test_cli_expect_scans_f3_on_the_ledger_oracle(tmp_path, capsys, monkeypatch)
     monkeypatch.setattr(bm, "benchmark_bruteforce", watched)
     assert main(["expect", "--instance", str(path)]) == 0
     out = json.loads(capsys.readouterr().out)
-    assert scans == [(3, True, 0)]
-    assert repr(out["f3"]) == repr(scan(load_instance(path), 3).value)
+    fresh = load_instance(path).oracle()
+    f3 = scan(fresh, 3).value
+    assert fresh.queries > 0 and scans == [(3, True, fresh.queries)]
+    assert repr(out["f3"]) == repr(f3)
 
 
 def _signed_zero_path(tmp_path):

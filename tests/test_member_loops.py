@@ -57,9 +57,11 @@ def test_iter_members_builds_no_tuple_past_the_table():
 def _counted_oracle(profile):
     """An oracle whose evaluators count their calls in ``counter[0]``.
 
-    Swapping the evaluators also keeps them in use: ``tabulate()`` adds only
-    the sweep-step memo to an oracle whose evaluators are not the profile's,
-    and a step read from the memo neither calls an evaluator nor counts.
+    Swapping the evaluators also keeps them in use: the exact expectation's
+    tabulated oracle (``mechanisms._Tabulated``) keeps evaluators that are not
+    the profile's and adds only the sweep-step memo, a step read from the memo
+    neither calls an evaluator nor counts, and the walk's queries are added to
+    this oracle.
     """
     oracle = profile.oracle()
     counter = [0]

@@ -21,6 +21,7 @@ alter the checker's output.
 import hashlib
 import itertools
 import math
+import random
 import sys
 from array import array
 
@@ -50,7 +51,7 @@ from extauction.experiments import (
     quarter_bound_exhaustive,
 )
 from extauction.sets import mask_of
-from extauction.valuations import EPS, EXHAUSTIVE_MAX_N
+from extauction.valuations import EPS, EXHAUSTIVE_MAX_N, Oracle
 
 from conftest import flat_bids_profile, size_scalar_profile, square_table_profile
 from test_outcome_digests import _disjoint_pairs, _profiles as digest_profiles
@@ -128,9 +129,9 @@ def test_exact_expectation_is_the_sum_of_untabulated_runs(model, n):
     total = 0.0
     for part in Partition3.all_partitions(n):
         total += main_mechanism(plain, partition=part).revenue
-    tabulated = profile.oracle()
-    assert main_mechanism_exact_expectation(tabulated) == total / 3 ** n
-    assert tabulated.queries == n * 3 ** (n - 1) + _fixpoint_queries(profile)
+    oracle = profile.oracle()
+    assert main_mechanism_exact_expectation(oracle) == total / 3 ** n
+    assert oracle.queries == n * 3 ** (n - 1) + _fixpoint_queries(profile)
 
 
 @pytest.mark.parametrize("model", ["table", "mixed", "graph_concave"])
@@ -141,12 +142,12 @@ def test_quarter_bound_matches_untabulated_checks(model):
     optimum = benchmark_bruteforce(plain, 3)
     statuses = [quarter_bound_check(plain, part, optimum).status
                 for part in Partition3.all_partitions(n)]
-    tabulated = profile.oracle()
-    checked, skipped, failures = quarter_bound_exhaustive(tabulated)
+    oracle = profile.oracle()
+    checked, skipped, failures = quarter_bound_exhaustive(oracle)
     assert (checked, skipped, failures) == (len(statuses), 0, [])
     assert "fail" not in statuses and "skip" not in statuses
     # the scan is a view of the partition ledger, which runs the expectation's fixpoints too
-    assert tabulated.queries == n * 3 ** (n - 1) + _fixpoint_queries(profile)
+    assert oracle.queries == n * 3 ** (n - 1) + _fixpoint_queries(profile)
 
 
 def _table_cases():
@@ -163,7 +164,7 @@ def test_revenue_table_holds_each_sweep_value(name):
     value on a fresh oracle, and the fill computes each sweep step once."""
     profile = _table_cases()[name]
     n = profile.n
-    oracle = profile.oracle()
+    oracle = mech._Tabulated(profile.oracle())
     table = mech.revenue_table(oracle)
     assert len(table) == 3 ** n and oracle.queries == n * 3 ** (n - 1)
     tern = oracle.tern
@@ -178,7 +179,7 @@ def test_single_runs_on_a_tabulated_oracle_match_fresh_runs(name):
     """Neither the step memo nor the earlier runs on a shared oracle, tabulated
     or not, change the outcome of a run that reuses the oracle."""
     profile = _table_cases()[name]
-    memo = profile.oracle()
+    memo = mech._Tabulated(profile.oracle())
     mech.revenue_table(memo)
     shared = profile.oracle()
     for part in Partition3.all_partitions(profile.n):
@@ -188,7 +189,6 @@ def test_single_runs_on_a_tabulated_oracle_match_fresh_runs(name):
             assert got.winners == want.winners, part
             assert repr(sorted(got.payments.items())) == repr(sorted(want.payments.items())), part
             assert repr(got.revenue) == repr(want.revenue), part
-    assert shared.tern is None
 
 
 @pytest.mark.parametrize("name", ["graph_concave", "signed_zero"])
@@ -203,27 +203,34 @@ def test_runs_on_a_shared_untabulated_oracle_cost_what_fresh_runs_cost(name):
         before = shared.queries
         main_mechanism(shared, partition=part)
         assert shared.queries - before == fresh.queries, part
-    assert shared.tern is None
 
 
 def test_the_partition_ledger_frees_its_revenue_table(monkeypatch):
-    """The ledger outlives its walk on the oracle; the ``3^n`` table does not,
-    and a second fill is a new table of the same values."""
+    """The ledger outlives its walk on the oracle; the ``3^n`` table and the
+    walk's tabulated oracle, with its step memo, do not, and a second fill is
+    a new table of the same values."""
     import gc
     import weakref
 
     profile = _table_cases()["graph_concave"]
     oracle = profile.oracle()
     fill = mech.revenue_table
-    tables = []
-    monkeypatch.setattr(mech, "revenue_table", lambda o: tables.append(fill(o)) or tables[-1])
+    tables, walks = [], []
+    monkeypatch.setattr(mech, "revenue_table",
+                        lambda o: walks.append(o) or tables.append(fill(o)) or tables[-1])
     ledger = mech._partition_ledger(oracle)
-    assert len(tables) == 1 and oracle.ledger is ledger
-    ref = weakref.ref(tables.pop())
+    assert len(tables) == len(walks) == 1 and oracle.ledger is ledger
+    walk = walks.pop()
+    assert type(walk) is mech._Tabulated and walk.profile is profile
+    refs = [weakref.ref(tables.pop()), weakref.ref(walk._lows)]
+    del walk
     gc.collect()
-    assert ref() is None
-    again = fill(oracle)
-    assert again is not fill(oracle) and repr(again) == repr(fill(oracle))
+    assert [ref() for ref in refs] == [None, None]
+    assert not [o for o in gc.get_objects() if type(o) is mech._Tabulated and o.profile is profile]
+    assert oracle.ledger is ledger and mech._partition_ledger(oracle) is ledger
+    tab = mech._Tabulated(profile.oracle())
+    again = fill(tab)
+    assert again is not fill(tab) and repr(again) == repr(fill(tab))
 
 
 # --- the stored first step settles B's first deletion round ---------------------
@@ -284,6 +291,47 @@ def test_an_all_nan_profile_expects_the_runs_sum():
     assert math.isnan(got) and repr(got) == repr(total / 3 ** profile.n)
 
 
+def test_a_buyer_just_under_the_settle_margin_runs_its_fixpoint():
+    """B = {0}, C = {1}: agent 0 bids ``share - 1.5 EPS`` on ``A | B``, under the
+    settle margin ``share - EPS`` but within ``2 EPS`` of the share.  The
+    partition is not skipped, its first round drops the buyer, and it pays 0,
+    so the ledger must run the fixpoint rather than settle it."""
+    share = 1.0
+    profile = flat_bids_profile([share - 1.5 * EPS, share])
+    n = profile.n
+    part = Partition3(0, 0b01, 0b10)
+    assert mech.testers_revenue(profile.oracle(), part) == share
+    assert main_mechanism(profile, partition=part).revenue == 0.0
+    total = 0.0
+    for p in Partition3.all_partitions(n):
+        total += main_mechanism(profile, partition=p).revenue
+    oracle = profile.oracle()
+    assert repr(main_mechanism_exact_expectation(oracle)) == repr(total / 3 ** n)
+    assert oracle.queries == n * 3 ** (n - 1) + _fixpoint_queries(profile)
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["at_the_floor", "one_ulp_under"])
+def test_the_quarter_floor_holds_at_its_edge(under):
+    """``r(C)`` planted at ``r_F(C)/4 - EPS`` passes and one ulp under it fails,
+    in the ledger and in the single check.  All three agents win ``F^(3)`` at
+    price 4, so the partition ``A = {0}, B = {1}, C = {2}`` has ``r_F(C) = 4``,
+    and agent 2 bids the planted value on ``{0, 2}`` and on ``{1, 2}``."""
+    floor = mech._quarter_floor(4.0)
+    assert floor == 1.0 - EPS
+    r_c = math.nextafter(floor, 0.0) if under else floor
+    profile = _tabled({0b111: 4.0}, {0b111: 4.0}, {0b111: 4.0, 0b101: r_c, 0b110: r_c})
+    part = Partition3(0b001, 0b010, 0b100)
+    optimum = benchmark_bruteforce(profile, 3)
+    assert (optimum.price, optimum.winners) == (4.0, profile.full)
+    check = quarter_bound_check(profile, part)
+    assert (check.status, check.r_c, check.r_f_c) == ("fail" if under else "pass", r_c, 4.0)
+    checked, skipped, failures = quarter_bound_exhaustive(profile)
+    assert (checked, skipped) == (3 ** profile.n, 0)
+    assert (part in failures) == under
+    assert failures == [p for p in Partition3.all_partitions(profile.n)
+                        if quarter_bound_check(profile, p, optimum).status == "fail"]
+
+
 # --- one partition ledger behind both 3^n enumerations ---------------------------
 
 def test_quarter_bound_after_the_expectation_walks_nothing(monkeypatch):
@@ -329,8 +377,8 @@ def test_both_call_orders_give_the_same_ledger(name):
 # --- the DP fill: each pair extends its tail's record ---------------------------
 
 def _sweep_fill(oracle):
-    """The fill before the DP, kept as the reference: one sweep per pair."""
-    oracle.tabulate()
+    """The fill before the DP, kept as the reference: one sweep per pair on a
+    :class:`~extauction.mechanisms._Tabulated` oracle."""
     tern = oracle.tern
     full = oracle.full
     table = array("d", bytes(8 * 3 ** oracle.n))
@@ -347,21 +395,22 @@ def _sweep_fill(oracle):
 
 
 def _oracles(profile, kind):
-    """Two like oracles of one kind, and the evaluator calls of each (wrapped kind only)."""
+    """Two like tabulated oracles of one kind, and the evaluator calls of each
+    (wrapped kind only)."""
     pair, calls = [], []
     for _ in range(2):
         oracle = profile.oracle()
         counter = [0]
-        if kind == "scanned":  # the subset scan fills part of the step memo first
-            oracle.tabulate()
-            benchmark_bruteforce(oracle, 3)
-        elif kind == "wrapped":
+        if kind == "wrapped":
             def counted(fn, counter=counter):
                 def call(s):
                     counter[0] += 1
                     return fn(s)
                 return call
             oracle._fns = tuple(map(counted, oracle._fns))
+        oracle = mech._Tabulated(oracle)
+        if kind == "scanned":  # the subset scan fills part of the step memo first
+            benchmark_bruteforce(oracle, 3)
         pair.append(oracle)
         calls.append(counter)
     return pair, calls
@@ -401,7 +450,11 @@ def _fold_cases():
     record chain from ``{1, 2}``.  In ``near_tie_chain`` the pool's sweep records ``val``, ``+0.5``, ``+1.4``
     and ``+1.6`` (units of EPS): the sweep keeps ``+1.4``, while folding
     ``val`` into the tail's value from the right gives ``+1.6``.  The tail's
-    first record lies in ``(val, val + EPS]``, so only a sweep can tell.
+    first record lies in ``(val, val + EPS]`` and its second is not known,
+    so only a sweep can tell.  In ``first_record_in_the_tie_band`` the sweep
+    steps through ``val``, ``+0.5`` and ``+2``: the tail's first record lies
+    in ``(val, val + EPS]`` too, but its second, ``+2``, is known and above
+    ``val + EPS``, so the fold takes it and the pair needs no sweep.
     """
     x = 12.0
     return {
@@ -414,6 +467,8 @@ def _fold_cases():
             {0b1111: 10.0, 0b0111: -1.0}, {0b1111: 10.0, 0b0111: 10.0, 0b0110: 1.5},
             {0b1111: 10.0, 0b0111: 10.0, 0b0110: 10.0, 0b0100: 10.0}, {0b1111: 1.0}), False),
         "tied_bids": (size_scalar_profile(4), False),
+        "first_record_in_the_tie_band": (flat_bids_profile(
+            [x / 3, (x + 0.5 * EPS) / 2, x + 2 * EPS]), False),
         "near_tie_chain": (flat_bids_profile(
             [x / 4, (x + 0.5 * EPS) / 3, (x + 1.4 * EPS) / 2, x + 1.6 * EPS]), True),
     }
@@ -435,7 +490,7 @@ def test_dp_fill_sweeps_only_one_member_pools_and_fallbacks(name, monkeypatch):
         return bm._greedy_sweep(oracle, pool, free, k)
 
     monkeypatch.setattr(mech, "_greedy_sweep", counted)
-    oracle = profile.oracle()
+    oracle = mech._Tabulated(profile.oracle())
     table = mech.revenue_table(oracle)
     base = sorted(c for c in calls if c[0].bit_count() == 1)
     fallbacks = [c for c in calls if c[0].bit_count() > 1]
@@ -449,7 +504,7 @@ def test_dp_fill_sweeps_only_one_member_pools_and_fallbacks(name, monkeypatch):
     for pool, free in _disjoint_pairs(n):
         want = bm._greedy_sweep(profile.oracle(), pool, free, 1)[0]
         assert repr(table[tern[pool] + 2 * tern[free]]) == repr(want), (pool, free)
-    ref = profile.oracle()
+    ref = mech._Tabulated(profile.oracle())
     _sweep_fill(ref)
     assert oracle._lows.tobytes() == ref._lows.tobytes() and oracle._args == ref._args
     assert oracle.queries == ref.queries == n * 3 ** (n - 1)
@@ -459,12 +514,80 @@ def test_near_tie_chain_keeps_the_left_fold():
     """The planted chain's sweep keeps ``+1.4``, not the tail's ``+1.6``."""
     profile = _fold_cases()["near_tie_chain"][0]
     full, tail = profile.full, profile.full & ~1
-    oracle = profile.oracle()
+    oracle = mech._Tabulated(profile.oracle())
     table = mech.revenue_table(oracle)
     got, rest = table[oracle.tern[full]], table[oracle.tern[tail]]
     assert got == bm._greedy_sweep(profile.oracle(), full, 0, 1)[0]
     assert rest == bm._greedy_sweep(profile.oracle(), tail, 0, 1)[0]
     assert 12.0 + EPS < got < rest - 0.1 * EPS
+
+
+def _fill_records(oracle):
+    """``revenue_table(oracle)`` with the fill's two record arrays, first and second,
+    kept by handing the fill an ``array`` subclass that keeps what it repeats."""
+    kept = []
+
+    class Kept(array):
+        def __mul__(self, count):
+            kept.append(array.__mul__(self, count))
+            return kept[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mech, "array", Kept)
+        table = mech.revenue_table(oracle)
+    first, second = kept
+    return table, first, second
+
+
+def _near_tie_chains(count):
+    """Seeded flat-bid profiles whose sweep values ``|T| * low`` lie a few EPS apart."""
+    rng = random.Random(36)
+    for j in range(count):
+        n = 3 + j % 4
+        x = rng.choice([1.0, 12.0, rng.uniform(0.5, 50.0), rng.uniform(1e-9, 1e-7)])
+        step = rng.choice([0.1, 0.25, 0.5])
+        bids = [(x + rng.randint(-6, 6) * step * EPS) / (n - k) for k in range(n)]
+        rng.shuffle(bids)
+        yield flat_bids_profile(bids)
+
+
+@pytest.mark.parametrize("name", [*_fold_cases(), *_table_cases(), "near_tie_chains"])
+def test_every_known_second_record_is_taken_by_any_fold(name):
+    """The invariant behind the fill's second-record rule.  Wherever the fill
+    knows a pair's second record ``s``, ``s`` is one of the pair's sweep step
+    values, and each step value before it is below ``s - EPS``; the first
+    record is the first step value not below ``-EPS``, and every entry is
+    the sweep's own."""
+    cases = {**{key: (p, None) for key, p in _table_cases().items()}, **_fold_cases()}
+    profiles = list(_near_tie_chains(300)) if name == "near_tie_chains" else [cases[name][0]]
+    known = banded = 0
+    for profile in profiles:
+        oracle = mech._Tabulated(profile.oracle())
+        tern = oracle.tern
+        table, first, second = _fill_records(oracle)
+        for pool, free in _disjoint_pairs(profile.n):
+            if not pool:
+                continue
+            key = tern[pool] + 2 * tern[free]
+            steps, t = [], pool
+            while t:
+                low, arg = oracle.argmin(t, free | t)  # memoised by the fill
+                steps.append(t.bit_count() * low)
+                t &= ~(1 << arg)
+            val, tail = steps[0], key - tern[1 << oracle.argmin(pool, pool | free)[1]]
+            banded += val + EPS >= first[tail] > val and second[tail] > val + EPS
+            assert repr(table[key]) == repr(bm._greedy_sweep(oracle, pool, free, 1)[0])
+            records = [v for v in steps if not v < -EPS]
+            assert repr(first[key]) == repr(records[0] if records else -math.inf), (pool, free)
+            s = second[key]
+            if not math.isnan(s):
+                known += 1
+                at = steps.index(s)
+                assert at > 0 and all(v < s - EPS for v in steps[:at]), (pool, free)
+    planted = ("first_record_above_val", "second_record_above_val",
+               "second_record_of_a_copied_chain", "first_record_in_the_tie_band")
+    assert known > 0 or name not in (*planted, "near_tie_chains")
+    assert banded > 0 or name not in ("first_record_in_the_tie_band", "near_tie_chains")
 
 
 def test_column_holds_every_value():
@@ -485,6 +608,16 @@ def test_profile_keeps_no_tables():
     assert oracle.value(0, profile.full) == profile.value(0, profile.full)
 
 
+def test_the_oracle_keeps_only_the_run_counter_and_the_ledger():
+    """The columns and the step memo live on the walk's tabulated oracle alone."""
+    assert Oracle.__slots__ == ("profile", "n", "full", "queries", "_fns", "ledger")
+    assert not hasattr(Oracle, "tabulate")
+    assert mech._Tabulated.__slots__ == ("_columns", "tern", "_lows", "_args")
+    profile = _table_cases()["mixed"]
+    tab = mech._Tabulated(profile.oracle())
+    assert tab.queries == 0 and tab.ledger is None and tab._columns is not None
+
+
 def test_column_is_refused_past_the_exhaustive_range():
     profile = ValuationProfile([GraphConcaveModel(1.0) for _ in range(EXHAUSTIVE_MAX_N + 1)])
     with pytest.raises(ValueError, match="n <= 12"):
@@ -492,14 +625,13 @@ def test_column_is_refused_past_the_exhaustive_range():
 
 
 def test_revenue_table_is_refused_past_the_exhaustive_range():
-    """Past n = 12 an oracle does not tabulate, so there is no table to fill."""
+    """Past n = 12 no oracle is tabulated, so there is no table to fill, and
+    the caller's oracle keeps evaluating the models."""
     profile = ValuationProfile([GraphConcaveModel(1.0) for _ in range(EXHAUSTIVE_MAX_N + 1)])
     oracle = profile.oracle()
-    with pytest.raises(ValueError, match="revenue tables are capped at n <= 12"):
-        mech.revenue_table(oracle)
-    assert oracle.queries == 0 and oracle.tern is None
-    oracle = profile.oracle()
-    oracle.tabulate()  # a no-op there: the oracle keeps evaluating the models
+    with pytest.raises(ValueError, match="tabulation is capped at n <= 12"):
+        mech._Tabulated(oracle)
+    assert oracle.queries == 0 and oracle.ledger is None
     assert oracle.value(0, profile.full) == profile.value(0, profile.full)
     assert oracle.queries == 1
 
@@ -582,8 +714,7 @@ def test_exact_expectation_evaluates_each_value_once():
     assert counter[0] == n * 2 ** n
     assert expected == main_mechanism_exact_expectation(base)
     assert oracle.queries > 10 * counter[0]
-    quarter_bound_exhaustive(oracle)  # the oracle's tables are built once
-    oracle.tabulate()
+    quarter_bound_exhaustive(oracle)  # the ledger's walk built the columns once
     assert counter[0] == n * 2 ** n
 
 

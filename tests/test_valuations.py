@@ -95,6 +95,23 @@ def test_sampled_check_flags_value_outside_the_winner_set():
     assert any(v.kind == "nonzero_outside" for v in violations)
 
 
+def test_a_sampled_excess_of_eps_passes_and_one_ulp_more_fails():
+    """The sampled check's subadditivity edge, ``u > v(S) + v(R) + EPS``: agent 0
+    values ``{0, 1}`` and ``{0, 2}`` at 1.0 each and all three at ``2.0 + EPS``,
+    so the witness ``({0, 1}, {0, 2})`` sits exactly on the tolerance, then one
+    ulp past it.  The exhaustive scan gives the same verdict."""
+    for excess, failing in ((2.0 + EPS, False), (math.nextafter(2.0 + EPS, math.inf), True)):
+        profile = ValuationProfile(
+            [TableModel({0b001: 0.5, 0b011: 1.0, 0b101: 1.0, 0b111: excess}),
+             TableModel({}), TableModel({})])
+        sampled = check_conditions(profile, mode="sampled", samples=2_000, seed=0)
+        assert {(v.kind, v.agent) for v in sampled} == ({("subadditivity", 0)} if failing else set())
+        assert {tuple(sorted(v.sets)) for v in sampled} <= {(0b011, 0b101)}
+        exhaustive = check_conditions(profile, mode="exhaustive")
+        assert [(v.kind, v.agent, v.lhs) for v in exhaustive] == (
+            [("subadditivity", 0, excess)] * 2 if failing else [])
+
+
 @pytest.mark.parametrize("outside", [math.nan, math.inf], ids=["nan", "inf"])
 @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
 def test_non_finite_value_outside_the_winner_set_is_flagged(mode, outside):
