@@ -10,7 +10,7 @@ their agreement is asserted by the test suite.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from itertools import compress, count
 from typing import Callable
@@ -86,6 +86,10 @@ INCREMENTAL_SWEEP_ABOVE = 12
 _LEAST_LARGE_POOL = (1 << INCREMENTAL_SWEEP_ABOVE + 1) - 1
 #: byte translation of binary digits to 0/1 flags for :func:`itertools.compress`
 _DIGIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
+#: a large pool whose members hold on average at most this many neighbours in
+#: ``free | pool`` is swept from a sorted order (:func:`_sorted_sweep`); denser
+#: pools sweep faster by scanning their values (:func:`_degree_sweep`)
+SPARSE_SWEEP_DEGREE = 4
 
 
 def _ids(mask: int) -> list[int]:
@@ -184,9 +188,10 @@ def _greedy_sweep(oracle: Oracle, pool: int, free: int, k: int) -> tuple[float, 
     ``INCREMENTAL_SWEEP_ABOVE`` (12) members, disjoint from ``free``, all
     bound to per-degree tables, on an oracle that uses the profile's own
     evaluators, takes :func:`_degree_sweep`, which after each deletion
-    recomputes only the deleted agent's in-neighbours.  Any other sweep
-    asks :meth:`~extauction.valuations.Oracle.argmin` at every step: pools
-    with a table agent, wrapped evaluators, and the ``3^n`` walk's oracle
+    recomputes only the deleted agent's in-neighbours and steps a sparse
+    pool from a sorted order, any other by scanning its values.  Any other
+    sweep asks :meth:`~extauction.valuations.Oracle.argmin` at every step:
+    pools with a table agent, wrapped evaluators, and the ``3^n`` walk's oracle
     (:class:`~extauction.mechanisms._Tabulated`, n <= 12, whose evaluators
     are its columns and whose ``argmin`` reads the step memo first).  Both
     paths give the same result, bit for bit.  The gate is the pool size,
@@ -220,24 +225,31 @@ def _degree_sweep(oracle: Oracle, view: DegreeView, pool: int, free: int, k: int
                   ) -> tuple[float, float, int]:
     """:func:`_greedy_sweep` on a pool whose members all have degree tables in ``view``.
 
-    Keeps the live members' ids, neighbour counts in ``free | T``, tables and
-    values in lists in ascending id order.  ``min`` then ``index`` finds the
-    member ``Oracle.argmin`` would: both scans keep the first value and
-    replace it only by a strictly smaller one, so a leading NaN stays, and the
-    first value equal to the minimum is where the scan stopped.  Deleting
-    ``a`` lowers the count of its in-neighbours only, each by one; when they
-    are all of ``T`` (the complete graph) every value is read again in one
-    comprehension.  The record is kept as in :func:`_greedy_sweep`, and the
-    ``|pool| * (|pool| + 1) / 2`` queries are counted up front.
+    Reads each member's neighbour count in ``free | pool`` once, counts the
+    ``|pool| * (|pool| + 1) / 2`` queries up front, and after each deletion
+    lowers the count of the deleted agent's live in-neighbours only, each by
+    one.  Two loops then step the sweep.  A sparse pool, whose members hold
+    on average at most ``SPARSE_SWEEP_DEGREE`` neighbours in ``free | pool``
+    and none of which has a NaN in its table (``view.nan``), is swept from a
+    sorted order (:func:`_sorted_sweep`).  Any other keeps the live members'
+    ids, counts, tables and values in lists in ascending id order, and
+    ``min`` then ``index`` finds the member ``Oracle.argmin`` would: both
+    scans keep the first value and replace it only by a strictly smaller
+    one, so a leading NaN stays, and the first value equal to the minimum is
+    where the scan stopped.  When the in-neighbours are all of ``T`` (the
+    complete graph) every value is read again in one comprehension.  Both
+    loops keep the record as in :func:`_greedy_sweep`.
     """
     tables, nbs, in_nbs = view.tables, view.nbs, view.in_nbs
     union = free | pool
     ids = _ids(pool)
     counts = [(union & nbs[i]).bit_count() for i in ids]
-    gs = [tables[i] for i in ids]
-    vals = [g[c] for g, c in zip(gs, counts)]
     size = len(ids)
     oracle.queries += size * (size + 1) // 2
+    if sum(counts) <= SPARSE_SWEEP_DEGREE * size and not pool & view.nan:
+        return _sorted_sweep(view, ids, counts, pool, k)
+    gs = [tables[i] for i in ids]
+    vals = [g[c] for g, c in zip(gs, counts)]
     best = ZERO
     t = pool
     while size:
@@ -265,6 +277,55 @@ def _degree_sweep(oracle: Oracle, view: DegreeView, pool: int, free: int, k: int
                 j = bisect_left(ids, bit.bit_length() - 1)
                 c = counts[j] = counts[j] - 1
                 vals[j] = gs[j][c]
+    return best
+
+
+def _sorted_sweep(view: DegreeView, ids: list[int], counts: list[int], pool: int, k: int
+                  ) -> tuple[float, float, int]:
+    """The sparse loop of :func:`_degree_sweep`: member ``ids[j]`` has ``counts[j]``
+    neighbours in ``free | pool``, and no member's table holds a NaN.
+
+    Sorts the members' ``(value, id)`` pairs once.  The live members are the
+    pairs from index ``head`` on, still sorted, and each step takes the pair
+    at ``head`` and moves ``head`` past it: the least value, ties to the
+    smallest id, ``-0.0`` and ``0.0`` being equal, as ``min`` and ``index``
+    and ``Oracle.argmin`` choose.  Deleting an agent moves each of its live
+    in-neighbours, found by ``bisect_left`` and re-placed by ``insort``,
+    both from ``head`` on, since the deleted pairs before it are no longer
+    in order with the live ones.  A step costs O(in-degree * log |T|), not
+    the two scans of all ``|T|`` values.  A NaN would compare neither below
+    nor above another value and break the order, so a pool holding one is
+    not swept here.
+    """
+    tables, in_nbs = view.tables, view.in_nbs
+    held = dict(zip(ids, counts))
+    order = sorted([(tables[i][c], i) for i, c in zip(ids, counts)])
+    size = len(order)
+    head = 0
+    best = ZERO
+    t = pool
+    while size:
+        low, arg = order[head]
+        head += 1
+        if size >= k:
+            val = size * low
+            if best is ZERO:
+                if not val < -EPS:
+                    best = (val, low, t)
+            elif val > best[0] + EPS:
+                best = (val, low, t)
+        t &= ~(1 << arg)
+        size -= 1
+        hit = t & in_nbs[arg]
+        while hit:
+            bit = hit & -hit
+            hit ^= bit
+            i = bit.bit_length() - 1
+            g = tables[i]
+            c = held[i]
+            del order[bisect_left(order, (g[c], i), head)]
+            c = held[i] = c - 1
+            insort(order, (g[c], i), head)
     return best
 
 

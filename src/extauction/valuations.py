@@ -292,13 +292,16 @@ class DegreeView(NamedTuple):
     """A profile's per-degree tables with the masks that index them.
 
     ``tables[i]`` is agent ``i``'s :func:`_degree_table` (``None`` for an
-    agent without one) and ``mask`` the agents that have one; ``nbs[i]`` is
+    agent without one), ``mask`` the agents that have one and ``nan`` those
+    of them whose table holds a NaN (or both infinities, whose sum is NaN
+    too), which the sweep's sorted loop cannot order; ``nbs[i]`` is
     ``N(i) \\ {i}``, so ``v_i(S) = tables[i][|S & nbs[i]|]`` for ``i`` in ``S``, and
     ``in_nbs[j]`` holds every ``i`` with ``j`` in ``nbs[i]``: the agents whose
     count drops when ``j`` leaves a set.
     """
 
     mask: int
+    nan: int
     tables: tuple[tuple[float, ...] | None, ...]
     nbs: tuple[int, ...]
     in_nbs: tuple[int, ...]
@@ -393,13 +396,16 @@ class ValuationProfile:
         """The per-degree tables and neighbour masks behind the incremental sweep and
         deletion rounds, built on the first call and kept, so a profile that never sweeps
         or deletes from a large pool pays nothing for it.  The tables are this profile's
-        own; the masks (:func:`_graph_masks`) are computed once per graph.
+        own, each summed once for the NaN mask; the masks (:func:`_graph_masks`) are
+        computed once per graph.
         """
         view = self._sweep_view
         if view is None:
             tables = tuple(map(_degree_table, self._fns))
             mask = mask_of(i for i, g in enumerate(tables) if g is not None)
-            view = self._sweep_view = DegreeView(mask, tables, *_graph_masks(self.neighbor_masks))
+            nan = mask_of(i for i, g in enumerate(tables) if g is not None and math.isnan(sum(g)))
+            view = self._sweep_view = DegreeView(mask, nan, tables,
+                                                 *_graph_masks(self.neighbor_masks))
         return view
 
     def _public_weights(self) -> tuple[Callable[[int], float], ...]:
@@ -436,7 +442,9 @@ class Oracle:
     degree-table members, disjoint from the free set, is swept
     (:func:`~extauction.benchmark._greedy_sweep`) and deleted from
     (:func:`~extauction.benchmark.deletion_fixpoint`) on neighbour counts
-    read from the profile's tables.  Those paths add the same ``|T|`` per
+    read from the profile's tables; a sweep of a sparse pool without NaN
+    tables steps from its members' sorted ``(value, id)`` pairs, taking the
+    member :meth:`argmin` would.  Those paths add the same ``|T|`` per
     step and per round, the last round that drops nobody included, without
     calling an evaluator, so a single run keeps within its ``10 n^2`` budget
     whichever path it takes.  An oracle whose evaluators are not the

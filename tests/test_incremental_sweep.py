@@ -2,10 +2,11 @@
 
 ``_greedy_sweep`` sweeps a pool of more than ``INCREMENTAL_SWEEP_ABOVE``
 degree-table members incrementally: each deletion updates only the deleted
-agent's in-neighbours.  Giving the oracle a copy of the profile's evaluator
-tuple forces the generic, one-``argmin``-per-step path on the same values, so
-every test here compares the two by the ``repr`` of the result (``-0.0`` and
-NaN count) and by ``oracle.queries``.
+agent's in-neighbours.  A sparse pool without NaN tables steps from a sorted
+order (``_sorted_sweep``), any other scans its values.  Giving the oracle a
+copy of the profile's evaluator tuple forces the generic, one-``argmin``-per-step
+path on the same values, so every test here compares the two by the ``repr``
+of the result (``-0.0`` and NaN count) and by ``oracle.queries``.
 """
 
 import random
@@ -46,6 +47,15 @@ def incremental_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def sorted_calls(monkeypatch):
+    """How many incremental sweeps took the sorted loop."""
+    calls = []
+    inner = bm._sorted_sweep
+    monkeypatch.setattr(bm, "_sorted_sweep", lambda *a: calls.append(a[3]) or inner(*a))
+    return calls
+
+
 def _check_pools(profile, rng, incremental_calls, rounds=12):
     """Random pools and free sets, large and small, agree on both paths."""
     n = profile.n
@@ -66,20 +76,25 @@ def _check_pools(profile, rng, incremental_calls, rounds=12):
 
 
 @pytest.mark.parametrize("family", ["additive", "scalar", "graph_concave", "linear"])
-@pytest.mark.parametrize("graph,graph_p", [("er", 0.1), ("er", 0.3), ("er", 0.8), ("pa", 0.5),
-                                           (None, 0.5)])
+@pytest.mark.parametrize("graph,graph_p", [("er", 0.05), ("er", 0.1), ("er", 0.3), ("er", 0.8),
+                                           ("pa", 0.5), (None, 0.5)])
 def test_generated_profiles_sweep_the_same_on_both_paths(family, graph, graph_p,
-                                                         incremental_calls):
+                                                         incremental_calls, sorted_calls):
     rng = random.Random(f"{family}/{graph}/{graph_p}")
-    for n in (13, 14, 17, 22, 31, 40):
+    for n in (13, 14, 17, 22, 31, 40, 64):
         profile = gen_instance(family, n, seed=n, graph=graph, graph_p=graph_p)
         _check_pools(profile, rng, incremental_calls)
+    if graph_p <= 0.1:
+        assert sorted_calls  # the sparse pools met the sorted loop
 
 
-def _odd_model(rng):
-    """A degree-table model drawn from ties, signed zeros and overflowing bids."""
+def _odd_model(rng, nan=True):
+    """A degree-table model drawn from ties, signed zeros and overflowing bids, with
+    NaN tables among them unless ``nan`` is false."""
     t = rng.choice([1, 2, 3, 0.0, -0.0, BIG])
     kind = rng.randrange(6)
+    if not nan and (kind == 3 or not t and kind in (1, 4)):  # 0 * inf and inf - inf
+        kind = 5
     if kind == 0:
         return GraphConcaveModel(t, beta=rng.choice([0.0, 1.0]), shape="linear")
     if kind == 1:
@@ -100,14 +115,22 @@ def _asymmetric_graph(n, rng, p):
 
 
 @pytest.mark.parametrize("seed", range(12))
-def test_ties_signed_zeros_and_overflow_sweep_the_same(seed, incremental_calls):
+def test_ties_signed_zeros_and_overflow_sweep_the_same(seed, incremental_calls, sorted_calls):
     rng = random.Random(seed)
-    for n in (13, 16, 25, 40):
+    for n in (13, 16, 25, 40, 64):
         graphs = [None, _asymmetric_graph(n, rng, 0.15), _asymmetric_graph(n, rng, 0.6),
                   gen_instance("graph_concave", n, seed=seed, graph="er", graph_p=0.2).graph]
-        for graph in graphs:
-            profile = ValuationProfile([_odd_model(rng) for _ in range(n)], graph=graph)
+        cases = [(graph, True) for graph in graphs]
+        if n >= 40:  # sparse graphs, drawn apart so that the ones above stay as they were
+            sparse = [_asymmetric_graph(n, random.Random(f"{seed}/{n}"), 0.05),
+                      gen_instance("graph_concave", n, seed=seed, graph="er", graph_p=0.05).graph]
+            # with NaN tables the pools scan; without, they take the sorted loop
+            cases += [(graph, nan) for graph in sparse for nan in (True, False)]
+        for graph, nan in cases:
+            profile = ValuationProfile([_odd_model(rng, nan) for _ in range(n)], graph=graph)
+            assert nan or not profile._degree_view().nan
             _check_pools(profile, rng, incremental_calls, rounds=6)
+    assert sorted_calls
 
 
 def test_the_odd_bids_reach_inf_nan_and_negative_zero():
@@ -127,6 +150,35 @@ def test_complete_graph_of_equal_bids_deletes_by_id(incremental_calls):
     assert bm._greedy_sweep(oracle, profile.full, 0, 1) == (40.0, 2.0, profile.full)
     assert oracle.queries == 20 * 21 // 2
     assert len(incremental_calls) == 1
+
+
+def test_sparse_pools_sweep_sorted_and_dense_or_nan_pools_scan(incremental_calls, sorted_calls):
+    """Both loops of the incremental sweep run: the sorted one on a sparse pool, the
+    scan on the complete graph and on a sparse pool holding a NaN table."""
+    n = 40
+    sparse = gen_instance("graph_concave", n, seed=1, graph="er", graph_p=0.05)
+    dense = gen_instance("graph_concave", n, seed=1)
+    i = next(i for i in range(n) if sparse.graph[i])  # a NaN at every k >= 1
+    nan = sparse.replace(i, LinearModel(BIG, DegreeWeight(BIG, BIG), DegreeWeight(-BIG, -BIG)))
+    for profile in (sparse, dense, nan):
+        got, want = _sweep_both(profile, profile.full, 0, 1)
+        assert got == want
+    assert nan._sweep_view.nan == 1 << i and sparse._sweep_view.nan == 0
+    assert incremental_calls == [sparse.full, dense.full, nan.full]
+    assert sorted_calls == [sparse.full]
+
+
+def test_sparse_tie_goes_to_the_smallest_id(sorted_calls):
+    """Agents 0 and 1 tie at 1.0 and each bids 5.0 once the other leaves: a table
+    outside the valuation conditions, where the tie shows in the recorded set."""
+    n = 20
+    pair = AdditiveModel(0.0, DegreeWeight(5.0, -4.0))  # 5.0 alone, 1.0 with its neighbour
+    graph = [[1], [0]] + [[] for _ in range(n - 2)]
+    profile = ValuationProfile([pair, pair] + [GraphConcaveModel(4.0, beta=0.0)] * (n - 2),
+                               graph=graph)
+    got, want = _sweep_both(profile, profile.full, 0, 1)
+    assert got == want == (repr((76.0, 4.0, profile.full & ~1)), n * (n + 1) // 2)
+    assert sorted_calls == [profile.full]
 
 
 def test_small_pools_table_agents_and_wrapped_evaluators_take_the_generic_path(
