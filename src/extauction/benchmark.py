@@ -99,13 +99,19 @@ def _ids(mask: int) -> list[int]:
 
 def _large_pool_view(oracle: Oracle, pool: int, free: int) -> DegreeView | None:
     """The profile's :class:`~extauction.valuations.DegreeView` if ``pool`` may be
-    swept and deleted from on neighbour counts, else ``None``."""
+    swept and deleted from on neighbour counts, else ``None``.
+
+    A pool may when it has more than ``INCREMENTAL_SWEEP_ABOVE`` members,
+    none of them in ``free``, each bound to a per-degree table.  The
+    oracle's evaluators are not looked at: the one oracle in the package
+    whose evaluators are not the profile's, the exact path's
+    :class:`~extauction.mechanisms._Tabulated`, holds n <= 12 agents and
+    never has such a pool.
+    """
     if pool.bit_count() > INCREMENTAL_SWEEP_ABOVE and not pool & free:
-        profile = oracle.profile
-        if oracle._fns is profile._fns:
-            view = profile._degree_view()
-            if not pool & ~view.mask:
-                return view
+        view = oracle.profile._degree_view()
+        if not pool & ~view.mask:
+            return view
     return None
 
 
@@ -116,9 +122,8 @@ def deletion_fixpoint(oracle: Oracle, pool: int, free: int, bar: Callable[[int],
     Each round, the last one that drops nobody included, calls ``bar`` once
     and counts ``|T|`` queries.  A pool that passes the gate of
     :func:`_greedy_sweep` (more than ``INCREMENTAL_SWEEP_ABOVE`` members,
-    disjoint from ``free``, all bound to per-degree tables, on an oracle that
-    uses the profile's own evaluators) reads each value from the member's
-    per-degree table (:func:`_degree_below`); any other asks
+    disjoint from ``free``, all bound to per-degree tables) reads each value
+    from the member's per-degree table (:func:`_degree_below`); any other asks
     :meth:`~extauction.valuations.Oracle.below`.  Both give the same set and
     the same count.
     """
@@ -186,14 +191,15 @@ def _greedy_sweep(oracle: Oracle, pool: int, free: int, k: int) -> tuple[float, 
     Each step counts ``|T|`` logical queries, ``|pool| * (|pool| + 1) / 2``
     in all, whichever of two paths computes it.  A pool of more than
     ``INCREMENTAL_SWEEP_ABOVE`` (12) members, disjoint from ``free``, all
-    bound to per-degree tables, on an oracle that uses the profile's own
-    evaluators, takes :func:`_degree_sweep`, which after each deletion
-    recomputes only the deleted agent's in-neighbours and steps a sparse
-    pool from a sorted order, any other by scanning its values.  Any other
-    sweep asks :meth:`~extauction.valuations.Oracle.argmin` at every step:
-    pools with a table agent, wrapped evaluators, and the ``3^n`` walk's oracle
-    (:class:`~extauction.mechanisms._Tabulated`, n <= 12, whose evaluators
-    are its columns and whose ``argmin`` reads the step memo first).  Both
+    bound to per-degree tables, takes :func:`_degree_sweep`, which after
+    each deletion recomputes only the deleted agent's in-neighbours and
+    steps a sparse pool from a sorted order, any other by scanning its
+    values.  Any other sweep asks
+    :meth:`~extauction.valuations.Oracle.argmin` at every step: smaller
+    pools, pools with a table agent, and so every sweep on the ``3^n``
+    walk's oracle (:class:`~extauction.mechanisms._Tabulated`, n <= 12,
+    whose evaluators are its columns and whose ``argmin`` reads the step
+    memo first).  Both
     paths give the same result, bit for bit.  The gate is the pool size,
     where the median time per sweep crossed on a sparse and on the complete
     graph: 13 members swept 1.5-1.9x faster incrementally on sparse graphs

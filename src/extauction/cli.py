@@ -20,7 +20,7 @@ from . import experiments as ex
 from . import mechanisms as mech
 from . import truthfulness as tr
 from .io import instance_digest, is_number, load_instance, require_keys, require_valid, write_report
-from .valuations import EPS, EXHAUSTIVE_MAX_N, check_conditions, estimate_L
+from .valuations import EXHAUSTIVE_MAX_N, check_conditions, estimate_L
 
 
 class UsageError(Exception):
@@ -97,11 +97,8 @@ def _cmd_run(args) -> tuple[dict, bool]:
 
 
 def _cmd_expect(args) -> tuple[dict, bool]:
-    oracle = _load(args.instance).oracle()
-    expected = mech.main_mechanism_exact_expectation(oracle)
-    f3 = bm.benchmark_bruteforce(oracle, 3).value
+    expected, f3, bound_ok = ex.revenue_guarantee_check(_load(args.instance))
     bound = f3 / ex.REVENUE_GUARANTEE_FACTOR
-    bound_ok = expected >= bound - EPS
     return {"expected_revenue": expected, "f3": f3, "bound": bound, "bound_ok": bound_ok}, bound_ok
 
 

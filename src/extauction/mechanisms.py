@@ -4,11 +4,19 @@ RSOP, and the two-branch mixture for additive valuations.
 All randomness flows through :class:`random.Random` seeded explicitly, so a
 fixed ``(instance, seed)`` pair reproduces an identical outcome bit for bit.
 Runs are pure given ``(profile, seed)`` and may execute in parallel; each run
-counts its own value queries on a private oracle.  The one state shared
-between runs is :func:`main_mechanism`'s one-entry
-:func:`functools.lru_cache` of its last seeded tripartition, an immutable
-value, so a run on another thread can at worst find it replaced and draw
-its partition again.
+counts its own value queries on a private oracle.  What runs share are
+caches of immutable values, each fixed by what it is keyed on, so a run on
+another thread can at worst find one replaced, or build it again, and read
+equal values:
+
+- :func:`main_mechanism`'s one-entry :func:`functools.lru_cache` of its last
+  seeded tripartition (:func:`_seeded_partition`);
+- a profile's degree view and its bound public weights
+  (``ValuationProfile._degree_view`` and ``_public_weights``), each built on
+  first use from the profile's own models and kept on the profile;
+- the neighbour and in-neighbour masks of the last graph, a one-entry
+  :func:`functools.lru_cache` (``valuations._graph_masks``) that the
+  profiles of one graph share.
 """
 
 from __future__ import annotations
@@ -254,8 +262,7 @@ def revenue_table(oracle: _Tabulated) -> array:
     ``tern`` is ``oracle.tern``; an empty pool reads 0.0, and a non-empty one
     holds its sweep value ``_greedy_sweep(oracle, pool, free, 1)[0]``, bit
     for bit.  It fills a new table on each call and keeps none: its caller,
-    :func:`_partition_ledger`, keeps its own result instead, and a second
-    fill on the same oracle reads every step from the step memo at no query.
+    :func:`_partition_ledger`, keeps its own result instead.
 
     The fill is a DP over pools in increasing mask order.  A sweep of
     ``pool`` takes its first step ``(low, arg)`` and then sweeps the tail
@@ -291,13 +298,14 @@ def revenue_table(oracle: _Tabulated) -> array:
     whose steps are all memoised by then; a swept pair's second record is
     not known.
 
-    Each step ``(pool, free)`` is computed once: read from the oracle's
-    step memo when there (a subset scan may have filled it), else the
-    memoised step of ``pool`` minus its highest member ``top``, extended by
-    one read of ``top``'s column, or, when the evaluators are wrapped,
-    :meth:`_Tabulated.argmin`.  Each new step counts ``|pool|`` queries, so
-    a fresh oracle spends exactly ``n * 3^(n-1)`` queries here, one per
-    ``i`` in ``T`` over all disjoint ``(T, free)``.
+    Each step ``(pool, free)`` is computed once and stored: the stored step
+    of ``pool`` minus its highest member ``top``, extended by one read of
+    ``top``'s column, or, when the evaluators are wrapped,
+    :meth:`_Tabulated.argmin`.  A step of two or more members is not looked
+    up first, since on the fresh oracle :func:`_partition_ledger` builds
+    none is stored yet.  Each step counts ``|pool|`` queries, so a fresh
+    oracle spends exactly ``n * 3^(n-1)`` queries here, one per ``i`` in
+    ``T`` over all disjoint ``(T, free)``.
     """
     tern, full, cols = oracle.tern, oracle.full, oracle._columns
     lows, args = oracle._lows, oracle._args
@@ -327,10 +335,7 @@ def revenue_table(oracle: _Tabulated) -> array:
         shift = pow3[top]  # the key of (pool - top, free + top), less the key of (pool, free)
         while True:
             key = code + 2 * tern[free]
-            arg = args[key]
-            if arg != 255:
-                low = lows[key]
-            elif col is not None:
+            if col is not None:
                 low = lows[key + shift]
                 arg = args[key + shift]
                 v = col[pool | free]
@@ -431,18 +436,21 @@ def _quarter_floor(r_f_c: float) -> float:
 
 
 def _partition_ledger(oracle: Oracle) -> tuple:
-    """``(E[rev], (checked, skipped, failures))`` from one walk of the ``3^n`` partitions.
+    """``(E[rev], (checked, skipped, failures), optimum)`` from one walk of the
+    ``3^n`` partitions.
 
     The one entry to the exact path: it builds one :class:`_Tabulated`
-    from ``oracle``, fills :func:`revenue_table` on it, then takes
-    ``F^(3)`` from :func:`~extauction.benchmark.benchmark_bruteforce` on
-    the same tabulated oracle, where every step of that subset scan is
-    already stored and costs no query, and runs the fixpoints there too.
-    The walk's queries are added to ``oracle.queries`` and the result is
-    kept in ``oracle.ledger``, while the tabulated oracle and the table are
+    from ``oracle``, fills :func:`revenue_table` on it, then takes the
+    ``F^(3)`` optimum, a :class:`~extauction.benchmark.BenchmarkResult`,
+    from :func:`~extauction.benchmark.benchmark_bruteforce` on the same
+    tabulated oracle, where every step of that subset scan is already
+    stored and costs no query, and runs the fixpoints there too.  The
+    walk's queries are added to ``oracle.queries`` and the result is kept
+    in ``oracle.ledger``, while the tabulated oracle and the table are
     freed after the walk; a later call reads the ledger back and walks
-    nothing, and a later ``F^(k)`` scan on ``oracle`` costs what it costs
-    on a fresh oracle.
+    nothing.  The optimum is the one an exact caller reports
+    (:func:`~extauction.experiments.revenue_guarantee_check`); another
+    ``F^(k)`` scan on ``oracle`` costs what it costs on a fresh oracle.
 
     The partitions are walked as joined label halves, in
     :meth:`Partition3.all_partitions` order.  Each half-labelling carries
@@ -502,7 +510,7 @@ def _partition_ledger(oracle: Oracle) -> tuple:
     oracle.queries += tab.queries
     checked = 3 ** n
     counts = (checked, 0, tuple(failures)) if quarter else (checked, checked, ())
-    ledger = oracle.ledger = (total / checked, counts)
+    ledger = oracle.ledger = (total / checked, counts, optimum)
     return ledger
 
 

@@ -430,10 +430,12 @@ class Oracle:
     profiles stay shareable across threads and runs: concurrent runs each
     hold their own.  ``ledger``, once
     :func:`~extauction.mechanisms._partition_ledger` has walked the ``3^n``
-    partitions, holds ``(E[rev], (checked, skipped, failures))``, the exact
-    expectation and the quarter bound's counts with its failing partitions
-    as a tuple, so the second of the two views reads them and walks
-    nothing.  The walk runs on a tabulated oracle of its own
+    partitions, holds ``(E[rev], (checked, skipped, failures), optimum)``:
+    the exact expectation, the quarter bound's counts with its failing
+    partitions as a tuple, and the ``F^(3)`` optimum the walk scanned, so
+    the second of the two views, and the ``F^(3)`` that
+    :func:`~extauction.experiments.revenue_guarantee_check` reports, read
+    them and walk nothing.  The walk runs on a tabulated oracle of its own
     (:class:`~extauction.mechanisms._Tabulated`: the value columns and the
     sweep-step memo), adds that oracle's queries here, and frees it.
 
@@ -447,9 +449,11 @@ class Oracle:
     member :meth:`argmin` would.  Those paths add the same ``|T|`` per
     step and per round, the last round that drops nobody included, without
     calling an evaluator, so a single run keeps within its ``10 n^2`` budget
-    whichever path it takes.  An oracle whose evaluators are not the
-    profile's (a wrapped one, say) always steps through :meth:`argmin` and
-    :meth:`below`, one evaluator call per query.
+    whichever path it takes.  Any other pool steps through :meth:`argmin`
+    and :meth:`below`, one evaluator call per query.  The gate reads the
+    profile's tables whatever this oracle's evaluators are; in the package
+    only the exact path's tabulated oracle has others, and it holds at most
+    12 agents.
     """
 
     __slots__ = ("profile", "n", "full", "queries", "_fns", "ledger")

@@ -1,12 +1,15 @@
+import math
 import os
 import subprocess
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterator
 
 import pytest
 
 import extauction
+from extauction import benchmark as bm
 from extauction import (
     DegreeWeight,
     ScalarModel,
@@ -48,6 +51,16 @@ def square_table_profile(n, t=1.0):
         }
         models.append(TableModel(values))
     return ValuationProfile(models)
+
+
+@contextmanager
+def generic_path():
+    """Lift the large-pool gate (``benchmark._LEAST_LARGE_POOL``) while the block runs,
+    so that every sweep steps through ``Oracle.argmin`` and every deletion round
+    through ``Oracle.below``: one evaluator call per counted query, at any pool size."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bm, "_LEAST_LARGE_POOL", math.inf)
+        yield
 
 
 @pytest.fixture

@@ -2,12 +2,13 @@
 
 ``deletion_fixpoint`` runs the rounds of a pool of more than
 ``INCREMENTAL_SWEEP_ABOVE`` degree-table members on each member's neighbour
-count, read again every round.  Giving the oracle a copy of the profile's
-evaluator tuple forces the generic, one-``below``-per-round path on the same
-values, so every test here compares the two by the survivors, by
-``oracle.queries`` and by the sizes ``bar`` was called with.
+count, read again every round.  Lifting the gate (``conftest.generic_path``)
+forces the generic, one-``below``-per-round path on the same values, so
+every test here compares the two by the survivors, by ``oracle.queries`` and
+by the sizes ``bar`` was called with.
 """
 
+import contextlib
 import math
 import random
 from dataclasses import dataclass
@@ -26,6 +27,7 @@ from extauction.experiments import gen_instance
 from extauction.mechanisms import cost_share, fixed_price_mechanism, main_mechanism
 from extauction.valuations import _bind_by_degree
 
+from conftest import generic_path
 from test_incremental_sweep import _asymmetric_graph, _odd_model
 
 BIG = 1e308
@@ -64,12 +66,12 @@ def _bars(rng, profile):
 def _rounds_both(profile, pool, free, bar):
     """(survivors, queries, bar sizes) on the count path's oracle and on the generic one."""
     out = []
-    for copy in (False, True):
+    for gate in (contextlib.nullcontext(), generic_path()):
         oracle = profile.oracle()
-        if copy:
-            oracle._fns = tuple(list(oracle._fns))  # an equal tuple, not the profile's
         sizes = []
-        t = bm.deletion_fixpoint(oracle, pool, free, lambda size: sizes.append(size) or bar(size))
+        with gate:
+            t = bm.deletion_fixpoint(oracle, pool, free,
+                                     lambda size: sizes.append(size) or bar(size))
         out.append((t, oracle.queries, sizes))
     return out
 
@@ -159,7 +161,7 @@ def test_the_drawn_tables_hold_every_odd_value():
     assert {"nan", "inf", "-inf", "-0.0", "0.0", repr(BIG)} <= seen
 
 
-def test_small_pools_table_agents_and_wrapped_evaluators_run_generic_rounds(count_rounds):
+def test_small_pools_table_agents_and_a_lifted_gate_run_generic_rounds(count_rounds):
     profile = gen_instance("graph_concave", 16, seed=3, graph="er", graph_p=0.3)
     bar = lambda size: 1.0  # noqa: E731
     small = (1 << bm.INCREMENTAL_SWEEP_ABOVE) - 1
@@ -167,9 +169,8 @@ def test_small_pools_table_agents_and_wrapped_evaluators_run_generic_rounds(coun
     bm.deletion_fixpoint(profile.oracle(), small << 3, 0, bar)
     table = profile.replace(5, AdditiveModel(1.0, TableWeight({profile.full: 1.0})))
     bm.deletion_fixpoint(table.oracle(), table.full, 0, bar)
-    wrapped = profile.oracle()
-    wrapped._fns = tuple(list(wrapped._fns))
-    bm.deletion_fixpoint(wrapped, profile.full, 0, bar)
+    with generic_path():
+        bm.deletion_fixpoint(profile.oracle(), profile.full, 0, bar)
     assert count_rounds == []
     bm.deletion_fixpoint(table.oracle(), table.full & ~(1 << 5), 0, bar)
     bm.deletion_fixpoint(profile.oracle(), profile.full, 0, bar)
@@ -192,9 +193,9 @@ def test_mechanisms_give_the_same_outcomes_on_both_paths(graph, count_rounds):
         profile = gen_instance(model, 48, seed=7, graph=graph, graph_p=4 / 48)
 
         def both(run):
-            wrapped = profile.oracle()
-            wrapped._fns = tuple(list(wrapped._fns))
-            return repr(vars(run(profile))), repr(vars(run(wrapped)))
+            fast = repr(vars(run(profile)))
+            with generic_path():
+                return fast, repr(vars(run(profile)))
 
         price = benchmark_sweep(profile, 1).price
         fast, slow = both(lambda p: fixed_price_mechanism(p, price))

@@ -22,6 +22,7 @@ from extauction.experiments import (
     quarter_bound_check,
     quarter_bound_exhaustive,
     ratio_campaign,
+    revenue_guarantee_check,
     revenue_guarantee_suite,
     standard_suite,
     two_agent_gap_instance,
@@ -390,6 +391,36 @@ def test_exact_rows_match_one_fresh_oracle_per_call():
         expected = main_mechanism_exact_expectation(profile)
         rows.append((m, f2, f3, expected, experiments._ratio(f2, expected)))
     assert repr(f2_gap_demo(experiments.F2_GAP_M_VALUES).rows) == repr(rows)
+
+
+def test_the_exact_reports_scan_only_what_the_ledger_does_not_keep(monkeypatch):
+    """The exact experiment scans ``F^(1)`` and ``F^(2)`` per instance, and the
+    f2-gap demo ``F^(2)`` per ``m``; each ``F^(3)`` is the partition ledger's."""
+    scan = experiments.benchmark_bruteforce
+    scans = []
+    monkeypatch.setattr(experiments, "benchmark_bruteforce",
+                        lambda oracle, k: scans.append(k) or scan(oracle, k))
+    instances = standard_suite()[::20]
+    revenue_guarantee_suite(instances)
+    assert scans == [1, 2] * len(instances)
+    del scans[:]
+    f2_gap_demo(experiments.F2_GAP_M_VALUES)
+    assert scans == [2] * len(experiments.F2_GAP_M_VALUES)
+
+
+@pytest.mark.parametrize("excess, ok", [(0.5, True), (1.5, False)])
+def test_the_revenue_guarantee_holds_within_eps_of_its_edge(monkeypatch, excess, ok):
+    """With the factor set so that ``F^(3)/factor`` lies ``excess * EPS`` above
+    ``E[rev]``, the bound holds at half an EPS and fails at one and a half, in
+    the check and in the exact experiment's row."""
+    profile = gen_instance("mixed", 5, seed=1)
+    expected, f3, holds = revenue_guarantee_check(profile)
+    assert f3 > 0 and holds
+    edge = expected + excess * EPS
+    monkeypatch.setattr(experiments, "REVENUE_GUARANTEE_FACTOR", f3 / edge)
+    assert abs(f3 / experiments.REVENUE_GUARANTEE_FACTOR - edge) < EPS / 100
+    assert revenue_guarantee_check(profile) == (expected, f3, ok)
+    assert revenue_guarantee_suite([("edge", profile)]).rows[0][-1] is ok
 
 
 # --- campaigns --------------------------------------------------------------------------

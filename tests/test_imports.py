@@ -124,3 +124,53 @@ def test_the_check_catches_a_tabulated_store_read_elsewhere(tmp_path):
     (tmp_path / "benchmark.py").write_text("from mechanisms import _columns\ntern = 3\n")
     assert _tabulated_state_readers(sorted(tmp_path.glob("*.py"))) == {
         "valuations": {"_args"}, "benchmark": {"_columns"}}
+
+
+#: the partition ledger's entry and its slot on the oracle, whose tuple layout only
+#: the two modules that own it read; ``cli`` takes the guarantee through
+#: ``experiments.revenue_guarantee_check``
+LEDGER_NAMES = {"_partition_ledger", "ledger"}
+LEDGER_OWNERS = {"mechanisms", "experiments"}
+
+
+def _loads(tree: ast.Module) -> set[str]:
+    """Names a module reads, as a name, an attribute or an import; a store, such as
+    the slot's first value in ``Oracle.__init__``, is not a read."""
+    reads = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            reads.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            reads.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            reads.update(alias.name for alias in node.names)
+    return reads
+
+
+def _ledger_readers(paths) -> dict[str, set[str]]:
+    """Per module other than the ledger's owners, the ledger names it reads."""
+    readers = {}
+    for path in paths:
+        names = _loads(ast.parse(path.read_text(), filename=str(path))) & LEDGER_NAMES
+        if names and path.stem not in LEDGER_OWNERS:
+            readers[path.stem] = names
+    return readers
+
+
+def test_only_mechanisms_and_experiments_read_the_ledger():
+    assert _ledger_readers(PACKAGE.glob("*.py")) == {}
+
+
+def test_the_check_catches_a_ledger_read_elsewhere(tmp_path):
+    (tmp_path / "mechanisms.py").write_text(
+        "def _partition_ledger(o):\n    o.ledger = (1.0, (), None)\n    return o.ledger\n")
+    (tmp_path / "experiments.py").write_text(
+        "from mechanisms import _partition_ledger\n\ndef f3(o):\n    return _partition_ledger(o)[2]\n")
+    (tmp_path / "valuations.py").write_text(
+        "class Oracle:\n    __slots__ = ('ledger',)\n\n    def __init__(self):\n"
+        "        self.ledger = None\n")
+    (tmp_path / "cli.py").write_text("def expect(oracle):\n    return oracle.ledger[2]\n")
+    (tmp_path / "io.py").write_text("import mechanisms as m\n\nrun = m._partition_ledger\n")
+    (tmp_path / "benchmark.py").write_text("from mechanisms import _partition_ledger\n")
+    assert _ledger_readers(sorted(tmp_path.glob("*.py"))) == {
+        "cli": {"ledger"}, "io": {"_partition_ledger"}, "benchmark": {"_partition_ledger"}}

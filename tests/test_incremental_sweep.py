@@ -3,10 +3,10 @@
 ``_greedy_sweep`` sweeps a pool of more than ``INCREMENTAL_SWEEP_ABOVE``
 degree-table members incrementally: each deletion updates only the deleted
 agent's in-neighbours.  A sparse pool without NaN tables steps from a sorted
-order (``_sorted_sweep``), any other scans its values.  Giving the oracle a
-copy of the profile's evaluator tuple forces the generic, one-``argmin``-per-step
-path on the same values, so every test here compares the two by the ``repr``
-of the result (``-0.0`` and NaN count) and by ``oracle.queries``.
+order (``_sorted_sweep``), any other scans its values.  Lifting the gate
+(``conftest.generic_path``) forces the generic, one-``argmin``-per-step path
+on the same values, so every test here compares the two by the ``repr`` of
+the result (``-0.0`` and NaN count) and by ``oracle.queries``.
 """
 
 import random
@@ -27,14 +27,16 @@ from extauction.experiments import gen_instance
 from extauction.mechanisms import main_mechanism
 from extauction.truthfulness import deviation_test, misreport_plan
 
+from conftest import generic_path
+
 BIG = 1e308
 
 
 def _sweep_both(profile, pool, free, k):
     fast, slow = profile.oracle(), profile.oracle()
-    slow._fns = tuple(list(slow._fns))  # an equal tuple, not the profile's: the generic path
     got = bm._greedy_sweep(fast, pool, free, k)
-    want = bm._greedy_sweep(slow, pool, free, k)
+    with generic_path():
+        want = bm._greedy_sweep(slow, pool, free, k)
     return (repr(got), fast.queries), (repr(want), slow.queries)
 
 
@@ -181,18 +183,16 @@ def test_sparse_tie_goes_to_the_smallest_id(sorted_calls):
     assert sorted_calls == [profile.full]
 
 
-def test_small_pools_table_agents_and_wrapped_evaluators_take_the_generic_path(
-        incremental_calls):
+def test_small_pools_table_agents_and_a_lifted_gate_take_the_generic_path(incremental_calls):
     profile = gen_instance("graph_concave", 16, seed=3, graph="er", graph_p=0.3)
     small = (1 << bm.INCREMENTAL_SWEEP_ABOVE) - 1
     bm._greedy_sweep(profile.oracle(), small, 0, 1)
     assert profile._sweep_view is None  # nothing is read until a large pool sweeps
     table = profile.replace(5, AdditiveModel(1.0, TableWeight({profile.full: 1.0})))
     bm._greedy_sweep(table.oracle(), table.full, 0, 1)
-    wrapped = profile.oracle()
-    wrapped._fns = tuple(list(wrapped._fns))
-    bm._greedy_sweep(wrapped, profile.full, 0, 1)
-    assert incremental_calls == []
+    with generic_path():
+        bm._greedy_sweep(profile.oracle(), profile.full, 0, 1)
+    assert incremental_calls == [] and profile._sweep_view is None
     bm._greedy_sweep(profile.oracle(), profile.full, 0, 1)
     assert incremental_calls == [profile.full]
 

@@ -49,6 +49,8 @@ from extauction.experiments import (
     gen_instance,
     quarter_bound_check,
     quarter_bound_exhaustive,
+    standard_suite,
+    two_agent_gap_instance,
 )
 from extauction.sets import mask_of
 from extauction.valuations import EPS, EXHAUSTIVE_MAX_N, Oracle
@@ -161,7 +163,10 @@ def _table_cases():
 @pytest.mark.parametrize("name", list(_table_cases()))
 def test_revenue_table_holds_each_sweep_value(name):
     """Every entry, ``-0.0`` and negative values included, is the sweep's own
-    value on a fresh oracle, and the fill computes each sweep step once."""
+    value on a fresh oracle, and the fill computes each sweep step once.  A
+    second fill on the same oracle gives the same table and computes every
+    step of two or more members again, while its one-member pools read the
+    step memo through ``_greedy_sweep``."""
     profile = _table_cases()[name]
     n = profile.n
     oracle = mech._Tabulated(profile.oracle())
@@ -171,7 +176,8 @@ def test_revenue_table_holds_each_sweep_value(name):
     for pool, free in _disjoint_pairs(n):
         want = mech._greedy_sweep(profile.oracle(), pool, free, 1)[0]
         assert repr(table[tern[pool] + 2 * tern[free]]) == repr(want), (pool, free)
-    assert repr(mech.revenue_table(oracle)) == repr(table) and oracle.queries == n * 3 ** (n - 1)
+    assert repr(mech.revenue_table(oracle)) == repr(table)
+    assert oracle.queries == n * 3 ** (n - 1) + n * 3 ** (n - 1) - n * 2 ** (n - 1)
 
 
 @pytest.mark.parametrize("name", list(_table_cases()))
@@ -374,6 +380,33 @@ def test_both_call_orders_give_the_same_ledger(name):
     assert second.queries == first.queries
 
 
+def _optimum_cases():
+    """The 200 ``standard_suite()`` instances, six families by three graph kinds at
+    n = 1, 2, 3, 8 and 10, the f2-gap instance and ``_table_cases()``: 300 profiles."""
+    cases = list(standard_suite())
+    cases += [(f"{model}-{graph}-n{n}", gen_instance(model, n, seed=n, graph=graph))
+              for model in GEN_MODELS for graph in (None, "er", "pa") for n in (1, 2, 3, 8, 10)]
+    cases.append(("gap", two_agent_gap_instance(10.0)))
+    cases += list(_table_cases().items())
+    return cases
+
+
+def test_the_ledger_keeps_the_f3_optimum_a_fresh_scan_finds():
+    """The optimum the ledger's walk scans on its tabulated oracle is ``repr``-equal
+    to a fresh oracle's ``benchmark_bruteforce(profile, 3)``: value, price,
+    winners and ``k``, a zero optimum at n = 1 and 2 included."""
+    cases = _optimum_cases()
+    assert len(cases) == 300
+    zero = []
+    for name, profile in cases:
+        optimum = mech._partition_ledger(profile.oracle())[2]
+        assert repr(optimum) == repr(benchmark_bruteforce(profile.oracle(), 3)), name
+        if optimum.value == 0:
+            zero.append(name)
+    # fewer than three agents, and three bids whose least times three is under -EPS
+    assert zero == [name for name, profile in cases if profile.n < 3] + ["negative_bid"]
+
+
 # --- the DP fill: each pair extends its tail's record ---------------------------
 
 def _sweep_fill(oracle):
@@ -419,19 +452,24 @@ def _oracles(profile, kind):
 @pytest.mark.parametrize("graph", [None, "er", "pa"])
 @pytest.mark.parametrize("model", GEN_MODELS)
 def test_dp_fill_matches_the_sweep_fill(model, graph):
-    """Byte for byte: the table, the step memo and the query count are the
-    per-pair sweeps', on a fresh oracle, one whose subset scan ran first,
-    and one with wrapped evaluators (one call per counted query)."""
+    """Byte for byte: the table and the step memo are the per-pair sweeps', on a
+    fresh oracle, one whose subset scan ran first, and one with wrapped
+    evaluators (one call per counted query).  So is the query count, but
+    after a scan: the sweeps read the scan's stored steps, while the fill
+    computes each of them again, adding the scan's own
+    ``n * 2^(n-1) - n^2`` queries (every set of three or more members)."""
     for n in range(3, 9):
         profile = gen_instance(model, n, seed=n, graph=graph)
         for kind in ("fresh", "scanned", "wrapped"):
             (ref, dp), (ref_calls, dp_calls) = _oracles(profile, kind)
+            scanned = dp.queries
+            assert scanned == (n * 2 ** (n - 1) - n * n if kind == "scanned" else 0)
             want = _sweep_fill(ref)
             got = mech.revenue_table(dp)
             case = (n, kind)
             assert got.tobytes() == want.tobytes(), case
             assert dp._lows.tobytes() == ref._lows.tobytes() and dp._args == ref._args, case
-            assert dp.queries == ref.queries, case
+            assert dp.queries == ref.queries + scanned, case
             assert dp_calls[0] == ref_calls[0] == (dp.queries if kind == "wrapped" else 0), case
             assert (dp._columns is None) == (kind == "wrapped"), case
 
