@@ -279,8 +279,9 @@ def quarter_bound_exhaustive(profile) -> tuple[int, int, list[Partition3]]:
     """Run the quarter-bound check over all ``3^n`` partitions.
 
     Returns (checked, skipped, failures); all partitions skip when the
-    benchmark optimum is zero, none otherwise.  Rejected for n > 12, like
-    the exact expectation, its twin view of the same ledger.
+    benchmark optimum is zero, none otherwise.  Rejected for n > 12 by the
+    walk's tabulated oracle, with the exact expectation, its twin view of
+    the same ledger.
 
     Each partition gets :func:`quarter_bound_check`'s test: ``r(C)``, the
     larger of ``r(C | A)`` and ``r(C | B)`` read from
@@ -294,10 +295,7 @@ def quarter_bound_exhaustive(profile) -> tuple[int, int, list[Partition3]]:
     a zero benchmark, and the second reads the stored result, with no
     sweep and no query.
     """
-    oracle = as_oracle(profile)
-    if oracle.n > EXHAUSTIVE_MAX_N:
-        raise ValueError(f"quarter bound rejected for n > {EXHAUSTIVE_MAX_N}")
-    checked, skipped, failures = _partition_ledger(oracle)[1]
+    checked, skipped, failures = _partition_ledger(as_oracle(profile))[1]
     return checked, skipped, list(failures)
 
 
@@ -337,8 +335,9 @@ def revenue_guarantee_check(profile) -> tuple[float, float, bool]:
     Both numbers come from the oracle's partition ledger
     (:func:`~extauction.mechanisms._partition_ledger`): the expectation
     through :func:`~extauction.mechanisms.main_mechanism_exact_expectation`,
-    which refuses n > 12, and ``F^(3)`` as the optimum the ledger's walk
-    scanned on its own stored steps, so no second subset scan runs.
+    and ``F^(3)`` as the optimum the ledger's walk scanned on its own stored
+    steps, so no second subset scan runs.  n > 12 is refused by the walk's
+    tabulated oracle (:class:`~extauction.mechanisms._Tabulated`).
     """
     oracle = as_oracle(profile)
     expected = main_mechanism_exact_expectation(oracle)

@@ -215,10 +215,11 @@ class _Tabulated(Oracle):
     """The oracle of one ``3^n`` walk: it answers from the profile's value
     columns and remembers every sweep step.
 
-    Built from a caller's oracle, it takes the profile's ``2^n`` value
-    columns (``_columns``) as its evaluators when the caller's evaluators are
-    the profile's own, and keeps wrapped ones (a counted one, say) as they
-    are, with ``_columns`` ``None``.  The step memo holds one low (an
+    Built from a caller's oracle whose evaluators are the profile's own, it
+    builds the profile's ``2^n`` value columns (``_columns``), one call of
+    each bound evaluator per mask, and reads them as its evaluators; it
+    keeps wrapped ones (a counted one, say) as they are, with ``_columns``
+    ``None``.  The step memo holds one low (an
     ``array('d')``) and one argmin (a ``bytearray``, 255 for unset) under
     the base-3 code of each ``(T, free)``, with ``tern`` the
     :func:`~extauction.sets.ternary_codes` of n: :meth:`argmin` computes,
@@ -226,7 +227,8 @@ class _Tabulated(Oracle):
     fills the memo as its own state.  Value lookups outside sweeps still
     count one query each.  The memo takes ``9 * 3^n`` bytes (4.8 MB at
     n = 12), and the fill adds ``24 * 3^n`` bytes, the table and its record
-    chains, while it runs.  Refused for n > 12.
+    chains, while it runs.  The exact path's one cap: it refuses n > 12
+    before it reads a value, and every exact caller reaches it first.
     """
 
     __slots__ = ("_columns", "tern", "_lows", "_args")
@@ -234,10 +236,11 @@ class _Tabulated(Oracle):
     def __init__(self, oracle: Oracle):
         p = oracle.profile
         if p.n > EXHAUSTIVE_MAX_N:
-            raise ValueError(f"tabulation is capped at n <= {EXHAUSTIVE_MAX_N}")
+            raise ValueError(f"exact 3^n path rejected for n > {EXHAUSTIVE_MAX_N}")
         super().__init__(p)
         own = oracle._fns is p._fns
-        self._columns = tuple(p.column(i) for i in range(p.n)) if own else None
+        masks = range(1 << p.n)
+        self._columns = tuple(tuple(map(fn, masks)) for fn in p._fns) if own else None
         self._fns = tuple(col.__getitem__ for col in self._columns) if own else oracle._fns
         self.tern = ternary_codes(p.n)
         size = 3 ** p.n
@@ -519,8 +522,8 @@ def main_mechanism_exact_expectation(profile) -> float:
 
     Averages the deterministic revenue over all ``3^n`` equally likely
     labeled partitions, in :meth:`Partition3.all_partitions` order;
-    no sampling error, bit-reproducible.  Rejected for n > 12, as every
-    exhaustive path is.  A view of the oracle's partition ledger
+    no sampling error, bit-reproducible.  Rejected for n > 12 by the
+    walk's :class:`_Tabulated`.  A view of the oracle's partition ledger
     (:func:`_partition_ledger`), whose walk also settles the quarter bound,
     so after :func:`~extauction.experiments.quarter_bound_exhaustive` on
     the same oracle this reads the stored value and costs nothing.
@@ -562,10 +565,7 @@ def main_mechanism_exact_expectation(profile) -> float:
     and all seven pay).  A negative ``r``, which bids in ``[-EPS, 0)``
     make possible on a valid profile, is never skipped: B pays it.
     """
-    oracle = as_oracle(profile)
-    if oracle.n > EXHAUSTIVE_MAX_N:
-        raise ValueError(f"exact expectation rejected for n > {EXHAUSTIVE_MAX_N}")
-    return _partition_ledger(oracle)[0]
+    return _partition_ledger(as_oracle(profile))[0]
 
 
 def rsop(bids, rng=0, coins=None) -> Outcome:

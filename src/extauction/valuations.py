@@ -18,8 +18,10 @@ its first sweep or deletion round of a large pool, a view of its own tables
 (:meth:`ValuationProfile._degree_view`), the same whichever run builds it, with
 masks kept for the last graph (:func:`_graph_masks`).
 The exhaustive paths (n <= 12) read each agent's values from one table
-(:meth:`ValuationProfile.column`) instead of calling the model once per
-lookup.
+instead of calling the model once per lookup, and each builds its own
+behind its own refusal: the checker one agent's at a time through
+:meth:`ValuationProfile.value`, past :func:`_resolve_mode`, and the exact
+walk all of them, past :class:`~extauction.mechanisms._Tabulated`.
 
 Every parametric model reads the winner set only through
 ``k = |S & N(i) \\ {i}|``.  Unless a weight is a table, binding such an agent
@@ -313,15 +315,15 @@ class ValuationProfile:
     ``graph`` is an optional adjacency list (used by degree weights and
     graph-concave models); absent, the complete graph is assumed.
 
-    ``column(i)`` is agent ``i``'s value table over all ``2^n`` masks, for the
-    exhaustive paths only (n <= 12).  A profile keeps no such table: whoever
-    builds one holds it (the exact path's tabulated oracle,
-    :class:`~extauction.mechanisms._Tabulated`, or the checker for one agent's
-    scan).  What it does keep is each parametric
-    agent's per-degree table, ``v_i`` at every ``k = 0 .. |N(i) \\ {i}|``:
-    ``sum_i (|N(i) \\ {i}| + 1)`` floats at most, ``n^2`` on the complete
-    graph (16,384 at n = 128).  Agents with a table model or a table weight
-    keep their closures instead.  The first sweep or deletion round of a
+    A profile neither builds nor keeps a table of an agent's values over all
+    ``2^n`` masks: each exhaustive path builds its own behind its own n <= 12
+    cap (the exact path's tabulated oracle,
+    :class:`~extauction.mechanisms._Tabulated`, from the bound evaluators, or
+    the checker for one agent's scan, through :meth:`value`).  What it does
+    keep is each parametric agent's per-degree table, ``v_i`` at every
+    ``k = 0 .. |N(i) \\ {i}|``: ``sum_i (|N(i) \\ {i}| + 1)`` floats at most,
+    ``n^2`` on the complete graph (16,384 at n = 128).  Agents with a table
+    model or a table weight keep their closures instead.  The first sweep or deletion round of a
     large pool reads those tables into a :class:`DegreeView` that the profile then keeps
     (:meth:`_degree_view`), with the neighbour and in-neighbour masks computed once per
     graph; building a profile computes none of it.
@@ -360,14 +362,6 @@ class ValuationProfile:
     def value(self, i: int, s: int) -> float:
         """Pure, uncounted ``v_i(S)``; ``s`` is a bitmask."""
         return self._fns[i](s)
-
-    def column(self, i: int) -> tuple[float, ...]:
-        """``v_i(S)`` for every mask ``S`` in ``0 .. 2^n - 1``, each through
-        :meth:`value` once; refused for n > 12."""
-        if self.n > EXHAUSTIVE_MAX_N:
-            raise ValueError(f"value tables are capped at n <= {EXHAUSTIVE_MAX_N}")
-        value = self.value
-        return tuple([value(i, s) for s in range(1 << self.n)])
 
     def oracle(self) -> "Oracle":
         return Oracle(self)
@@ -570,11 +564,12 @@ def _violations(profile: ValuationProfile, mode: str, samples: int, seed: int):
     fullm = profile.full
     if mode == "exhaustive":
         nmasks = 1 << n
+        value = profile.value
         for i in range(n):
             g = _degree_table(profile._fns[i])
             if g is not None and _degree_table_holds(g):
                 continue
-            v = profile.column(i)
+            v = tuple([value(i, s) for s in range(nmasks)])
             bit = 1 << i
             for s in range(nmasks):
                 val = v[s]

@@ -28,6 +28,12 @@ def submasks(mask: int) -> Iterator[int]:
         sub = (sub - 1) & mask
 
 
+def values(profile, i) -> tuple[float, ...]:
+    """Agent ``i``'s ``v_i(S)`` over every mask ``S`` in ``0 .. 2^n - 1``, one
+    ``profile.value`` call per mask."""
+    return tuple(profile.value(i, s) for s in range(1 << profile.n))
+
+
 def flat_bids_profile(bids):
     """No-externality profile: v_i(S) = bids[i] whenever i is in S."""
     return ValuationProfile(

@@ -238,13 +238,13 @@ def test_quarter_bound_exhaustive_zero_benchmark_skips_every_partition():
 
 
 def test_quarter_bound_exhaustive_is_capped_with_the_exact_expectation():
-    """Both ``3^n`` enumerations refuse n = 13, with the same message shape,
+    """Both ``3^n`` enumerations refuse n = 13 with the walk's one message,
     before any value is read."""
     profile = size_scalar_profile(13)
     oracle = profile.oracle()
-    with pytest.raises(ValueError, match=r"^quarter bound rejected for n > 12$"):
+    with pytest.raises(ValueError, match=r"^exact 3\^n path rejected for n > 12$"):
         quarter_bound_exhaustive(oracle)
-    with pytest.raises(ValueError, match=r"^exact expectation rejected for n > 12$"):
+    with pytest.raises(ValueError, match=r"^exact 3\^n path rejected for n > 12$"):
         main_mechanism_exact_expectation(oracle)
     assert oracle.queries == 0
 

@@ -174,3 +174,56 @@ def test_the_check_catches_a_ledger_read_elsewhere(tmp_path):
     (tmp_path / "benchmark.py").write_text("from mechanisms import _partition_ledger\n")
     assert _ledger_readers(sorted(tmp_path.glob("*.py"))) == {
         "cli": {"ledger"}, "io": {"_partition_ledger"}, "benchmark": {"_partition_ledger"}}
+
+
+#: where a ``x > EXHAUSTIVE_MAX_N`` comparison may refuse the exhaustive range: the
+#: condition checker's mode and the exact ``3^n`` walk's tabulated oracle, one cap each
+CAP_OWNERS = {("valuations", "_resolve_mode"), ("mechanisms", "_Tabulated.__init__")}
+
+
+def _names_the_cap(node: ast.expr) -> bool:
+    return (isinstance(node, ast.Name) and node.id == "EXHAUSTIVE_MAX_N"
+            or isinstance(node, ast.Attribute) and node.attr == "EXHAUSTIVE_MAX_N")
+
+
+def _cap_comparisons(paths) -> set[tuple[str, str]]:
+    """``(module, enclosing qualified name)`` of each ``x > EXHAUSTIVE_MAX_N`` (or
+    ``EXHAUSTIVE_MAX_N < x``) comparison, with ``""`` for module level; the
+    validation gates compare with ``<=`` and are not counted."""
+    found = set()
+
+    def visit(node, stem, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            elif isinstance(child, ast.Compare):
+                operands = [child.left, *child.comparators]
+                for op, left, right in zip(child.ops, operands, operands[1:]):
+                    if (isinstance(op, ast.Gt) and _names_the_cap(right)
+                            or isinstance(op, ast.Lt) and _names_the_cap(left)):
+                        found.add((stem, scope))
+            visit(child, stem, inner)
+
+    for path in paths:
+        visit(ast.parse(path.read_text(), filename=str(path)), path.stem, "")
+    return found
+
+
+def test_each_exhaustive_cap_is_stated_once():
+    assert _cap_comparisons(PACKAGE.glob("*.py")) == CAP_OWNERS
+
+
+def test_the_check_catches_a_restated_cap(tmp_path):
+    (tmp_path / "valuations.py").write_text(
+        "EXHAUSTIVE_MAX_N = 12\n\ndef _resolve_mode(n):\n    if n > EXHAUSTIVE_MAX_N:\n"
+        "        raise ValueError(n)\n\ndef validates(n):\n    return n <= EXHAUSTIVE_MAX_N\n")
+    (tmp_path / "mechanisms.py").write_text(
+        "from valuations import EXHAUSTIVE_MAX_N\n\nclass _Tabulated:\n"
+        "    def __init__(self, n):\n        if n > EXHAUSTIVE_MAX_N:\n            raise ValueError(n)\n\n"
+        "def exact(oracle):\n    if 0 < oracle.n > EXHAUSTIVE_MAX_N:\n        raise ValueError(oracle.n)\n")
+    (tmp_path / "experiments.py").write_text(
+        "import valuations as val\n\nWIDE = 13 > val.EXHAUSTIVE_MAX_N\n\n"
+        "def quarter(oracle):\n    return val.EXHAUSTIVE_MAX_N < oracle.n\n")
+    assert _cap_comparisons(sorted(tmp_path.glob("*.py"))) == CAP_OWNERS | {
+        ("mechanisms", "exact"), ("experiments", ""), ("experiments", "quarter")}

@@ -23,7 +23,7 @@ from extauction import mechanisms as mech
 from extauction.cli import build_parser, main
 from extauction.experiments import GEN_MODELS, ExperimentReport, f2_gap_demo, gen_instance
 from extauction.io import InstanceError, load_instance, save_instance, write_report
-from conftest import size_scalar_profile
+from conftest import size_scalar_profile, values
 
 
 def _write(tmp_path, doc, name="inst.json"):
@@ -188,7 +188,7 @@ def test_directed_graph_with_self_loops_round_trips(tmp_path):
     save_instance(profile, path)
     loaded = load_instance(path)
     assert loaded.graph == profile.graph and loaded.models == profile.models
-    assert [loaded.column(i) for i in range(5)] == [profile.column(i) for i in range(5)]
+    assert [values(loaded, i) for i in range(5)] == [values(profile, i) for i in range(5)]
 
 
 @pytest.mark.parametrize(
@@ -1272,7 +1272,7 @@ def test_cli_result_that_is_not_finite_exits_2(tmp_path, capsys, argv):
     "config, message",
     [
         ({"mode": "exact", "instances": [{"model": "scalar", "n": 13}]},
-         "exact expectation rejected for n > 12"),
+         "exact 3^n path rejected for n > 12"),
         ({"mode": "additive-bound", "instances": [{"model": "scalar", "n": 4}]},
          "mechanism2 requires an additive profile"),
     ],
@@ -1287,3 +1287,61 @@ def test_cli_experiment_that_fails_leaves_no_out_directory(tmp_path, capsys, con
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
     assert not out.exists()
+
+
+def _expect_on_file(oracle, tmp_path):
+    path = tmp_path / "n13.json"
+    save_instance(oracle.profile, path)
+    return main(["expect", "--instance", str(path)])
+
+
+def _exact_experiment(oracle, tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"mode": "exact", "instances": [{"model": "graph_concave", "n": 13}]}))
+    return main(["experiment", "--config", str(path), "--out", str(tmp_path / "out")])
+
+
+@pytest.mark.parametrize(
+    "caller, through_cli",
+    [
+        (lambda oracle, tmp: ex.quarter_bound_exhaustive(oracle), False),
+        (lambda oracle, tmp: mech.main_mechanism_exact_expectation(oracle), False),
+        (lambda oracle, tmp: ex.revenue_guarantee_check(oracle), False),
+        (lambda oracle, tmp: ex.revenue_guarantee_suite([("n13", oracle)]), False),
+        (_expect_on_file, True),
+        (_exact_experiment, True),
+    ],
+    ids=["quarter-bound", "exact-expectation", "guarantee-check", "guarantee-suite",
+         "cli-expect", "cli-exact-experiment"],
+)
+def test_every_exact_caller_refuses_n13_with_one_message_and_no_query(
+        tmp_path, capsys, monkeypatch, caller, through_cli):
+    """The walk's one cap (``mechanisms._Tabulated``) is every exact caller's refusal:
+    the same message, before the walk evaluates any agent's value.  ``expect``
+    first runs the sampled condition check on the file it loads, and no more."""
+    evaluations = [0]
+    bind = GraphConcaveModel.bind
+
+    def counted_bind(model, i, neighbor_mask):
+        fn = bind(model, i, neighbor_mask)
+
+        def counted(s):
+            evaluations[0] += 1
+            return fn(s)
+
+        return counted
+
+    monkeypatch.setattr(GraphConcaveModel, "bind", counted_bind)
+    oracle = ValuationProfile([GraphConcaveModel(1.0) for _ in range(13)]).oracle()
+    assert check_conditions(oracle.profile) == []
+    checked, evaluations[0] = evaluations[0], 0
+    assert checked > 0
+    message = "exact 3^n path rejected for n > 12"
+    if through_cli:
+        assert caller(oracle, tmp_path) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+    else:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            caller(oracle, tmp_path)
+    assert oracle.queries == 0 and oracle.ledger is None
+    assert evaluations[0] == (checked if caller is _expect_on_file else 0)

@@ -1,9 +1,12 @@
 """Per-agent value tables and the revenue table on the exhaustive paths.
 
 The exact ``3^n`` expectation, the exhaustive quarter bound and the
-exhaustive condition checker read ``ValuationProfile.column(i)``, the
-``2^n`` values of agent ``i``, instead of calling the model once per lookup;
-the checker reads none for an agent it can pass from its per-degree table.
+exhaustive condition checker read the ``2^n`` values of agent ``i`` from one
+table instead of calling the model once per lookup.  Each path builds its
+own behind its own n <= 12 cap: the walk's tabulated oracle
+(``mechanisms._Tabulated``) all ``n`` columns from the bound evaluators, and
+the checker one agent's through ``ValuationProfile.value``, none for an
+agent it can pass from its per-degree table.
 The two ``3^n`` enumerations also read ``r(pool | free)`` from one revenue
 table, filled by sweeps on a tabulated oracle that computes, and counts,
 each sweep step ``(T, free)`` once: ``n * 3^(n-1)`` queries in all.  These
@@ -55,7 +58,7 @@ from extauction.experiments import (
 from extauction.sets import mask_of
 from extauction.valuations import EPS, EXHAUSTIVE_MAX_N, Oracle
 
-from conftest import flat_bids_profile, size_scalar_profile, square_table_profile
+from conftest import flat_bids_profile, size_scalar_profile, square_table_profile, values
 from test_outcome_digests import _disjoint_pairs, _profiles as digest_profiles
 
 
@@ -628,14 +631,6 @@ def test_every_known_second_record_is_taken_by_any_fold(name):
     assert banded > 0 or name not in ("first_record_in_the_tie_band", "near_tie_chains")
 
 
-def test_column_holds_every_value():
-    profile = gen_instance("mixed", 6, seed=1, graph="er")
-    for i in range(6):
-        col = profile.column(i)
-        assert type(col) is tuple and len(col) == 64
-        assert col == tuple(profile.value(i, s) for s in range(64))
-
-
 def test_profile_keeps_no_tables():
     """The tables live on the oracle, so a validated profile holds only its models."""
     profile = gen_instance("table", 7, seed=2, graph="er")
@@ -653,13 +648,8 @@ def test_the_oracle_keeps_only_the_run_counter_and_the_ledger():
     assert mech._Tabulated.__slots__ == ("_columns", "tern", "_lows", "_args")
     profile = _table_cases()["mixed"]
     tab = mech._Tabulated(profile.oracle())
-    assert tab.queries == 0 and tab.ledger is None and tab._columns is not None
-
-
-def test_column_is_refused_past_the_exhaustive_range():
-    profile = ValuationProfile([GraphConcaveModel(1.0) for _ in range(EXHAUSTIVE_MAX_N + 1)])
-    with pytest.raises(ValueError, match="n <= 12"):
-        profile.column(0)
+    assert tab.queries == 0 and tab.ledger is None
+    assert repr(tab._columns) == repr(tuple(values(profile, i) for i in range(profile.n)))
 
 
 def test_revenue_table_is_refused_past_the_exhaustive_range():
@@ -667,7 +657,7 @@ def test_revenue_table_is_refused_past_the_exhaustive_range():
     the caller's oracle keeps evaluating the models."""
     profile = ValuationProfile([GraphConcaveModel(1.0) for _ in range(EXHAUSTIVE_MAX_N + 1)])
     oracle = profile.oracle()
-    with pytest.raises(ValueError, match="tabulation is capped at n <= 12"):
+    with pytest.raises(ValueError, match=r"^exact 3\^n path rejected for n > 12$"):
         mech._Tabulated(oracle)
     assert oracle.queries == 0 and oracle.ledger is None
     assert oracle.value(0, profile.full) == profile.value(0, profile.full)

@@ -24,7 +24,7 @@ from extauction.sets import mask_of, members
 from extauction.truthfulness import misreport_plan
 from extauction.valuations import EPS, EXHAUSTIVE_MAX_N, Violation
 
-from conftest import flat_bids_profile, size_scalar_profile, square_table_profile, submasks
+from conftest import flat_bids_profile, size_scalar_profile, square_table_profile, submasks, values
 
 
 def test_additive_value():
@@ -212,7 +212,7 @@ def test_replace_leaves_original_untouched():
 
 def _snapshot(profile):
     """Everything a profile answers, by ``repr`` so that ``-0.0`` and NaN count."""
-    columns = [profile.column(j) for j in range(profile.n)]
+    columns = [values(profile, j) for j in range(profile.n)]
     return repr((profile.models, profile.graph, profile.neighbor_masks, profile.declared_L,
                  columns))
 
@@ -453,7 +453,7 @@ def _reference_violations(profile):
     n = profile.n
     full = (1 << n) - 1
     for i in range(n):
-        v = profile.column(i)
+        v = values(profile, i)
         bit = 1 << i
         for s in range(1 << n):
             val = v[s]
