@@ -102,11 +102,14 @@ def _large_pool_view(oracle: Oracle, pool: int, free: int) -> DegreeView | None:
     swept and deleted from on neighbour counts, else ``None``.
 
     A pool may when it has more than ``INCREMENTAL_SWEEP_ABOVE`` members,
-    none of them in ``free``, each bound to a per-degree table.  The
-    oracle's evaluators are not looked at: the one oracle in the package
-    whose evaluators are not the profile's, the exact path's
-    :class:`~extauction.mechanisms._Tabulated`, holds n <= 12 agents and
-    never has such a pool.
+    none of them in ``free``, each bound to a per-degree table that holds no
+    NaN (``view.mask``).  A pool with a NaN table steps through
+    :meth:`~extauction.valuations.Oracle.argmin` and
+    :meth:`~extauction.valuations.Oracle.below`, the one path that defines
+    what a NaN does.  The oracle's evaluators are not looked at: the one
+    oracle in the package whose evaluators are not the profile's, the exact
+    path's :class:`~extauction.mechanisms._Tabulated`, holds n <= 12 agents
+    and never has such a pool.
     """
     if pool.bit_count() > INCREMENTAL_SWEEP_ABOVE and not pool & free:
         view = oracle.profile._degree_view()
@@ -122,10 +125,10 @@ def deletion_fixpoint(oracle: Oracle, pool: int, free: int, bar: Callable[[int],
     Each round, the last one that drops nobody included, calls ``bar`` once
     and counts ``|T|`` queries.  A pool that passes the gate of
     :func:`_greedy_sweep` (more than ``INCREMENTAL_SWEEP_ABOVE`` members,
-    disjoint from ``free``, all bound to per-degree tables) reads each value
-    from the member's per-degree table (:func:`_degree_below`); any other asks
-    :meth:`~extauction.valuations.Oracle.below`.  Both give the same set and
-    the same count.
+    disjoint from ``free``, all bound to NaN-free per-degree tables) reads
+    each value from the member's per-degree table (:func:`_degree_below`);
+    any other asks :meth:`~extauction.valuations.Oracle.below`.  Both give
+    the same set and the same count.
     """
     below = oracle.below
     if pool >= _LEAST_LARGE_POOL:
@@ -153,10 +156,10 @@ def maximal_feasible_set(profile, c: float, pool: int, free: int) -> int:
 
 
 def _degree_below(oracle: Oracle, view: DegreeView) -> Callable[[int, int, float], int]:
-    """:meth:`~extauction.valuations.Oracle.below` for members with degree tables in ``view``.
+    """:meth:`~extauction.valuations.Oracle.below` for members of ``view.mask``.
 
     Reads ``v_i(union)`` as ``tables[i][|union & N(i)|]``, counts ``|t|``
-    queries and compares as floats, so a NaN value or bar drops nobody.
+    queries and compares as floats, so a NaN bar drops nobody.
     """
     tables, nbs = view.tables, view.nbs
 
@@ -191,21 +194,20 @@ def _greedy_sweep(oracle: Oracle, pool: int, free: int, k: int) -> tuple[float, 
     Each step counts ``|T|`` logical queries, ``|pool| * (|pool| + 1) / 2``
     in all, whichever of two paths computes it.  A pool of more than
     ``INCREMENTAL_SWEEP_ABOVE`` (12) members, disjoint from ``free``, all
-    bound to per-degree tables, takes :func:`_degree_sweep`, which after
-    each deletion recomputes only the deleted agent's in-neighbours and
-    steps a sparse pool from a sorted order, any other by scanning its
+    bound to NaN-free per-degree tables, takes :func:`_degree_sweep`, which
+    after each deletion recomputes only the deleted agent's in-neighbours
+    and steps a sparse pool from a sorted order, any other by scanning its
     values.  Any other sweep asks
     :meth:`~extauction.valuations.Oracle.argmin` at every step: smaller
-    pools, pools with a table agent, and so every sweep on the ``3^n``
-    walk's oracle (:class:`~extauction.mechanisms._Tabulated`, n <= 12,
-    whose evaluators are its columns and whose ``argmin`` reads the step
-    memo first).  Both
-    paths give the same result, bit for bit.  The gate is the pool size,
-    where the median time per sweep crossed on a sparse and on the complete
-    graph: 13 members swept 1.5-1.9x faster incrementally on sparse graphs
-    and 1.03-1.2x faster on complete ones at n = 16, 24 and 128, while 10
-    members on a complete graph (n = 16, 24) and 4-8 members at n = 10 swept
-    1.1-2.3x slower.
+    pools, pools with a table agent or a NaN table, and so every sweep on
+    the ``3^n`` walk's oracle (:class:`~extauction.mechanisms._Tabulated`,
+    n <= 12, whose evaluators are its columns and whose ``argmin`` reads the
+    step memo first).  Both paths give the same result, bit for bit.  The
+    gate is the pool size, where the median time per sweep crossed on a
+    sparse and on the complete graph: 13 members swept 1.5-1.9x faster
+    incrementally on sparse graphs and 1.03-1.2x faster on complete ones at
+    n = 16, 24 and 128, while 10 members on a complete graph (n = 16, 24)
+    and 4-8 members at n = 10 swept 1.1-2.3x slower.
     """
     if pool >= _LEAST_LARGE_POOL:
         view = _large_pool_view(oracle, pool, free)
@@ -229,20 +231,20 @@ def _greedy_sweep(oracle: Oracle, pool: int, free: int, k: int) -> tuple[float, 
 
 def _degree_sweep(oracle: Oracle, view: DegreeView, pool: int, free: int, k: int
                   ) -> tuple[float, float, int]:
-    """:func:`_greedy_sweep` on a pool whose members all have degree tables in ``view``.
+    """:func:`_greedy_sweep` on a pool whose members all have NaN-free degree tables
+    in ``view``.
 
     Reads each member's neighbour count in ``free | pool`` once, counts the
     ``|pool| * (|pool| + 1) / 2`` queries up front, and after each deletion
     lowers the count of the deleted agent's live in-neighbours only, each by
     one.  Two loops then step the sweep.  A sparse pool, whose members hold
-    on average at most ``SPARSE_SWEEP_DEGREE`` neighbours in ``free | pool``
-    and none of which has a NaN in its table (``view.nan``), is swept from a
-    sorted order (:func:`_sorted_sweep`).  Any other keeps the live members'
-    ids, counts, tables and values in lists in ascending id order, and
-    ``min`` then ``index`` finds the member ``Oracle.argmin`` would: both
-    scans keep the first value and replace it only by a strictly smaller
-    one, so a leading NaN stays, and the first value equal to the minimum is
-    where the scan stopped.  When the in-neighbours are all of ``T`` (the
+    on average at most ``SPARSE_SWEEP_DEGREE`` neighbours in ``free | pool``,
+    is swept from a sorted order (:func:`_sorted_sweep`).  Any other keeps
+    the live members' ids, counts, tables and values in lists in ascending
+    id order, and ``min`` then ``index`` finds the member ``Oracle.argmin``
+    would: both scans keep the first value and replace it only by a strictly
+    smaller one, so the first value equal to the minimum is where the scan
+    stopped.  When the in-neighbours are all of ``T`` (the
     complete graph) every value is read again in one comprehension.  Both
     loops keep the record as in :func:`_greedy_sweep`.
     """
@@ -252,7 +254,7 @@ def _degree_sweep(oracle: Oracle, view: DegreeView, pool: int, free: int, k: int
     counts = [(union & nbs[i]).bit_count() for i in ids]
     size = len(ids)
     oracle.queries += size * (size + 1) // 2
-    if sum(counts) <= SPARSE_SWEEP_DEGREE * size and not pool & view.nan:
+    if sum(counts) <= SPARSE_SWEEP_DEGREE * size:
         return _sorted_sweep(view, ids, counts, pool, k)
     gs = [tables[i] for i in ids]
     vals = [g[c] for g, c in zip(gs, counts)]
@@ -289,7 +291,7 @@ def _degree_sweep(oracle: Oracle, view: DegreeView, pool: int, free: int, k: int
 def _sorted_sweep(view: DegreeView, ids: list[int], counts: list[int], pool: int, k: int
                   ) -> tuple[float, float, int]:
     """The sparse loop of :func:`_degree_sweep`: member ``ids[j]`` has ``counts[j]``
-    neighbours in ``free | pool``, and no member's table holds a NaN.
+    neighbours in ``free | pool``.
 
     Sorts the members' ``(value, id)`` pairs once.  The live members are the
     pairs from index ``head`` on, still sorted, and each step takes the pair
@@ -300,8 +302,8 @@ def _sorted_sweep(view: DegreeView, ids: list[int], counts: list[int], pool: int
     both from ``head`` on, since the deleted pairs before it are no longer
     in order with the live ones.  A step costs O(in-degree * log |T|), not
     the two scans of all ``|T|`` values.  A NaN would compare neither below
-    nor above another value and break the order, so a pool holding one is
-    not swept here.
+    nor above another value and break the order; the view's mask keeps every
+    table that holds one out of the degree loops.
     """
     tables, in_nbs = view.tables, view.in_nbs
     held = dict(zip(ids, counts))

@@ -11,8 +11,7 @@ equal values:
 
 - :func:`main_mechanism`'s one-entry :func:`functools.lru_cache` of its last
   seeded tripartition (:func:`_seeded_partition`);
-- a profile's degree view and its bound public weights
-  (``ValuationProfile._degree_view`` and ``_public_weights``), each built on
+- a profile's degree view (``ValuationProfile._degree_view``), built on
   first use from the profile's own models and kept on the profile;
 - the neighbour and in-neighbour masks of the last graph, a one-entry
   :func:`functools.lru_cache` (``valuations._graph_masks``) that the
@@ -608,10 +607,11 @@ def require_additive(profile: ValuationProfile):
 
 
 def public_weight_vector(profile: ValuationProfile, s: int) -> list[float]:
-    """Public additive weights ``w_i(S)`` of an additive profile; each weight is
-    bound once per profile."""
+    """Public additive weights ``w_i(S)`` of an additive profile, each weight
+    bound to its agent's neighbours on every call."""
     require_additive(profile)
-    return [w(s) for w in profile._public_weights()]
+    pairs = enumerate(zip(profile.models, profile.neighbor_masks))
+    return [m.weight.bind(i, nb)(s) for i, (m, nb) in pairs]
 
 
 def mechanism2(profile, alpha: float = DEFAULT_ALPHA, m0=rsop, rng=0) -> Outcome:

@@ -294,16 +294,16 @@ class DegreeView(NamedTuple):
     """A profile's per-degree tables with the masks that index them.
 
     ``tables[i]`` is agent ``i``'s :func:`_degree_table` (``None`` for an
-    agent without one), ``mask`` the agents that have one and ``nan`` those
-    of them whose table holds a NaN (or both infinities, whose sum is NaN
-    too), which the sweep's sorted loop cannot order; ``nbs[i]`` is
-    ``N(i) \\ {i}``, so ``v_i(S) = tables[i][|S & nbs[i]|]`` for ``i`` in ``S``, and
+    agent without one) and ``mask`` the agents whose table is NaN-free: a
+    NaN, or both infinities, whose sum is NaN too, would break the degree
+    loops' order, so an agent whose table holds one is left out, like an
+    agent without a table.  ``nbs[i]`` is ``N(i) \\ {i}``, so
+    ``v_i(S) = tables[i][|S & nbs[i]|]`` for ``i`` in ``mask`` and in ``S``, and
     ``in_nbs[j]`` holds every ``i`` with ``j`` in ``nbs[i]``: the agents whose
     count drops when ``j`` leaves a set.
     """
 
     mask: int
-    nan: int
     tables: tuple[tuple[float, ...] | None, ...]
     nbs: tuple[int, ...]
     in_nbs: tuple[int, ...]
@@ -357,7 +357,6 @@ class ValuationProfile:
             [m.bind(i, nb) for i, (m, nb) in enumerate(zip(self.models, self.neighbor_masks))])
         self.declared_L = declared_L
         self._sweep_view: DegreeView | None = None
-        self._weights: tuple[Callable[[int], float], ...] | None = None
 
     def value(self, i: int, s: int) -> float:
         """Pure, uncounted ``v_i(S)``; ``s`` is a bitmask."""
@@ -383,34 +382,22 @@ class ValuationProfile:
         new.models = (*self.models[:i], model, *self.models[i + 1:])
         new._fns = (*self._fns[:i], fn, *self._fns[i + 1:])
         new._sweep_view = None
-        new._weights = None
         return new
 
     def _degree_view(self) -> DegreeView:
         """The per-degree tables and neighbour masks behind the incremental sweep and
         deletion rounds, built on the first call and kept, so a profile that never sweeps
         or deletes from a large pool pays nothing for it.  The tables are this profile's
-        own, each summed once for the NaN mask; the masks (:func:`_graph_masks`) are
-        computed once per graph.
+        own, each summed once for the mask, which keeps those without a NaN; the masks
+        (:func:`_graph_masks`) are computed once per graph.
         """
         view = self._sweep_view
         if view is None:
             tables = tuple(map(_degree_table, self._fns))
-            mask = mask_of(i for i, g in enumerate(tables) if g is not None)
-            nan = mask_of(i for i, g in enumerate(tables) if g is not None and math.isnan(sum(g)))
-            view = self._sweep_view = DegreeView(mask, nan, tables,
-                                                 *_graph_masks(self.neighbor_masks))
+            mask = mask_of(i for i, g in enumerate(tables)
+                           if g is not None and not math.isnan(sum(g)))
+            view = self._sweep_view = DegreeView(mask, tables, *_graph_masks(self.neighbor_masks))
         return view
-
-    def _public_weights(self) -> tuple[Callable[[int], float], ...]:
-        """Each agent's public weight ``w_i`` bound to its neighbours, for an
-        additive profile: bound on the first call and kept, so the mixture
-        mechanism's runs on one profile bind each weight once."""
-        weights = self._weights
-        if weights is None:
-            pairs = enumerate(zip(self.models, self.neighbor_masks))
-            weights = self._weights = tuple([m.weight.bind(i, nb) for i, (m, nb) in pairs])
-        return weights
 
     def __repr__(self):
         kinds = ",".join(type(m).__name__ for m in self.models)
@@ -435,16 +422,17 @@ class Oracle:
 
     ``queries`` counts logical queries: ``|T|`` per sweep step on ``T`` and
     per deletion round, one per other lookup.  A pool of more than 12
-    degree-table members, disjoint from the free set, is swept
-    (:func:`~extauction.benchmark._greedy_sweep`) and deleted from
-    (:func:`~extauction.benchmark.deletion_fixpoint`) on neighbour counts
-    read from the profile's tables; a sweep of a sparse pool without NaN
-    tables steps from its members' sorted ``(value, id)`` pairs, taking the
-    member :meth:`argmin` would.  Those paths add the same ``|T|`` per
+    members, disjoint from the free set, each with a degree table that holds
+    no NaN, is swept (:func:`~extauction.benchmark._greedy_sweep`) and
+    deleted from (:func:`~extauction.benchmark.deletion_fixpoint`) on
+    neighbour counts read from the profile's tables; a sweep of a sparse
+    such pool steps from its members' sorted ``(value, id)`` pairs, taking
+    the member :meth:`argmin` would.  Those paths add the same ``|T|`` per
     step and per round, the last round that drops nobody included, without
     calling an evaluator, so a single run keeps within its ``10 n^2`` budget
-    whichever path it takes.  Any other pool steps through :meth:`argmin`
-    and :meth:`below`, one evaluator call per query.  The gate reads the
+    whichever path it takes.  Any other pool, one holding a NaN table
+    included, steps through :meth:`argmin` and :meth:`below`, one evaluator
+    call per query; they define what a NaN does.  The gate reads the
     profile's tables whatever this oracle's evaluators are; in the package
     only the exact path's tabulated oracle has others, and it holds at most
     12 agents.

@@ -227,3 +227,52 @@ def test_the_check_catches_a_restated_cap(tmp_path):
         "def quarter(oracle):\n    return val.EXHAUSTIVE_MAX_N < oracle.n\n")
     assert _cap_comparisons(sorted(tmp_path.glob("*.py"))) == CAP_OWNERS | {
         ("mechanisms", "exact"), ("experiments", ""), ("experiments", "quarter")}
+
+
+def _none_stores(func: ast.FunctionDef, owner: str) -> set[str]:
+    """Private attributes of the name ``owner`` that ``func`` sets to ``None``."""
+    names = set()
+    for node in ast.walk(func):
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if isinstance(node.value, ast.Constant) and node.value.value is None:
+                names.update(t.attr for t in targets if isinstance(t, ast.Attribute)
+                             and isinstance(t.value, ast.Name) and t.value.id == owner
+                             and t.attr.startswith("_") and not t.attr.startswith("__"))
+    return names
+
+
+def _profile_caches(path: Path) -> tuple[set[str], set[str]]:
+    """The private attributes ``ValuationProfile.__init__`` sets to ``None`` (its lazily
+    built caches), and those ``replace`` sets to ``None`` on the profile it returns."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    cls = next(node for node in tree.body
+               if isinstance(node, ast.ClassDef) and node.name == "ValuationProfile")
+    methods = {node.name: node for node in cls.body if isinstance(node, ast.FunctionDef)}
+    replace = methods["replace"]
+    new = next(node.value.id for node in ast.walk(replace)
+               if isinstance(node, ast.Return) and isinstance(node.value, ast.Name))
+    return _none_stores(methods["__init__"], "self"), _none_stores(replace, new)
+
+
+def test_replace_resets_every_profile_cache():
+    """``replace`` copies the profile's ``__dict__``, so a cache it does not reset
+    would hand the truthful profile's to every misreport."""
+    built, reset = _profile_caches(PACKAGE / "valuations.py")
+    assert "_sweep_view" in built
+    assert reset == built
+
+
+def test_the_check_catches_a_cache_replace_keeps(tmp_path):
+    path = tmp_path / "valuations.py"
+    path.write_text(
+        "class ValuationProfile:\n"
+        "    def __init__(self, n):\n"
+        "        self.n = n\n        self.graph = None\n        self._fns = ()\n"
+        "        self._view: int | None = None\n        self._weights = None\n\n"
+        "    def replace(self, i):\n"
+        "        out = object.__new__(ValuationProfile)\n"
+        "        out.__dict__.update(self.__dict__)\n"
+        "        out._view = None\n        self._weights = None\n"
+        "        return out\n")
+    assert _profile_caches(path) == ({"_view", "_weights"}, {"_view"})

@@ -2,8 +2,9 @@
 
 ``_greedy_sweep`` sweeps a pool of more than ``INCREMENTAL_SWEEP_ABOVE``
 degree-table members incrementally: each deletion updates only the deleted
-agent's in-neighbours.  A sparse pool without NaN tables steps from a sorted
-order (``_sorted_sweep``), any other scans its values.  Lifting the gate
+agent's in-neighbours.  A sparse pool steps from a sorted order
+(``_sorted_sweep``), any other scans its values; a pool holding a NaN table
+takes neither, and steps through ``Oracle.argmin``.  Lifting the gate
 (``conftest.generic_path``) forces the generic, one-``argmin``-per-step path
 on the same values, so every test here compares the two by the ``repr`` of
 the result (``-0.0`` and NaN count) and by ``oracle.queries``.
@@ -59,7 +60,8 @@ def sorted_calls(monkeypatch):
 
 
 def _check_pools(profile, rng, incremental_calls, rounds=12):
-    """Random pools and free sets, large and small, agree on both paths."""
+    """Random pools and free sets, large and small, agree on both paths; the large
+    ones without a NaN-table member take the incremental one."""
     n = profile.n
     taken = len(incremental_calls)
     large = 0
@@ -69,12 +71,13 @@ def _check_pools(profile, rng, incremental_calls, rounds=12):
         else:
             pool = rng.getrandbits(n) | rng.getrandbits(n)  # about 3/4 of the agents
             free = rng.getrandbits(n) & ~pool
-        large += pool.bit_count() > bm.INCREMENTAL_SWEEP_ABOVE
+        large += (pool.bit_count() > bm.INCREMENTAL_SWEEP_ABOVE
+                  and not pool & ~profile._degree_view().mask)
         for k in (1, 2, 3):
             got, want = _sweep_both(profile, pool, free, k)
             assert got == want, (n, pool, free, k)
     assert len(incremental_calls) - taken == 3 * large
-    assert large
+    return large
 
 
 @pytest.mark.parametrize("family", ["additive", "scalar", "graph_concave", "linear"])
@@ -85,7 +88,7 @@ def test_generated_profiles_sweep_the_same_on_both_paths(family, graph, graph_p,
     rng = random.Random(f"{family}/{graph}/{graph_p}")
     for n in (13, 14, 17, 22, 31, 40, 64):
         profile = gen_instance(family, n, seed=n, graph=graph, graph_p=graph_p)
-        _check_pools(profile, rng, incremental_calls)
+        assert _check_pools(profile, rng, incremental_calls)
     if graph_p <= 0.1:
         assert sorted_calls  # the sparse pools met the sorted loop
 
@@ -126,13 +129,19 @@ def test_ties_signed_zeros_and_overflow_sweep_the_same(seed, incremental_calls, 
         if n >= 40:  # sparse graphs, drawn apart so that the ones above stay as they were
             sparse = [_asymmetric_graph(n, random.Random(f"{seed}/{n}"), 0.05),
                       gen_instance("graph_concave", n, seed=seed, graph="er", graph_p=0.05).graph]
-            # with NaN tables the pools scan; without, they take the sorted loop
             cases += [(graph, nan) for graph in sparse for nan in (True, False)]
         for graph, nan in cases:
             profile = ValuationProfile([_odd_model(rng, nan) for _ in range(n)], graph=graph)
-            assert nan or not profile._degree_view().nan
+            assert nan or profile._degree_view().mask == profile.full
             _check_pools(profile, rng, incremental_calls, rounds=6)
-    assert sorted_calls
+        # most pools above hold a NaN table and so step through Oracle.argmin; the same
+        # graphs without one, drawn apart, take both degree loops
+        twin = random.Random(f"{seed}/{n}/nan-free")
+        for graph in graphs:
+            profile = ValuationProfile([_odd_model(twin, False) for _ in range(n)], graph=graph)
+            assert profile._degree_view().mask == profile.full
+            assert _check_pools(profile, twin, incremental_calls, rounds=6)
+    assert sorted_calls and len(incremental_calls) > len(sorted_calls)
 
 
 def test_the_odd_bids_reach_inf_nan_and_negative_zero():
@@ -154,9 +163,11 @@ def test_complete_graph_of_equal_bids_deletes_by_id(incremental_calls):
     assert len(incremental_calls) == 1
 
 
-def test_sparse_pools_sweep_sorted_and_dense_or_nan_pools_scan(incremental_calls, sorted_calls):
+def test_sparse_pools_sweep_sorted_and_dense_or_nan_pools_scan(incremental_calls, sorted_calls,
+                                                               monkeypatch):
     """Both loops of the incremental sweep run: the sorted one on a sparse pool, the
-    scan on the complete graph and on a sparse pool holding a NaN table."""
+    scan on the complete graph.  A sparse pool holding a NaN table takes neither, and
+    its sweep and its deletion rounds step through ``Oracle.argmin`` and ``Oracle.below``."""
     n = 40
     sparse = gen_instance("graph_concave", n, seed=1, graph="er", graph_p=0.05)
     dense = gen_instance("graph_concave", n, seed=1)
@@ -165,9 +176,25 @@ def test_sparse_pools_sweep_sorted_and_dense_or_nan_pools_scan(incremental_calls
     for profile in (sparse, dense, nan):
         got, want = _sweep_both(profile, profile.full, 0, 1)
         assert got == want
-    assert nan._sweep_view.nan == 1 << i and sparse._sweep_view.nan == 0
-    assert incremental_calls == [sparse.full, dense.full, nan.full]
+    assert nan._sweep_view.mask == nan.full & ~(1 << i) and sparse._sweep_view.mask == sparse.full
+    assert incremental_calls == [sparse.full, dense.full]
     assert sorted_calls == [sparse.full]
+
+    below_views = []
+    degree_below = bm._degree_below
+    monkeypatch.setattr(bm, "_degree_below",
+                        lambda o, v: below_views.append(v) or degree_below(o, v))
+
+    def rounds(oracle):
+        return bm.deletion_fixpoint(oracle, oracle.full, 0, lambda size: 150.0 / size)
+
+    for profile in (nan, sparse):
+        fast, slow = profile.oracle(), profile.oracle()
+        got = rounds(fast)
+        with generic_path():
+            want = rounds(slow)
+        assert (got, fast.queries) == (want, slow.queries)
+    assert below_views == [sparse._sweep_view]  # the NaN pool's rounds built none
 
 
 def test_sparse_tie_goes_to_the_smallest_id(sorted_calls):

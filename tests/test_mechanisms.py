@@ -487,29 +487,6 @@ def test_mechanism2_branch2_adds_public_weight():
     pytest.fail("branch 2 never sampled")
 
 
-def test_mechanism2_binds_each_public_weight_once_per_profile(monkeypatch):
-    """A deviation test of the mixture binds each agent's weight once per
-    profile it runs on (the truthful one and each report), not once per run;
-    ``replace`` starts the new profile without the bound weights."""
-    profile = gen_instance("additive", 9, seed=3, graph="er")
-    plan = misreport_plan(profile, 100)
-    binds = []
-    bind = DegreeWeight.bind
-    monkeypatch.setattr(DegreeWeight, "bind", lambda w, i, nb: binds.append(i) or bind(w, i, nb))
-    runs = []
-    deviation_test(lambda p, s: runs.append(s) or mechanism2(p, alpha=1.0, rng=s),
-                   profile, plan, seeds=(0, 1))
-    n = profile.n
-    assert len(runs) == 2 * (1 + len(plan))
-    assert len(binds) == n * (1 + len(plan))
-    binds.clear()
-    mechanism2(profile, alpha=1.0, rng=2)
-    assert binds == []
-    reported = profile.replace(0, plan[0].model)
-    mechanism2(reported, alpha=1.0, rng=2)
-    assert binds == list(range(n))
-
-
 def test_mechanism2_rejects_non_additive():
     with pytest.raises(ValueError):
         mechanism2(size_scalar_profile(3), alpha=1.0, rng=0)
