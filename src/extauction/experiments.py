@@ -295,8 +295,8 @@ def quarter_bound_exhaustive(profile) -> tuple[int, int, list[Partition3]]:
     a zero benchmark, and the second reads the stored result, with no
     sweep and no query.
     """
-    checked, skipped, failures = _partition_ledger(as_oracle(profile))[1]
-    return checked, skipped, list(failures)
+    ledger = _partition_ledger(as_oracle(profile))
+    return ledger.checked, ledger.skipped, list(ledger.failures)
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +341,7 @@ def revenue_guarantee_check(profile) -> tuple[float, float, bool]:
     """
     oracle = as_oracle(profile)
     expected = main_mechanism_exact_expectation(oracle)
-    f3 = _partition_ledger(oracle)[2].value
+    f3 = _partition_ledger(oracle).optimum.value
     return expected, f3, expected >= f3 / REVENUE_GUARANTEE_FACTOR - EPS
 
 
@@ -500,22 +500,6 @@ def losing_value_demo() -> dict:
 # Monte-Carlo campaigns
 # ---------------------------------------------------------------------------
 
-def _mean_stderr(revenues: Sequence[float]) -> tuple[float, float]:
-    """Mean and standard error of the mean (0 for a single run)."""
-    n = len(revenues)
-    err = statistics.stdev(revenues) / math.sqrt(n) if n > 1 else 0.0
-    return statistics.fmean(revenues), err
-
-
-def monte_carlo_expectation(profile, trials: int, seed: int = 0) -> tuple[float, float]:
-    """Mean revenue and standard error over seeded runs."""
-    if trials <= 0:
-        return 0.0, 0.0
-    return _mean_stderr(
-        [main_mechanism(profile, derive_seed("mc", seed, trial)).revenue for trial in range(trials)]
-    )
-
-
 CAMPAIGN_COLUMNS = (
     "instance",
     "seed",
@@ -537,8 +521,12 @@ def ratio_campaign(
 ) -> ExperimentReport:
     """Monte-Carlo revenue vs the 3-winner benchmark across instances.
 
-    Ratios use the >= 1 convention with an inf sentinel for zero revenue;
-    the per-run query budget ``10 n^2`` is recorded and checked.
+    The package's one seeded loop over :func:`main_mechanism`: run ``trial``
+    of instance ``name`` takes seed ``derive_seed("campaign", seed, name, trial)``.
+    A row's ``mean_revenue`` is the mean of its runs' revenues and ``stderr``
+    their standard error of the mean, 0.0 for a single run.  Ratios use the
+    >= 1 convention with an inf sentinel for zero revenue; the per-run query
+    budget ``10 n^2`` is recorded and checked.
     """
     rows = []
     for name, profile in instances if trials > 0 else ():
@@ -547,7 +535,9 @@ def ratio_campaign(
             main_mechanism(profile, derive_seed("campaign", seed, name, trial))
             for trial in range(trials)
         ]
-        mean, err = _mean_stderr([out.revenue for out in runs])
+        revenues = [out.revenue for out in runs]
+        mean = statistics.fmean(revenues)
+        err = statistics.stdev(revenues) / math.sqrt(trials) if trials > 1 else 0.0
         max_q = max(out.queries_used for out in runs)
         budget = 10 * profile.n * profile.n
         rows.append(

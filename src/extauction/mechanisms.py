@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .benchmark import (
+    BenchmarkResult,
     _greedy_sweep,
     benchmark_bruteforce,
     classical_best_price,
@@ -437,9 +438,24 @@ def _quarter_floor(r_f_c: float) -> float:
     return r_f_c / 4 - EPS
 
 
-def _partition_ledger(oracle: Oracle) -> tuple:
-    """``(E[rev], (checked, skipped, failures), optimum)`` from one walk of the
-    ``3^n`` partitions.
+class Ledger(NamedTuple):
+    """What one walk of the ``3^n`` partitions settles (:func:`_partition_ledger`).
+
+    ``expected`` is the exact ``E[rev]``; ``checked``, ``skipped`` and
+    ``failures`` are the quarter bound's counts and its failing partitions in
+    :meth:`Partition3.all_partitions` order; ``optimum`` is the ``F^(3)``
+    optimum the walk scanned.
+    """
+
+    expected: float
+    checked: int
+    skipped: int
+    failures: tuple[Partition3, ...]
+    optimum: BenchmarkResult
+
+
+def _partition_ledger(oracle: Oracle) -> Ledger:
+    """The :class:`Ledger` of one walk of the ``3^n`` partitions.
 
     The one entry to the exact path: it builds one :class:`_Tabulated`
     from ``oracle``, fills :func:`revenue_table` on it, then takes the
@@ -465,8 +481,8 @@ def _partition_ledger(oracle: Oracle) -> tuple:
 
     - the quarter bound checks it against ``r_F(C)/4 - EPS``
       (:func:`_quarter_floor`), and a ``Partition3`` is built only for a
-      failure; with a zero benchmark every partition skips and none fails,
-      ``(3^n, 3^n, ())``;
+      failure; with a zero benchmark every partition skips and none fails
+      (``skipped == checked == 3^n``, ``failures == ()``);
     - the expectation adds B's payment, as
       :func:`main_mechanism_exact_expectation` states it.
     """
@@ -511,8 +527,8 @@ def _partition_ledger(oracle: Oracle) -> tuple:
                 total += _run_partitioned(tab, part, r_c).revenue
     oracle.queries += tab.queries
     checked = 3 ** n
-    counts = (checked, 0, tuple(failures)) if quarter else (checked, checked, ())
-    ledger = oracle.ledger = (total / checked, counts, optimum)
+    ledger = oracle.ledger = Ledger(
+        total / checked, checked, 0 if quarter else checked, tuple(failures), optimum)
     return ledger
 
 
@@ -564,7 +580,7 @@ def main_mechanism_exact_expectation(profile) -> float:
     and all seven pay).  A negative ``r``, which bids in ``[-EPS, 0)``
     make possible on a valid profile, is never skipped: B pays it.
     """
-    return _partition_ledger(as_oracle(profile))[0]
+    return _partition_ledger(as_oracle(profile)).expected
 
 
 def rsop(bids, rng=0, coins=None) -> Outcome:

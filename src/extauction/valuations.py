@@ -411,9 +411,9 @@ class Oracle:
     profiles stay shareable across threads and runs: concurrent runs each
     hold their own.  ``ledger``, once
     :func:`~extauction.mechanisms._partition_ledger` has walked the ``3^n``
-    partitions, holds ``(E[rev], (checked, skipped, failures), optimum)``:
-    the exact expectation, the quarter bound's counts with its failing
-    partitions as a tuple, and the ``F^(3)`` optimum the walk scanned, so
+    partitions, holds its :class:`~extauction.mechanisms.Ledger`: the exact
+    expectation, the quarter bound's counts with its failing partitions as a
+    tuple, and the ``F^(3)`` optimum the walk scanned, each read by name, so
     the second of the two views, and the ``F^(3)`` that
     :func:`~extauction.experiments.revenue_guarantee_check` reports, read
     them and walk nothing.  The walk runs on a tabulated oracle of its own
@@ -446,7 +446,7 @@ class Oracle:
         self.full = profile.full
         self._fns = profile._fns
         self.queries = 0
-        self.ledger: tuple | None = None
+        self.ledger: tuple | None = None  # a mechanisms.Ledger once walked
 
     def value(self, i: int, s: int) -> float:
         self.queries += 1

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import statistics
 from array import array
 from fractions import Fraction
 
@@ -17,7 +18,6 @@ from extauction.experiments import (
     gen_instance,
     losing_value_demo,
     mechanism2_bound_check,
-    monte_carlo_expectation,
     partition_min_expectation,
     quarter_bound_check,
     quarter_bound_exhaustive,
@@ -28,7 +28,7 @@ from extauction.experiments import (
     two_agent_gap_instance,
 )
 from extauction.io import instance_digest
-from extauction.mechanisms import main_mechanism_exact_expectation
+from extauction.mechanisms import main_mechanism, main_mechanism_exact_expectation
 from extauction.valuations import (
     EPS,
     AdditiveModel,
@@ -79,11 +79,6 @@ def test_gen_instance_rejects_empty_market():
 def test_experiment_helpers_reject_bad_arguments(call, message):
     with pytest.raises(ValueError, match=message):
         call()
-
-
-@pytest.mark.parametrize("trials", [0, -1])
-def test_monte_carlo_expectation_over_no_trials_is_zero(trials):
-    assert monte_carlo_expectation(size_scalar_profile(3), trials) == (0.0, 0.0)
 
 
 def test_gen_instance_deterministic():
@@ -456,10 +451,26 @@ def test_ratio_campaign_deterministic_and_within_budget():
     assert a.summary["within_query_budget"]
 
 
+def _campaign_mean_stderr(profile, trials, seed):
+    """``mean_revenue`` and ``stderr`` of a one-instance campaign's row."""
+    (row,) = ratio_campaign([("mixed", profile)], trials=trials, seed=seed).as_dicts()
+    return row["mean_revenue"], row["stderr"]
+
+
+def test_a_campaign_row_is_the_mean_and_stderr_of_its_seeded_runs():
+    profile = gen_instance("mixed", 6, seed=3, graph="er")
+    revenues = [main_mechanism(profile, derive_seed("campaign", 4, "m6", trial)).revenue
+                for trial in range(50)]
+    (row,) = ratio_campaign([("m6", profile)], trials=50, seed=4).as_dicts()
+    assert len(set(revenues)) > 1
+    assert math.isclose(row["mean_revenue"], sum(revenues) / 50, rel_tol=1e-12)
+    assert math.isclose(row["stderr"], statistics.stdev(revenues) / math.sqrt(50), rel_tol=1e-12)
+
+
 def test_monte_carlo_agrees_with_exact_expectation():
     profile = gen_instance("mixed", 5, seed=13)
     exact = main_mechanism_exact_expectation(profile)
-    mean, err = monte_carlo_expectation(profile, trials=10_000, seed=99)
+    mean, err = _campaign_mean_stderr(profile, trials=10_000, seed=99)
     assert abs(mean - exact) <= max(3 * err, 1e-9)
 
 
@@ -473,7 +484,7 @@ def test_monte_carlo_tracks_exact_on_several_instances():
     for seed, n in [(21, 4), (22, 6), (23, 7)]:
         profile = gen_instance("mixed", n, seed=seed)
         exact = main_mechanism_exact_expectation(profile)
-        mean, err = monte_carlo_expectation(profile, trials=10_000, seed=seed)
+        mean, err = _campaign_mean_stderr(profile, trials=10_000, seed=seed)
         assert abs(mean - exact) <= max(3 * err, 1e-9)
 
 

@@ -176,6 +176,47 @@ def test_the_check_catches_a_ledger_read_elsewhere(tmp_path):
         "cli": {"ledger"}, "io": {"_partition_ledger"}, "benchmark": {"_partition_ledger"}}
 
 
+def _is_ledger(node: ast.expr) -> bool:
+    """A ``_partition_ledger(...)`` call or a ``.ledger`` attribute."""
+    if isinstance(node, ast.Call):
+        func = node.func
+        return (isinstance(func, ast.Name) and func.id == "_partition_ledger"
+                or isinstance(func, ast.Attribute) and func.attr == "_partition_ledger")
+    return isinstance(node, ast.Attribute) and node.attr == "ledger"
+
+
+def _positional_ledger_reads(paths) -> set[tuple[str, int]]:
+    """``(module, line)`` of each read of the ledger by position: a subscript of it,
+    or an unpacking assignment from it."""
+    found = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Subscript) and _is_ledger(node.value):
+                found.add((path.stem, node.lineno))
+            elif (isinstance(node, ast.Assign) and _is_ledger(node.value)
+                  and any(isinstance(t, (ast.Tuple, ast.List)) for t in node.targets)):
+                found.add((path.stem, node.lineno))
+    return found
+
+
+def test_the_ledger_is_read_by_name():
+    paths = [*PACKAGE.glob("*.py"), *Path(__file__).parent.glob("*.py")]
+    assert _positional_ledger_reads(paths) == set()
+
+
+def test_the_check_catches_a_positional_ledger_read(tmp_path):
+    (tmp_path / "mechanisms.py").write_text(
+        "def _partition_ledger(o):\n    o.ledger = Ledger(1.0, 1, 0, (), None)\n"
+        "    return o.ledger\n\ndef expect(o):\n    return _partition_ledger(o).expected\n")
+    (tmp_path / "experiments.py").write_text(
+        "import mechanisms as m\n\ndef f3(o):\n    return m._partition_ledger(o)[4].value\n\n"
+        "def counts(o):\n    _, checked, skipped, *_ = m._partition_ledger(o)\n"
+        "    return checked, skipped\n")
+    (tmp_path / "cli.py").write_text("def expect(oracle):\n    return oracle.ledger[0]\n")
+    assert _positional_ledger_reads(sorted(tmp_path.glob("*.py"))) == {
+        ("experiments", 4), ("experiments", 7), ("cli", 2)}
+
+
 #: where a ``x > EXHAUSTIVE_MAX_N`` comparison may refuse the exhaustive range: the
 #: condition checker's mode and the exact ``3^n`` walk's tabulated oracle, one cap each
 CAP_OWNERS = {("valuations", "_resolve_mode"), ("mechanisms", "_Tabulated.__init__")}

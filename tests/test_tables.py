@@ -402,7 +402,7 @@ def test_the_ledger_keeps_the_f3_optimum_a_fresh_scan_finds():
     assert len(cases) == 300
     zero = []
     for name, profile in cases:
-        optimum = mech._partition_ledger(profile.oracle())[2]
+        optimum = mech._partition_ledger(profile.oracle()).optimum
         assert repr(optimum) == repr(benchmark_bruteforce(profile.oracle(), 3)), name
         if optimum.value == 0:
             zero.append(name)
