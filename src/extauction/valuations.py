@@ -19,9 +19,10 @@ its first sweep or deletion round of a large pool, a view of its own tables
 masks kept for the last graph (:func:`_graph_masks`).
 The exhaustive paths (n <= 12) read each agent's values from one table
 instead of calling the model once per lookup, and each builds its own
-behind its own refusal: the checker one agent's at a time through
-:meth:`ValuationProfile.value`, past :func:`_resolve_mode`, and the exact
-walk all of them, past :class:`~extauction.mechanisms._Tabulated`.
+behind its own cap: the checker one agent's at a time through
+:meth:`ValuationProfile.value`, when :func:`_resolve_mode` picks the
+exhaustive scan (it samples past n = 12), and the exact walk all of them,
+past the refusal in :class:`~extauction.mechanisms._Tabulated`.
 
 Every parametric model reads the winner set only through
 ``k = |S & N(i) \\ {i}|``.  Unless a weight is a table, binding such an agent
@@ -507,14 +508,15 @@ class Violation:
 
 
 def _resolve_mode(n: int, mode: str) -> str:
-    """``"auto"`` means exhaustive when n allows it; exhaustive is capped at n <= 12."""
-    if mode == "auto":
-        mode = "exhaustive" if n <= EXHAUSTIVE_MAX_N else "sampled"
-    if mode == "exhaustive" and n > EXHAUSTIVE_MAX_N:
-        raise ValueError(f"exhaustive mode rejected for n > {EXHAUSTIVE_MAX_N}")
-    if mode not in ("exhaustive", "sampled"):
+    """The checker's scan for ``mode`` at size ``n``: ``"sampled"`` when asked for or
+    past n = 12, ``"exhaustive"`` otherwise, so no size is refused.
+
+    Only ``"auto"`` and ``"sampled"`` are modes; ``"exhaustive"`` names a scan
+    and raises like any unknown string.
+    """
+    if mode not in ("auto", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
-    return mode
+    return "sampled" if mode == "sampled" or n > EXHAUSTIVE_MAX_N else "exhaustive"
 
 
 def _degree_table_holds(g: tuple[float, ...]) -> bool:
@@ -636,11 +638,13 @@ def check_conditions(
     """Check conditions 1-3 and return the first ``max_violations`` violations
     (empty = valid).
 
-    ``mode="exhaustive"`` covers every (i, S, R) triple and is rejected for
-    n > 12; ``mode="sampled"`` draws ``samples`` seeded random triples.
-    ``"auto"`` picks exhaustive when n allows it.
+    ``mode="auto"`` scans every (i, S, R) triple exhaustively for n <= 12 and
+    ignores ``samples`` there; past n = 12, and always with ``mode="sampled"``,
+    it draws ``samples`` seeded random triples, and raises ``ValueError`` when
+    ``samples < 1``, since a check over no draws would pass any profile.
+    Any other ``mode`` raises ``ValueError``; no size is refused.
 
-    In exhaustive mode an agent bound to a per-degree table ``g`` is first
+    In the exhaustive scan an agent bound to a per-degree table ``g`` is first
     tested on ``g`` alone, with the scan's own comparisons: ``g[k] < -EPS``,
     ``not g[k] < inf``, ``g[k] > g[k + 1] + EPS`` and
     ``g[a + b] > g[a] + g[b] + EPS`` (``nonzero_outside`` cannot fail, the
@@ -651,25 +655,21 @@ def check_conditions(
     where the ``EPS`` tolerances add up, so one-step tests do not decide them.
     """
     mode = _resolve_mode(profile.n, mode)
+    if mode == "sampled" and samples < 1:
+        raise ValueError(f"sampled check needs samples >= 1, got {samples}")
     return list(islice(_violations(profile, mode, samples, seed), max(max_violations, 0)))
 
 
-def estimate_L(
-    profile: ValuationProfile,
-    *,
-    mode: str = "auto",
-    samples: int = 10_000,
-    seed: int = 0,
-) -> float:
+def estimate_L(profile: ValuationProfile) -> float:
     """Smallest L with ``L * (v_i(A) + v_i(B)) >= v_i(A | B)`` over checked triples.
 
     Returns 1.0 for subadditive profiles; assumes monotonicity (use
     :func:`check_conditions` first), which justifies checking only the
-    reduced witness pairs.  The sampled mode reads the same seeded draws as
-    :func:`check_conditions`.
+    reduced witness pairs.  The triples are those of the default
+    :func:`check_conditions`: every one for n <= 12, else 10,000 drawn with
+    seed 0.
     """
-    mode = _resolve_mode(profile.n, mode)
-    witnesses = _violations(profile, mode, samples, seed)
+    witnesses = _violations(profile, _resolve_mode(profile.n, "auto"), 10_000, 0)
     return max(
         (w.lhs / w.rhs if w.rhs > EPS else math.inf
          for w in witnesses if w.kind == "subadditivity"),

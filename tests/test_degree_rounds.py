@@ -25,7 +25,7 @@ from extauction import (
 from extauction import benchmark as bm
 from extauction.experiments import gen_instance
 from extauction.mechanisms import cost_share, fixed_price_mechanism, main_mechanism
-from extauction.valuations import _bind_by_degree
+from extauction.valuations import EPS, _bind_by_degree
 
 from conftest import generic_path
 from test_incremental_sweep import _asymmetric_graph, _odd_model
@@ -183,6 +183,19 @@ def test_equal_shares_drop_a_few_agents_per_round(count_rounds):
     profile = ValuationProfile([GraphConcaveModel(i + 1.0, beta=0.0) for i in range(n)])
     fast, slow = _rounds_both(profile, profile.full, 0, lambda size: 100.0 / size)
     assert fast == slow == (profile.full & ~0b1111111, 20 + 16 + 14 + 13, [20, 16, 14, 13])
+    assert count_rounds == [profile.full]
+
+
+def test_a_bid_exactly_at_the_bar_stays_on_both_paths(count_rounds):
+    """A round drops a bid strictly under ``bar(|T|) - EPS``: agent 0 bids exactly
+    that float and stays, agent 1 bids one ulp under it and goes."""
+    n, price = 16, 1.0
+    edge = price - EPS
+    bids = [edge, math.nextafter(edge, -math.inf)] + [2.0] * (n - 2)
+    profile = ValuationProfile([GraphConcaveModel(b, beta=0.0) for b in bids])
+    assert [profile.value(i, profile.full) for i in range(2)] == bids[:2]
+    fast, slow = _rounds_both(profile, profile.full, 0, lambda size: price)
+    assert fast == slow == (profile.full & ~0b10, n + n - 1, [n, n - 1])
     assert count_rounds == [profile.full]
 
 

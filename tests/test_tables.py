@@ -727,7 +727,7 @@ def test_an_all_degree_profile_is_checked_with_no_value_call(family, value_calls
     profile = gen_instance(family, n, seed=1, graph="er")
     assert all(map(_has_degree_table, profile.models))
     value_calls[0] = 0
-    assert check_conditions(profile, mode="exhaustive") == []
+    assert check_conditions(profile) == []
     assert estimate_L(profile) == 1.0
     assert value_calls[0] == 0
 

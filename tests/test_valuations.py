@@ -76,11 +76,39 @@ def test_check_conditions_size_scalar_ok():
     assert check_conditions(size_scalar_profile(3)) == []
 
 
-def test_check_conditions_rejects_large_exhaustive():
-    profile = size_scalar_profile(3)
-    with pytest.raises(ValueError):
-        check_conditions(flat_bids_profile([1.0] * (EXHAUSTIVE_MAX_N + 1)), mode="exhaustive")
-    assert check_conditions(profile, mode="sampled", samples=500) == []
+def _negative_profile(n):
+    """Every agent values each set holding it at -1.0: each sampled draw finds
+    one ``negative`` and one ``subadditivity`` violation (-1 > -2 + EPS)."""
+    negative = SimpleNamespace(bind=lambda i, neighbor_mask: lambda s: -1.0 if s >> i & 1 else 0.0)
+    return ValuationProfile([negative] * n)
+
+
+def test_auto_samples_past_the_exhaustive_range_and_exhaustive_is_no_mode():
+    """Past n = 12 the default check draws ``samples`` seeded triples, the same
+    as ``mode="sampled"``, and refuses no size; ``"exhaustive"`` is not a mode."""
+    big = _negative_profile(EXHAUSTIVE_MAX_N + 1)
+    auto = check_conditions(big, samples=50, seed=3, max_violations=10**6)
+    assert auto == check_conditions(big, mode="sampled", samples=50, seed=3, max_violations=10**6)
+    assert [v.kind for v in auto] == ["negative", "subadditivity"] * 50
+    flat = flat_bids_profile([1.0] * (EXHAUSTIVE_MAX_N + 1))
+    assert check_conditions(flat, samples=500) == []
+    assert check_conditions(size_scalar_profile(3), mode="sampled", samples=500) == []
+    for profile in (size_scalar_profile(3), flat):
+        with pytest.raises(ValueError, match=r"^unknown mode 'exhaustive'$"):
+            check_conditions(profile, mode="exhaustive")
+
+
+@pytest.mark.parametrize("samples", [0, -5])
+def test_a_sampled_check_over_no_draws_is_refused(samples):
+    """A check that draws nothing would pass any profile, so the sampled scan
+    refuses ``samples < 1``; the exhaustive scan (``auto`` at n <= 12) ignores it."""
+    two = ValuationProfile([TableModel({0b01: -3.0}), TableModel({})])
+    assert len(check_conditions(two)) == 4
+    assert check_conditions(two, samples=samples) == check_conditions(two)
+    for profile, mode in ((two, "sampled"), (_negative_profile(EXHAUSTIVE_MAX_N + 1), "auto")):
+        with pytest.raises(ValueError, match=rf"^sampled check needs samples >= 1, got {samples}$"):
+            check_conditions(profile, mode=mode, samples=samples)
+    assert check_conditions(two, mode="sampled", samples=200)
 
 
 def test_sampled_check_flags_value_outside_the_winner_set():
@@ -107,13 +135,13 @@ def test_a_sampled_excess_of_eps_passes_and_one_ulp_more_fails():
         sampled = check_conditions(profile, mode="sampled", samples=2_000, seed=0)
         assert {(v.kind, v.agent) for v in sampled} == ({("subadditivity", 0)} if failing else set())
         assert {tuple(sorted(v.sets)) for v in sampled} <= {(0b011, 0b101)}
-        exhaustive = check_conditions(profile, mode="exhaustive")
+        exhaustive = check_conditions(profile)
         assert [(v.kind, v.agent, v.lhs) for v in exhaustive] == (
             [("subadditivity", 0, excess)] * 2 if failing else [])
 
 
 @pytest.mark.parametrize("outside", [math.nan, math.inf], ids=["nan", "inf"])
-@pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+@pytest.mark.parametrize("mode", ["auto", "sampled"])
 def test_non_finite_value_outside_the_winner_set_is_flagged(mode, outside):
     """A NaN on a set without the agent is flagged as an inf there is, although
     ``abs(NaN) > EPS`` is False."""
@@ -160,24 +188,18 @@ def test_estimate_L_square_n4():
     assert estimate_L(profile) == pytest.approx(16 / 13)
 
 
-def test_estimate_L_sampled():
-    # on a monotone profile no drawn pair is tighter than the exhaustive
-    # witness pairs, so the sampled L cannot exceed 16/13; a subadditive
-    # profile has no witness at all
-    L = estimate_L(square_table_profile(4), mode="sampled", samples=2_000, seed=1)
-    assert 1.0 < L <= 16 / 13 + 1e-12
-    assert estimate_L(size_scalar_profile(4), mode="sampled", samples=2_000, seed=1) == 1.0
-
-
 def test_check_conditions_caps_violations():
     profile = square_table_profile(4)
     everything = check_conditions(profile, max_violations=10**6)
     assert len(everything) > 5
     assert check_conditions(profile, max_violations=5) == everything[:5]
     assert check_conditions(profile, max_violations=0) == []
-    with pytest.raises(ValueError):
-        check_conditions(flat_bids_profile([1.0] * (EXHAUSTIVE_MAX_N + 1)), mode="exhaustive",
-                         max_violations=0)
+    big = _negative_profile(EXHAUSTIVE_MAX_N + 1)
+    assert check_conditions(big, max_violations=0) == []
+    assert check_conditions(big, max_violations=5) == check_conditions(big, max_violations=100)[:5]
+    assert len(check_conditions(big, max_violations=5)) == 5
+    with pytest.raises(ValueError, match=r"^unknown mode 'exhaustive'$"):
+        check_conditions(big, mode="exhaustive", max_violations=0)
 
 
 def test_query_counter_counts_every_query():
