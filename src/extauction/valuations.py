@@ -30,8 +30,15 @@ fills one tuple of its ``|N(i) \\ {i}| + 1`` values, each the model's own float
 expression at ``k``, and a value query is one lookup in it: the same floats,
 ``-0.0`` included, with no shape or weight call per query.  The exhaustive
 checker decides such an agent from that tuple in O(d^2) comparisons, ``d``
-its neighbour count, and scans its ``2^n`` column only when one of them fails
-(:func:`_degree_table_holds`).
+its neighbour count (:func:`_degree_table_holds`).  It decides any other agent
+(a table model, or a model whose weight is a table) from its ``2^n`` column,
+read through cached ``itemgetter`` gathers in plain ``zip`` loops, in stages,
+the cheapest first: ``nonzero_outside``, then ``negative`` and ``nonfinite``,
+then the one-step ``monotonicity`` pairs, then ``subadditivity`` on the
+unordered splits, half the scan's ``3^(n-1)`` pairs (:func:`_column_holds`;
+its caches hold about 0.4 MB at n = 10 and 2.9 MB at n = 12).  Either way it
+walks the witness triples of an agent only when a test fails, so the
+violations and their order are the walk's.
 """
 
 from __future__ import annotations
@@ -41,6 +48,7 @@ import math
 import random
 from dataclasses import dataclass
 from itertools import islice
+from operator import itemgetter
 from typing import Callable, Mapping, NamedTuple, Sequence, Union
 
 from .sets import full_mask, iter_members, mask_of, members
@@ -544,11 +552,108 @@ def _degree_table_holds(g: tuple[float, ...]) -> bool:
     return True
 
 
+def _gather(keys: Sequence[int]) -> Callable[[Sequence[float]], tuple[float, ...]]:
+    """``seq -> tuple(seq[k] for k in keys)``: an ``itemgetter``, which returns a bare
+    item, not a tuple, for one key and takes no zero keys, so those two are wrapped."""
+    if len(keys) > 1:
+        return itemgetter(*keys)
+    return lambda seq: tuple([seq[k] for k in keys])
+
+
+@functools.cache
+def _masks(n: int) -> tuple[int, ...]:
+    """``0 .. 2^n - 1``, one int object each, shared by the gathers' keys at ``n``."""
+    return tuple(range(1 << n))
+
+
+@functools.cache
+def _agent_gathers(n: int, i: int):
+    """``(outside, inside)``: the gathers of a ``2^n`` column at the masks without
+    agent ``i`` and at those with it, each in ascending order, so ``inside`` reads
+    ``v_i`` on ``sub | {i}`` at index ``c``, ``sub`` the ``c``-th submask of the others
+    (bit ``i`` squeezed out of ``c``)."""
+    bit = 1 << i
+    masks = _masks(n)
+    return (_gather([s for s in masks if not s & bit]), _gather([s for s in masks if s & bit]))
+
+
+@functools.cache
+def _step_gathers(m: int):
+    """``(low, up)``: the gathers of a ``2^m`` tuple at every one-step pair
+    ``(c, c | 1 << j)``, ``j`` not in ``c``, ``m * 2^(m-1)`` of them."""
+    ids = _masks(m)
+    pairs = [(c, ids[c | 1 << j]) for c in ids for j in range(m) if not c >> j & 1]
+    return _gather([a for a, _ in pairs]), _gather([b for _, b in pairs])
+
+
+@functools.cache
+def _split_gathers(m: int):
+    """``(whole, part, rest)``: the gathers of a ``2^m`` tuple at every unordered split
+    ``(u, x, y)``, ``x | y = u``, ``x & y = 0``, ``x >= y``: ``(3^m + 1) / 2`` of them."""
+    ids = _masks(m)
+    splits = []
+    for u in ids:
+        x = u
+        while x >= u ^ x:  # descending x, ascending y = u ^ x; x = y only at u = 0
+            splits.append((u, ids[x], ids[u ^ x]))
+            if not x:
+                break
+            x = (x - 1) & u
+    return tuple(_gather([t[k] for t in splits]) for k in range(3))
+
+
+def _column_holds(v: Sequence[float], n: int, i: int) -> bool:
+    """Whether no witness of the exhaustive scan fails on agent ``i`` of ``n`` with column ``v``.
+
+    ``v[s]`` is ``v_i(S)`` at every mask below ``2^n``.  Each test below is the
+    scan's own float expression on the same values, so ``True`` means the scan
+    would yield nothing for this agent; the cheapest run first, and the first
+    that fails stops it:
+    ``nonzero_outside`` (``not abs(x) <= EPS``) on the masks without ``i``;
+    ``negative``/``nonfinite`` (``x < -EPS``, ``not x < inf``) on those with it;
+    ``monotonicity`` (``a > b + EPS``) on each one-step pair of those; and
+    ``subadditivity`` (``u > a + b + EPS``) on each unordered split of the others
+    into ``x`` and ``y``, ``i`` added to ``u = x | y``, ``x`` and ``y``: the scan
+    tests each split twice, as ``(x, y)`` and ``(y, x)``, and IEEE addition
+    commutes, so half of its ``3^(n-1)`` pairs decide it.
+
+    The values are read through ``itemgetter`` gathers kept per ``(n, i)`` and
+    per ``m = n - 1`` (:func:`_agent_gathers`, :func:`_step_gathers`,
+    :func:`_split_gathers`), each built on first use, the split gathers only
+    once an agent reaches that stage; no index list is built per call.  The
+    caches hold about 0.4 MB at n = 10 (0.65 MB for every n <= 10) and 2.9 MB
+    at n = 12, most of it the split gathers.
+    """
+    outside, inside = _agent_gathers(n, i)
+    for x in outside(v):
+        if not abs(x) <= EPS:  # NaN too
+            return False
+    w = inside(v)
+    for x in w:
+        if x < -EPS or not x < math.inf:
+            return False
+    low, up = _step_gathers(n - 1)
+    for a, b in zip(low(w), up(w)):
+        if a > b + EPS:
+            return False
+    whole, part, rest = _split_gathers(n - 1)
+    for u, a, b in zip(whole(w), part(w), rest(w)):
+        if u > a + b + EPS:
+            return False
+    return True  # no witness of the scan fails
+
+
 def _violations(profile: ValuationProfile, mode: str, samples: int, seed: int):
     """Every violation of conditions 1-3, lazily, in scan order (``mode`` already resolved).
 
     The one walk over witness triples: :func:`check_conditions` stops it at
-    its cap and :func:`estimate_L` reads its subadditivity witnesses.
+    its cap and :func:`estimate_L` reads its subadditivity witnesses.  The
+    exhaustive scan first tries to certify each agent: an agent bound to a
+    degree table from that table (:func:`_degree_table_holds`), any other
+    from its ``2^n`` column (:func:`_column_holds`: ``nonzero_outside``, then
+    ``negative``/``nonfinite``, ``monotonicity`` and ``subadditivity``, with
+    gather caches of about 0.4 MB at n = 10 and 2.9 MB at n = 12).  It walks
+    only an agent that does not certify.
     """
     n = profile.n
     fullm = profile.full
@@ -560,6 +665,8 @@ def _violations(profile: ValuationProfile, mode: str, samples: int, seed: int):
             if g is not None and _degree_table_holds(g):
                 continue
             v = tuple([value(i, s) for s in range(nmasks)])
+            if _column_holds(v, n, i):
+                continue
             bit = 1 << i
             for s in range(nmasks):
                 val = v[s]
@@ -648,11 +755,18 @@ def check_conditions(
     tested on ``g`` alone, with the scan's own comparisons: ``g[k] < -EPS``,
     ``not g[k] < inf``, ``g[k] > g[k + 1] + EPS`` and
     ``g[a + b] > g[a] + g[b] + EPS`` (``nonzero_outside`` cannot fail, the
-    value off its sets being a literal ``0.0``).  If none holds the agent has
-    no violation and is not scanned; otherwise it is scanned in full, so the
-    result is the same either way.  Sampled mode does not use these tests:
-    its draws pair overlapping sets and grow a set by many agents at once,
-    where the ``EPS`` tolerances add up, so one-step tests do not decide them.
+    value off its sets being a literal ``0.0``).  Any other agent (a table
+    model, or a weight that is a table) has its ``2^n`` column read and tested
+    on it in stages, the cheapest first: ``nonzero_outside`` off its sets,
+    ``negative`` and ``nonfinite`` on them, each one-step ``monotonicity``
+    pair, then each unordered ``subadditivity`` split, half the scan's
+    ``3^(n-1)`` pairs since IEEE addition commutes (:func:`_column_holds`;
+    its index caches hold about 0.4 MB at n = 10 and 2.9 MB at n = 12).  An
+    agent that passes has no violation and is not scanned; otherwise it is
+    scanned in full, so the result is the same either way.  Sampled mode does
+    not use these tests: its draws pair overlapping sets and grow a set by
+    many agents at once, where the ``EPS`` tolerances add up, so one-step
+    tests do not decide them.
     """
     mode = _resolve_mode(profile.n, mode)
     if mode == "sampled" and samples < 1:
