@@ -219,16 +219,16 @@ class _Tabulated(Oracle):
     builds the profile's ``2^n`` value columns (``_columns``), one call of
     each bound evaluator per mask, and reads them as its evaluators; it
     keeps wrapped ones (a counted one, say) as they are, with ``_columns``
-    ``None``.  The step memo holds one low (an
-    ``array('d')``) and one argmin (a ``bytearray``, 255 for unset) under
-    the base-3 code of each ``(T, free)``, with ``tern`` the
+    ``None``.  The step memo holds one low (a ``list``, whose entries are
+    the value columns' own floats) and one argmin (a ``bytearray``, 255 for
+    unset) under the base-3 code of each ``(T, free)``, with ``tern`` the
     :func:`~extauction.sets.ternary_codes` of n: :meth:`argmin` computes,
     and counts as ``|T|`` queries, each step once, and :func:`revenue_table`
     fills the memo as its own state.  Value lookups outside sweeps still
     count one query each.  The memo takes ``9 * 3^n`` bytes (4.8 MB at
-    n = 12), and the fill adds ``24 * 3^n`` bytes, the table and its record
-    chains, while it runs.  The exact path's one cap: it refuses n > 12
-    before it reads a value, and every exact caller reaches it first.
+    n = 12); the fill's table and record array are :func:`revenue_table`'s.
+    The exact path's one cap: it refuses n > 12 before it reads a value,
+    and every exact caller reaches it first.
     """
 
     __slots__ = ("_columns", "tern", "_lows", "_args")
@@ -244,7 +244,7 @@ class _Tabulated(Oracle):
         self._fns = tuple(col.__getitem__ for col in self._columns) if own else oracle._fns
         self.tern = ternary_codes(p.n)
         size = 3 ** p.n
-        self._lows = array("d", bytes(8 * size))
+        self._lows = [0.0] * size
         self._args = bytearray(b"\xff") * size
 
     def argmin(self, t: int, union: int) -> tuple[float, int]:
@@ -259,30 +259,45 @@ class _Tabulated(Oracle):
         return low, arg
 
 
-def revenue_table(oracle: _Tabulated) -> array:
+def revenue_table(oracle: _Tabulated) -> list[float]:
     """``r(pool | free)`` for all ``3^n`` disjoint pairs, at ``tern[pool] + 2 * tern[free]``.
 
     ``tern`` is ``oracle.tern``; an empty pool reads 0.0, and a non-empty one
     holds its sweep value ``_greedy_sweep(oracle, pool, free, 1)[0]``, bit
-    for bit.  It fills a new table on each call and keeps none: its caller,
-    :func:`_partition_ledger`, keeps its own result instead.
+    for bit.  It fills a new ``list`` on each call and keeps none: its
+    caller, :func:`_partition_ledger`, keeps its own result instead.
 
     The fill is a DP over pools in increasing mask order.  A sweep of
     ``pool`` takes its first step ``(low, arg)`` and then sweeps the tail
     ``pool - arg`` with the same free set, a pair already filled, so the
-    pair's value comes from the tail's record and not from a new sweep.
-    Beside each value two transient ``array('d')`` keep the first record
-    the pair's sweep took (``-inf`` for none) and the second (NaN for none
-    or not known): ``16 * 3^n`` bytes while the table is filled, 8.5 MB at
-    n = 12.  With ``val = |pool| * low`` the sweep's left fold with EPS ties
-    gives:
+    pair's value comes from the tail's records and not from a new sweep.
+    A pair's first record, the first step value its sweep takes, is its own
+    step value ``|pool| * low`` (from the step memo) unless that is below
+    ``-EPS``; only such a pair inherits its tail's first record, kept in a
+    dict (none for a one-member pool).  Its second record (NaN for none or
+    not known) is kept in a transient ``array('d')``.  With
+    ``val = |pool| * low`` the sweep's left fold with EPS ties gives:
 
-    - ``val < -EPS`` takes no record, so the pair copies its tail's three;
-    - a tail with no record, or whose value is at most ``val``, leaves
-      ``val``;
+    - a tail whose value is at most ``val`` leaves ``val``: every entry is
+      NaN or at least ``-EPS``, so such a ``val`` is a record;
+    - ``val < -EPS`` takes no record, so the pair keeps its tail's value
+      and records;
+    - a tail with no record leaves ``val``;
     - a tail whose first record is above ``val + EPS``, or whose second is
       above ``val + EPS``, leaves the tail's value: the fold takes ``val``,
       then that record, and follows the tail from there.
+
+    The tail's first record is read only past the first rule, and a pair
+    that takes ``val`` there stores the one float object the table already
+    holds for that value, unless ``val`` is a zero.  At n = 12
+    (``gen_instance(m, 12, seed=1, graph="er")``, ``m`` graph-concave or
+    linear) 405–511 distinct values filled the table: its ``8 * 3^n``
+    bytes of slots and 25,757–26,546 floats of its own took 4.9 MB after
+    the fill, and the fill peaked 9.1–9.2 MB above the memo, with the
+    second records' ``8 * 3^n`` bytes and no inherited record
+    (tracemalloc; with ``array('d')`` stores and a first-record array, 4.5
+    and 13.0 MB).  Without the shared objects, one float per such pair
+    (198,036–274,466) took the table to 9.0–10.8 MB.
 
     Reading the tail's second record ``s`` rests on an invariant of every
     known one: each step value of the pair's sweep before ``s`` is below
@@ -303,39 +318,45 @@ def revenue_table(oracle: _Tabulated) -> array:
 
     Each step ``(pool, free)`` is computed once and stored: the stored step
     of ``pool`` minus its highest member ``top``, extended by one read of
-    ``top``'s column, or, when the evaluators are wrapped,
-    :meth:`_Tabulated.argmin`.  A step of two or more members is not looked
-    up first, since on the fresh oracle :func:`_partition_ledger` builds
-    none is stored yet.  Each step counts ``|pool|`` queries, so a fresh
-    oracle spends exactly ``n * 3^(n-1)`` queries here, one per ``i`` in
-    ``T`` over all disjoint ``(T, free)``.
+    ``top``'s column (a one-member pool's step is that read alone), or,
+    when the evaluators are wrapped, :meth:`_Tabulated.argmin`.  A step of
+    two or more members is not looked up first, since on the fresh oracle
+    :func:`_partition_ledger` builds none is stored yet; a one-member step
+    already in the memo is read, so a second fill counts no query for it.
+    Each step counts ``|pool|`` queries, so a fresh oracle spends exactly
+    ``n * 3^(n-1)`` queries here, one per ``i`` in ``T`` over all disjoint
+    ``(T, free)``.
     """
     tern, full, cols = oracle.tern, oracle.full, oracle._columns
     lows, args = oracle._lows, oracle._args
     size3 = 3 ** oracle.n
     pow3 = [3 ** i for i in range(oracle.n)]
-    table = array("d", bytes(8 * size3))
+    table = [0.0] * size3
     no_record, eps = -math.inf, EPS
-    first = array("d", [no_record]) * size3
+    inherited = {}
+    shared = {}
     second = array("d", [math.nan]) * size3
     for pool in range(1, full + 1):
         code = tern[pool]
         rest = full ^ pool
         free = rest
         size = pool.bit_count()
+        top = pool.bit_length() - 1
+        col = None if cols is None else cols[top]
         if size == 1:
             while True:
                 key = code + 2 * tern[free]
+                if col is not None and args[key] == 255:
+                    lows[key] = col[pool | free]
+                    args[key] = top
+                    oracle.queries += 1
                 table[key] = _greedy_sweep(oracle, pool, free, 1)[0]
-                if not lows[key] < -eps:
-                    first[key] = lows[key]
                 if not free:
                     break
                 free = (free - 1) & rest
             continue
-        top = pool.bit_length() - 1
-        col = None if cols is None else cols[top]
         shift = pow3[top]  # the key of (pool - top, free + top), less the key of (pool, free)
+        tail_size = size - 1
         while True:
             key = code + 2 * tern[free]
             if col is not None:
@@ -353,14 +374,22 @@ def revenue_table(oracle: _Tabulated) -> array:
             tail = key - pow3[arg]
             tb = table[tail]
             val = size * low
-            if val < -eps:
-                table[key] = tb
-                first[key] = first[tail]
-                second[key] = second[tail]
+            if tb <= val:  # no entry is below -EPS (a NaN may be), so val is a record
+                # Equal nonzero floats have equal bits, so they share one object
+                # (a NaN equals only itself); 0.0 and -0.0 are equal keys.
+                table[key] = shared.setdefault(val, val) if val else val
             else:
-                first[key] = val
-                tf = first[tail]
-                if tb <= val or tf == no_record:
+                # The tail's first record: its own step value, or, when that is
+                # below -EPS, the one it inherited (none for a one-member tail).
+                tf = tail_size * lows[tail]
+                if tf < -eps:
+                    tf = inherited.get(tail, no_record)
+                if val < -eps:
+                    table[key] = tb
+                    if tf != no_record:
+                        inherited[key] = tf
+                    second[key] = second[tail]
+                elif tf == no_record:
                     table[key] = val
                 elif tf > val + eps:
                     table[key] = tb
@@ -469,6 +498,11 @@ def _partition_ledger(oracle: Oracle) -> Ledger:
     nothing.  The optimum is the one an exact caller reports
     (:func:`~extauction.experiments.revenue_guarantee_check`); another
     ``F^(k)`` scan on ``oracle`` costs what it costs on a fresh oracle.
+    The table and the memo's lows are lists, read by int index, which
+    CPython specialises for a ``list`` and not for an ``array``.  At n = 12
+    the two, with the columns and the rest of the memo, held 10.2 MB
+    during the walk (tracemalloc, on the instances :func:`revenue_table`
+    cites), where ``array('d')`` stores held 10.1 MB.
 
     The partitions are walked as joined label halves, in
     :meth:`Partition3.all_partitions` order.  Each half-labelling carries

@@ -5,7 +5,8 @@
 For each entry of ``tests/data/mutants.json`` this copies the checkout
 (``src/``, ``tests/``, ``perfbench/``, ``pyproject.toml`` and
 ``BENCHMARK.json``) to a fresh temporary directory, swaps the entry's
-``before`` line for its ``after`` line, and runs its ``killed_by`` tests
+``before`` line (the ``occurrence``-th copy, from the top, when the entry
+names one) for its ``after`` line, and runs its ``killed_by`` tests
 there with pytest, one entry at a time.  An entry is killed when pytest
 reports a failing test (exit code 1).  It prints one line per entry and
 exits 1 if any entry survives: its killers all pass, or pytest could not run
@@ -44,12 +45,30 @@ def _copy(root: Path, dest: Path) -> None:
             shutil.copy2(path, dest / name)
 
 
-def _plant(path: Path, before: str, after: str) -> None:
+def planted_line(lines: list[str], entry: dict) -> int:
+    """Index in ``lines`` (without line ends) of the line ``entry`` replaces.
+
+    That is the one line equal to ``before``, or, when the entry names an
+    ``occurrence`` ``k``, the ``k``-th from the top of a line that occurs
+    two or more times.  Anything else raises ``ValueError``.
+    """
+    hits = [k for k, line in enumerate(lines) if line == entry["before"]]
+    k = entry.get("occurrence")
+    if k is None and len(hits) == 1:
+        return hits[0]
+    if k is not None and len(hits) > 1 and 1 <= k <= len(hits):
+        return hits[k - 1]
+    at = "" if k is None else f", not at occurrence {k}"
+    raise ValueError(f"'before' occurs {len(hits)} times{at}")
+
+
+def _plant(path: Path, entry: dict) -> None:
     lines = path.read_text().splitlines(keepends=True)
-    hits = [k for k, line in enumerate(lines) if line.rstrip("\n") == before]
-    if len(hits) != 1:
-        raise ValueError(f"{path.name}: 'before' occurs {len(hits)} times")
-    lines[hits[0]] = after + "\n"
+    try:
+        at = planted_line([line.rstrip("\n") for line in lines], entry)
+    except ValueError as exc:
+        raise ValueError(f"{path.name}: {exc}") from None
+    lines[at] = entry["after"] + "\n"
     path.write_text("".join(lines))
 
 
@@ -63,7 +82,7 @@ def replay(entries: list[dict], root: Path = ROOT) -> list[tuple[int, str]]:
             work = Path(tmp) / str(k)
             _copy(root, work)
             try:
-                _plant(work / entry["file"], entry["before"], entry["after"])
+                _plant(work / entry["file"], entry)
             except (OSError, ValueError) as exc:
                 results.append((k, f"not planted: {exc}"))
                 continue

@@ -27,6 +27,7 @@ from extauction import benchmark as bm
 from extauction.experiments import gen_instance
 from extauction.mechanisms import main_mechanism
 from extauction.truthfulness import deviation_test, misreport_plan
+from extauction.valuations import EPS
 
 from conftest import generic_path
 
@@ -208,6 +209,26 @@ def test_sparse_tie_goes_to_the_smallest_id(sorted_calls):
     got, want = _sweep_both(profile, profile.full, 0, 1)
     assert got == want == (repr((76.0, 4.0, profile.full & ~1)), n * (n + 1) // 2)
     assert sorted_calls == [profile.full]
+
+
+@pytest.mark.parametrize("graph", ["empty", "complete"])
+def test_near_ties_keep_the_left_fold_on_both_loops(graph, incremental_calls, sorted_calls):
+    """Sixteen flat bidders whose sweep steps record 0.5, 1.0, ..., 6.0, then 12.0
+    and 0.5, 1.4 and 1.6 EPS above it: the fold keeps the two-member step at +1.4,
+    since +0.5 and +1.6 lie within EPS of the record before them.  The sorted loop
+    (no edges) and the scan (the complete graph) keep the same step as the generic
+    path."""
+    steps = [0.5 * k for k in range(1, 13)] + [12.0 + d * EPS for d in (0.0, 0.5, 1.4, 1.6)]
+    n = len(steps)
+    bids = [v / (n - k) for k, v in enumerate(steps)]
+    edges = [[] for _ in range(n)] if graph == "empty" else None
+    profile = ValuationProfile([GraphConcaveModel(b, beta=0.0) for b in bids], graph=edges)
+    got, want = _sweep_both(profile, profile.full, 0, 1)
+    assert got == want
+    best = bm._greedy_sweep(profile.oracle(), profile.full, 0, 1)
+    assert best[2] == 3 << n - 2 and 12.0 + EPS < best[0] < 12.0 + 1.5 * EPS
+    assert incremental_calls == [profile.full] * 2
+    assert sorted_calls == [profile.full] * (2 if graph == "empty" else 0)
 
 
 def test_small_pools_table_agents_and_a_lifted_gate_take_the_generic_path(incremental_calls):

@@ -3,6 +3,8 @@
 Each entry names a source file, one exact line of it (``before``), the line
 that replaces it to plant the mutant (``after``; an empty one blanks the
 line), and the tests recorded as failing on that mutant (``killed_by``).
+A line that occurs more than once is planted only at the copy the entry's
+``occurrence`` names (1 for the first from the top).
 A change that edits such a line, or renames a killing test, must update or
 retire the entry, so a later replay of the registry plants what it says.
 ``tests/replay_mutants.py`` is that replay; it runs outside tier-1, and here
@@ -12,7 +14,7 @@ only on a synthetic registry.
 import json
 from pathlib import Path
 
-from replay_mutants import main as replay_main
+from replay_mutants import main as replay_main, planted_line
 
 ROOT = Path(__file__).parents[1]
 REGISTRY = Path(__file__).parent / "data" / "mutants.json"
@@ -23,9 +25,10 @@ def _stale_entries(entries, root: Path) -> list[str]:
     stale = []
     for k, entry in enumerate(entries):
         where = f"mutants[{k}] ({entry['file']})"
-        count = (root / entry["file"]).read_text().splitlines().count(entry["before"])
-        if count != 1:
-            stale.append(f"{where}: 'before' occurs {count} times")
+        try:
+            planted_line((root / entry["file"]).read_text().splitlines(), entry)
+        except ValueError as exc:
+            stale.append(f"{where}: {exc}")
         if entry["after"] == entry["before"]:
             stale.append(f"{where}: 'after' plants nothing")
         if not entry["killed_by"]:
@@ -56,6 +59,9 @@ def test_the_check_catches_a_stale_entry(tmp_path):
         {**kept, "after": "def g(x):"},
         {**kept, "killed_by": []},
         {**kept, "killed_by": ["test_mod.py::test_g[0]", "test_gone.py::test_f"]},
+        {**kept, "before": "    return x + 1", "occurrence": 2},  # the second copy, in g
+        {**kept, "before": "    return x + 1", "occurrence": 3},
+        {**kept, "occurrence": 1},  # a line that occurs once names no copy
     ]
     assert _stale_entries(entries, tmp_path) == [
         "mutants[1] (mod.py): 'before' occurs 0 times",
@@ -64,6 +70,8 @@ def test_the_check_catches_a_stale_entry(tmp_path):
         "mutants[4] (mod.py): no killing test",
         "mutants[5] (mod.py): no test test_mod.py::test_g[0]",
         "mutants[5] (mod.py): no test test_gone.py::test_f",
+        "mutants[7] (mod.py): 'before' occurs 2 times, not at occurrence 3",
+        "mutants[8] (mod.py): 'before' occurs 1 times, not at occurrence 1",
     ]
 
 
@@ -71,14 +79,15 @@ def test_the_replay_reports_exactly_the_mutant_its_killers_miss(tmp_path, capsys
     (tmp_path / "src").mkdir()
     (tmp_path / "tests").mkdir()
     (tmp_path / "src" / "mod.py").write_text(
-        "def add(x):\n    return x + 1\n\n\ndef double(x):\n    return 2 * x\n")
+        "def add(x):\n    return x + 1\n\n\ndef double(x):\n    return 2 * x\n\n\n"
+        "def inc(x):\n    return x + 1\n")
     (tmp_path / "tests" / "test_mod.py").write_text(
         "from mod import add, double\n\n\ndef test_add():\n    assert add(1) == 2\n\n\n"
         "def test_double_runs():\n    assert double(2) is not None\n")
     registry = tmp_path / "mutants.json"
     registry.write_text(json.dumps({"mutants": [
         {"what": "add by two", "file": "src/mod.py", "before": "    return x + 1",
-         "after": "    return x + 2", "killed_by": ["tests/test_mod.py::test_add"]},
+         "after": "    return x + 2", "occurrence": 1, "killed_by": ["tests/test_mod.py::test_add"]},
         {"what": "triple", "file": "src/mod.py", "before": "    return 2 * x",
          "after": "    return 3 * x", "killed_by": ["tests/test_mod.py::test_double_runs"]},
     ]}))
@@ -88,4 +97,6 @@ def test_the_replay_reports_exactly_the_mutant_its_killers_miss(tmp_path, capsys
         "mutants[1] survived: every recorded killer passed: triple",
         "1 of 2 killed",
     ]
-    assert (tmp_path / "src" / "mod.py").read_text().count("x + 1") == 1
+    lines = (tmp_path / "src" / "mod.py").read_text().splitlines()
+    assert lines.count("    return x + 1") == 2
+    assert planted_line(lines, {"before": "    return x + 1", "occurrence": 2}) == 9  # inc's

@@ -221,16 +221,25 @@ def test_the_partition_ledger_frees_its_revenue_table(monkeypatch):
     import gc
     import weakref
 
+    class Kept(list):  # a list that takes a weak reference, as the walk's own cannot
+        pass
+
+    def kept_fill(o):
+        o._lows = Kept(o._lows)
+        walks.append(o)
+        tables.append(Kept(fill(o)))
+        return tables[-1]
+
     profile = _table_cases()["graph_concave"]
     oracle = profile.oracle()
     fill = mech.revenue_table
     tables, walks = [], []
-    monkeypatch.setattr(mech, "revenue_table",
-                        lambda o: walks.append(o) or tables.append(fill(o)) or tables[-1])
+    monkeypatch.setattr(mech, "revenue_table", kept_fill)
     ledger = mech._partition_ledger(oracle)
     assert len(tables) == len(walks) == 1 and oracle.ledger is ledger
     walk = walks.pop()
     assert type(walk) is mech._Tabulated and walk.profile is profile
+    assert type(walk._lows) is Kept and len(walk._lows) == len(tables[0]) == 3 ** profile.n
     refs = [weakref.ref(tables.pop()), weakref.ref(walk._lows)]
     del walk
     gc.collect()
@@ -430,6 +439,11 @@ def _sweep_fill(oracle):
     return table
 
 
+def _bits(floats):
+    """The bytes of ``floats`` as doubles, so ``-0.0`` and NaN payloads compare too."""
+    return array("d", floats).tobytes()
+
+
 def _oracles(profile, kind):
     """Two like tabulated oracles of one kind, and the evaluator calls of each
     (wrapped kind only)."""
@@ -470,8 +484,8 @@ def test_dp_fill_matches_the_sweep_fill(model, graph):
             want = _sweep_fill(ref)
             got = mech.revenue_table(dp)
             case = (n, kind)
-            assert got.tobytes() == want.tobytes(), case
-            assert dp._lows.tobytes() == ref._lows.tobytes() and dp._args == ref._args, case
+            assert _bits(got) == want.tobytes(), case
+            assert _bits(dp._lows) == _bits(ref._lows) and dp._args == ref._args, case
             assert dp.queries == ref.queries + scanned, case
             assert dp_calls[0] == ref_calls[0] == (dp.queries if kind == "wrapped" else 0), case
             assert (dp._columns is None) == (kind == "wrapped"), case
@@ -495,7 +509,13 @@ def _fold_cases():
     so only a sweep can tell.  In ``first_record_in_the_tie_band`` the sweep
     steps through ``val``, ``+0.5`` and ``+2``: the tail's first record lies
     in ``(val, val + EPS]`` too, but its second, ``+2``, is known and above
-    ``val + EPS``, so the fold takes it and the pair needs no sweep.
+    ``val + EPS``, so the fold takes it and the pair needs no sweep.  In
+    ``tail_record_at_minus_eps`` the tail's own step value is exactly
+    ``-EPS``, a record, so the fill reads it from the step memo and not as
+    an inherited one, and the fold takes the tail's second, 5.0.  In
+    ``zero_of_each_sign`` the pair ``({0, 1}, {2})`` records ``2 * 0.0`` and
+    then ``({0, 1}, {})`` records ``2 * -0.0``, each over a tail at 0.0:
+    the table keeps both signs.
     """
     x = 12.0
     return {
@@ -507,6 +527,11 @@ def _fold_cases():
         "second_record_of_a_copied_chain": (_tabled(
             {0b1111: 10.0, 0b0111: -1.0}, {0b1111: 10.0, 0b0111: 10.0, 0b0110: 1.5},
             {0b1111: 10.0, 0b0111: 10.0, 0b0110: 10.0, 0b0100: 10.0}, {0b1111: 1.0}), False),
+        "tail_record_at_minus_eps": (_tabled(
+            {0b111: 1.0}, {0b111: 2.0, 0b110: -EPS / 2}, {0b111: 2.0, 0b110: 10.0, 0b100: 5.0}),
+            False),
+        "zero_of_each_sign": (_tabled(
+            {0b111: 0.0, 0b011: -0.0}, {0b111: 1.0, 0b011: 1.0}, {0b111: 1.0}), False),
         "tied_bids": (size_scalar_profile(4), False),
         "first_record_in_the_tie_band": (flat_bids_profile(
             [x / 3, (x + 0.5 * EPS) / 2, x + 2 * EPS]), False),
@@ -547,7 +572,7 @@ def test_dp_fill_sweeps_only_one_member_pools_and_fallbacks(name, monkeypatch):
         assert repr(table[tern[pool] + 2 * tern[free]]) == repr(want), (pool, free)
     ref = mech._Tabulated(profile.oracle())
     _sweep_fill(ref)
-    assert oracle._lows.tobytes() == ref._lows.tobytes() and oracle._args == ref._args
+    assert _bits(oracle._lows) == _bits(ref._lows) and oracle._args == ref._args
     assert oracle.queries == ref.queries == n * 3 ** (n - 1)
 
 
@@ -564,8 +589,8 @@ def test_near_tie_chain_keeps_the_left_fold():
 
 
 def _fill_records(oracle):
-    """``revenue_table(oracle)`` with the fill's two record arrays, first and second,
-    kept by handing the fill an ``array`` subclass that keeps what it repeats."""
+    """``revenue_table(oracle)`` with the fill's second-record array, kept by
+    handing the fill an ``array`` subclass that keeps what it repeats."""
     kept = []
 
     class Kept(array):
@@ -576,8 +601,8 @@ def _fill_records(oracle):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(mech, "array", Kept)
         table = mech.revenue_table(oracle)
-    first, second = kept
-    return table, first, second
+    (second,) = kept
+    return table, second
 
 
 def _near_tie_chains(count):
@@ -596,17 +621,21 @@ def _near_tie_chains(count):
 def test_every_known_second_record_is_taken_by_any_fold(name):
     """The invariant behind the fill's second-record rule.  Wherever the fill
     knows a pair's second record ``s``, ``s`` is one of the pair's sweep step
-    values, and each step value before it is below ``s - EPS``; the first
-    record is the first step value not below ``-EPS``, and every entry is
-    the sweep's own."""
+    values, and each step value before it is below ``s - EPS``; and every
+    entry is the sweep's own.  The fill keeps no first record: a pair's is
+    its own step value ``|pool| * low`` from the step memo, or, when that is
+    below ``-EPS``, its tail's, none for a one-member pool.  That rule gives
+    the sweep's first step value not below ``-EPS``, and the copied chain's
+    fold reads a record its tail inherited."""
     cases = {**{key: (p, None) for key, p in _table_cases().items()}, **_fold_cases()}
     profiles = list(_near_tie_chains(300)) if name == "near_tie_chains" else [cases[name][0]]
-    known = banded = 0
+    known = banded = inherited = 0
     for profile in profiles:
         oracle = mech._Tabulated(profile.oracle())
         tern = oracle.tern
-        table, first, second = _fill_records(oracle)
-        for pool, free in _disjoint_pairs(profile.n):
+        table, second = _fill_records(oracle)
+        first = {}
+        for pool, free in sorted(_disjoint_pairs(profile.n), key=lambda pair: pair[0].bit_count()):
             if not pool:
                 continue
             key = tern[pool] + 2 * tern[free]
@@ -616,7 +645,13 @@ def test_every_known_second_record_is_taken_by_any_fold(name):
                 steps.append(t.bit_count() * low)
                 t &= ~(1 << arg)
             val, tail = steps[0], key - tern[1 << oracle.argmin(pool, pool | free)[1]]
-            banded += val + EPS >= first[tail] > val and second[tail] > val + EPS
+            assert repr(val) == repr(pool.bit_count() * oracle._lows[key]), (pool, free)
+            tf = first.get(tail, -math.inf)
+            first[key] = tf if val < -EPS else val
+            if pool.bit_count() > 1 and not table[tail] <= val:  # the fill reads tf
+                own = (pool.bit_count() - 1) * oracle._lows[tail]
+                inherited += own < -EPS and tf != -math.inf
+            banded += val + EPS >= tf > val and second[tail] > val + EPS
             assert repr(table[key]) == repr(bm._greedy_sweep(oracle, pool, free, 1)[0])
             records = [v for v in steps if not v < -EPS]
             assert repr(first[key]) == repr(records[0] if records else -math.inf), (pool, free)
@@ -629,6 +664,7 @@ def test_every_known_second_record_is_taken_by_any_fold(name):
                "second_record_of_a_copied_chain", "first_record_in_the_tie_band")
     assert known > 0 or name not in (*planted, "near_tie_chains")
     assert banded > 0 or name not in ("first_record_in_the_tie_band", "near_tie_chains")
+    assert inherited > 0 or name != "second_record_of_a_copied_chain"
 
 
 def test_profile_keeps_no_tables():
